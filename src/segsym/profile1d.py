@@ -97,7 +97,12 @@ def solve_profile(
     h2 = h * h
     off = np.ones(m - 1) / h2
     res = _sup_residual(u, v, h)
-    for _ in range(_NEWTON_MAX):
+    for newton_steps in range(_NEWTON_MAX):
+        # NaN fails every comparison, so it must never reach `res <= tol`
+        if not np.isfinite(res):
+            raise NoConvergence(
+                newton_steps, res, "profile Newton iteration hit a non-finite residual"
+            )
         if res <= cfg.tol:
             break
         ui, vi = u[1:-1], v[1:-1]
@@ -140,8 +145,6 @@ def solve_profile(
             _gauss_seidel(u, v, h, _GS_FALLBACK_SWEEPS)
             res = _sup_residual(u, v, h)
     else:
-        raise NoConvergence(_NEWTON_MAX, res, "profile Newton iteration")
-    if res > cfg.tol:
         raise NoConvergence(_NEWTON_MAX, res, "profile Newton iteration")
     return Profile1D(x, u, v, res, L, h)
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+import segsym.elliptic2d as e2d
 from segsym.config import SolveConfig
 from segsym.elliptic2d import (
     _sup_residual,
@@ -14,13 +15,17 @@ from segsym.elliptic2d import (
     solve_system,
 )
 from segsym.errors import BallOutsideDomain, NoConvergence
-from segsym.grid import Field, square_grid
+from segsym.grid import Field, Grid2D, square_grid
 from segsym.presets import linear_pair, linear_pair_bdata
 
 # 1 / I0(5): center value of the radial solution of w'' + w'/r = 25 w
 # on [0, 1] with w(1) = 1.  Agrees with scipy.special.i0 and with the
 # finite-difference oracle below to 5e-10.
 DECAY_CENTER_ORACLE = 0.036710892271286676
+
+# Sweeps plain red-black Gauss-Seidel needed for the solved_k100 fixture
+# (65^2, kappa = 100, tol = 1e-9); over-relaxation needs 500.
+GAUSS_SEIDEL_SWEEPS_K100 = 10_100
 
 # u(0) of the 1D interface profile, from the profile solver at
 # half_length 20, spacing 0.05 (test_profile1d pins that run).
@@ -77,6 +82,37 @@ def test_negative_kappa_rejected():
         solve_system(g, fu, fv, -1.0)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_non_finite_kappa_rejected(kappa):
+    g = square_grid(1.0, 17)
+    fu, fv = linear_pair_bdata()
+    with pytest.raises(ValueError, match="kappa"):
+        solve_system(g, fu, fv, kappa)
+
+
+@pytest.mark.parametrize("name, bad_value", [("bdata_u", np.nan), ("bdata_v", np.inf)])
+def test_non_finite_boundary_rejected_before_solving(name, bad_value, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a Laplace solve ran on non-finite data")
+
+    monkeypatch.setattr(e2d, "_laplace_rectangle", no_solve)
+    g = square_grid(1.0, 17)
+    fu, fv = linear_pair_bdata()
+    bad = lambda x, y: np.where(x > 0.9, bad_value, 0.0)
+    bdata = (bad, fv) if name == "bdata_u" else (fu, bad)
+    with pytest.raises(ValueError, match=name):
+        solve_system(g, *bdata, 1.0)
+
+
+def test_non_finite_residual_raises(monkeypatch):
+    monkeypatch.setattr(e2d, "_sup_residual", lambda *args: float("nan"))
+    g = square_grid(1.0, 17)
+    fu, fv = linear_pair_bdata()
+    with pytest.raises(NoConvergence) as exc:
+        solve_system(g, fu, fv, 1.0)
+    assert exc.value.iterations == 0
+
+
 def test_negative_boundary_rejected():
     g = square_grid(1.0, 17)
     with pytest.raises(ValueError):
@@ -91,8 +127,27 @@ def test_solution_invariants(solved_k100):
     assert pair.v.values.min() >= 0.0
     assert pair.u.values.max() <= 1.0 + 1e-12
     assert pair.sweeps > 0
-    # every pointwise update solves its scalar equation exactly, so the
-    # recorded energies can only go down
+    # every pointwise update is an over-relaxed, projected move that does
+    # not raise the energy in its coordinate, so the recorded energies can
+    # only go down
+    assert np.all(np.diff(pair.energy_trace) <= 1e-12)
+
+
+def test_over_relaxation_sweep_count(solved_k100):
+    _, pair = solved_k100
+    assert pair.sweeps <= GAUSS_SEIDEL_SWEEPS_K100 // 10
+
+
+def test_non_square_grid():
+    # nx != ny gives a different optimal relaxation factor per axis
+    g = Grid2D(65, 97, 2.0 / 64, origin=(-1.0, -1.5))
+    fu, fv = linear_pair_bdata(direction=(1.0, 2.0))
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-9))
+    assert pair.residual <= 1e-9
+    assert _sup_residual(pair.u.values, pair.v.values, 100.0, g.h) <= 1e-9
+    assert pair.u.values.min() >= 0.0
+    assert pair.v.values.min() >= 0.0
+    assert pair.energy_trace.size > 0
     assert np.all(np.diff(pair.energy_trace) <= 1e-12)
 
 
@@ -182,6 +237,15 @@ def test_harmonic_disk_outside_raises():
     g = square_grid(1.0, 33)
     with pytest.raises(BallOutsideDomain):
         solve_harmonic(g, (0.5, 0.0), 0.8, lambda x, y: x)
+
+
+@pytest.mark.parametrize("R", [0.0, -0.5])
+def test_disk_radius_must_be_positive(R):
+    g = square_grid(1.0, 33)
+    with pytest.raises(ValueError):
+        solve_harmonic(g, (0.0, 0.0), R, lambda x, y: x)
+    with pytest.raises(ValueError):
+        solve_linear_decay(1.0, 1.0, R, g)
 
 
 def test_radial_oracle_matches_bessel():

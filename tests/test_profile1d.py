@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import segsym.profile1d as p1d
 from segsym import square_grid
 from segsym.config import SolveConfig
 from segsym.errors import (
     DomainTooLarge,
     MultipleSignChanges,
+    NoConvergence,
     NoSignChange,
 )
 from segsym.profile1d import (
@@ -31,6 +33,13 @@ def test_preconditions():
         solve_profile(20.0, 0.2)
     with pytest.raises(ValueError):
         solve_profile(20.0, -0.1)
+
+
+def test_non_finite_residual_raises(monkeypatch):
+    monkeypatch.setattr(p1d, "_sup_residual", lambda *args: float("nan"))
+    with pytest.raises(NoConvergence) as exc:
+        solve_profile(20.0, 0.05)
+    assert exc.value.iterations == 0
 
 
 def test_residual_independent_recheck(profile):
