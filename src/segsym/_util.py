@@ -1,10 +1,9 @@
-"""Small shared helpers: atomic file output, CSV text, thread-capped maps."""
+"""Small shared helpers: atomic file output and CSV text."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 
 def fmt_value(v) -> str:
@@ -39,29 +38,3 @@ def atomic_write_text(path, text: str) -> None:
             pass
         raise
 
-
-def thread_count() -> int:
-    """Worker cap: SEGSYM_THREADS if set, else hardware parallelism."""
-    raw = os.environ.get("SEGSYM_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
-
-def ordered_map(fn, items):
-    """Map `fn` over `items`, preserving input order in the result list.
-
-    Uses a thread pool sized by thread_count(); falls back to a plain
-    loop when only one worker is allowed, so results are identical (and
-    byte-stable) either way.
-    """
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -10,8 +10,8 @@ reused.
 
 CSV conventions: `# key=value` meta lines, then a header row, then data
 rows with floats at 17 significant digits.  Wall-clock runtimes are
-reported on the results but kept out of the CSVs so a rerun with the
-deterministic flag is byte-identical.
+reported on the results but kept out of the CSVs so a rerun is
+byte-identical.
 """
 
 from __future__ import annotations

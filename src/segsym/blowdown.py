@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import flatness_direction
+from .diagnostics import _ZERO_SHELL, flatness_direction
 from .errors import DomainTooLarge, ZeroDenominator
 from .grid import Field, Grid2D, ball_weights, gradient, interpolate, shell_integral
-
-# shell integrals at or below this are treated as vanishing
-_ZERO_SHELL = 1e-14
 
 _ORIGIN = (0.0, 0.0)
 

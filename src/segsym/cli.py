@@ -11,16 +11,16 @@ on stdout.  Exit codes: 0 on success, 1 for configuration errors (bad
 flags, malformed or invalid JSON, out-of-range parameters), 2 for input
 errors (missing files, geometry that does not fit the provided grids),
 3 for numerical failures and for completed runs whose judgment is
-`fail`.  All file output is atomic (temp file + rename).  The worker
-pool honors the SEGSYM_THREADS environment variable.
+`fail`.  All file output is atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .errors import (
     NegativeInput,
     NoConvergence,
     NoSignChange,
+    NumericalBreakdown,
     PointOutsideDomain,
     ZeroDenominator,
 )
@@ -59,6 +60,7 @@ _INPUT_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     NoConvergence,
+    NumericalBreakdown,
     ZeroDenominator,
     NoSignChange,
     MultipleSignChanges,
@@ -163,6 +165,8 @@ def _coerce(scenario: str, key: str, tag: str, value):
     if tag == "f":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigInvalid(key, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigInvalid(key, f"expected a finite number, got {value!r}")
         return float(value)
     if tag == "i":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -179,6 +183,8 @@ def _coerce(scenario: str, key: str, tag: str, value):
         for item in value:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigInvalid(key, f"expected numbers, got {item!r}")
+            if not math.isfinite(item):
+                raise ConfigInvalid(key, f"expected finite numbers, got {item!r}")
             out.append(float(item))
         return out
     raise AssertionError(tag)
@@ -186,13 +192,12 @@ def _coerce(scenario: str, key: str, tag: str, value):
 
 @dataclass
 class Experiment:
-    """One configured scenario run: a display name, the scenario id,
-    validated params, and the paths written once it has run."""
+    """One configured scenario run: a display name, the scenario id
+    and validated params."""
 
     name: str
     scenario: str
     params: dict
-    outputs: list = field(default_factory=list)
 
 
 def make_experiment(doc: dict) -> Experiment:
@@ -209,8 +214,9 @@ def make_experiment(doc: dict) -> Experiment:
 
 
 def validate_params(scenario: str, raw: dict) -> dict:
-    """Check keys and types against the scenario schema, fill defaults,
-    and enforce sign preconditions on kappa values."""
+    """Check keys and types against the scenario schema (every number
+    finite), fill defaults, and enforce sign preconditions on kappa
+    values and lambda."""
     if scenario not in SCHEMAS:
         raise ConfigInvalid(
             "scenario", f"unknown scenario {scenario!r}, expected one of {sorted(SCHEMAS)}"
@@ -225,6 +231,8 @@ def validate_params(scenario: str, raw: dict) -> dict:
         raise ConfigInvalid("kappa", f"kappa must be nonnegative, got {params['kappa']}")
     if "kappas" in params and any(k < 0.0 for k in params["kappas"]):
         raise ConfigInvalid("kappas", "every kappa must be nonnegative")
+    if "lambda" in params and params["lambda"] <= 0.0:
+        raise ConfigInvalid("lambda", f"lambda must be positive, got {params['lambda']}")
     return params
 
 
@@ -570,7 +578,6 @@ def _dispatch(args) -> int:
         outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     status, kv = RUNNERS[exp.scenario](exp.params, outdir)
-    exp.outputs = [v for v in kv.values() if isinstance(v, Path)]
     _result(exp.name, status, kv)
     return 0 if status in ("done", "pass") else 3
 

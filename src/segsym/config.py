@@ -14,8 +14,9 @@ class SolveConfig:
     tol            sup-norm residual target (not an energy delta)
     max_iter       iteration / sweep cap before NoConvergence
     damping        Newton step scale in (0, 1]; line search halves from here
-    deterministic  keep fixed-order reductions so reruns are byte-stable
-    seed           RNG seed for randomized restarts
+    seed           RNG seed for acceptance criterion 7's random
+                   rearrangement trials; no solver or minimizer draws
+                   random numbers
     boundary_floor smallest value pinned on a Dirichlet boundary; keeps
                    Jacobians nonsingular without visibly denting monotonicity
     """
@@ -23,7 +24,6 @@ class SolveConfig:
     tol: float = 1e-8
     max_iter: int = 200_000
     damping: float = 1.0
-    deterministic: bool = True
     seed: int = 0
     boundary_floor: float = 1e-12
 

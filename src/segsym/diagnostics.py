@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ordered_map
 from .config import SolveConfig
 from .elliptic2d import solve_harmonic
 from .errors import ZeroDenominator
@@ -221,8 +220,7 @@ def functional_trace(
 ) -> MonotonicityTrace:
     """Sample one of the functionals N, H, D, J over increasing radii.
 
-    Densities are built once; radii are evaluated through a worker map
-    with deterministic assembly order."""
+    Densities are built once, then each radius is evaluated in order."""
     _check_pair(u, v)
     radii = _check_radii(radii)
     if functional == "N":
@@ -257,8 +255,8 @@ def functional_trace(
 
     else:
         raise ValueError(f"unknown functional {functional!r}, expected N, H, D, or J")
-    values = ordered_map(value, radii)
-    return MonotonicityTrace(functional, tuple(x), radii, np.array(values), kappa)
+    values = np.array([value(r) for r in radii])
+    return MonotonicityTrace(functional, tuple(x), radii, values, kappa)
 
 
 def frequency_trace(u: Field, v: Field, kappa: float, x, radii) -> MonotonicityTrace:

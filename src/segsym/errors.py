@@ -60,6 +60,11 @@ class NoConvergence(SegsymError):
         super().__init__(f"{text}: {self.iterations} iterations, residual {self.residual:.3e}")
 
 
+class NumericalBreakdown(SegsymError):
+    """An iteration broke an invariant it must keep: an iterate lost
+    all its mass, or a descent raised the value it minimizes."""
+
+
 class ConfigInvalid(SegsymError):
     """A config field failed validation; `field` names the offender."""
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ordered_map
 from .config import SolveConfig
-from .errors import DeficitNonpositive, NegativeInput, NoConvergence
+from .errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalBreakdown
 
 _FIBER = {2: 2.0, 3: 2.0 * math.pi}  # measure of the azimuthal fiber
 
@@ -236,8 +235,8 @@ def _laplacian(f, stiff):
 
 def _normalize(f, w):
     mass = math.sqrt(float(np.dot(w, f * f)))
-    if mass <= 0.0:
-        raise ValueError("iterate lost all mass")
+    if not 0.0 < mass < math.inf:
+        raise NumericalBreakdown(f"iterate lost all mass or went non-finite (norm {mass})")
     return f / mass
 
 
@@ -302,10 +301,21 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
         history.append(val)
         done = len(history) > 50 and history[-51] - history[-1] < cfg.tol
         if done or (not improved and len(history) > 50):
-            # descent only ever accepts non-increasing values
-            assert all(b - a <= 1e-14 for a, b in zip(history, history[1:]))
+            # descent only ever accepts non-increasing values; written so
+            # that a NaN anywhere in the history fails the check too
+            if not all(b - a <= 1e-14 for a, b in zip(history, history[1:])):
+                raise NumericalBreakdown(
+                    f"spherical descent value rose or went non-finite by iteration {it}"
+                )
             return u, v, val, x, y, pm, it
     raise NoConvergence(cfg.max_iter, history[0] - history[-1], "spherical descent")
+
+
+def _check_coupling(kappa: float, lambda_kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    if not (math.isfinite(lambda_kappa) and lambda_kappa > 0.0):
+        raise ValueError(f"lambda_kappa must be finite and positive, got {lambda_kappa}")
 
 
 def minimize_spherical(
@@ -320,31 +330,20 @@ def minimize_spherical(
     x and y are the Dirichlet-plus-coupling quotients of the normalized
     problem (vbar rescaled to unit mass, coupling lambda_kappa^2 kappa
     in x).  Projected gradient descent with clipping, renormalization,
-    and a monotone rearrangement every 10 steps; three starts (one cap
-    pair, two seeded random) and the best value wins.  Multipliers are
-    evaluated from the stationarity identities, so they make sense even
-    at approximate minimizers.
+    and a monotone rearrangement every 10 steps, from one start: the cap
+    pair u ~ (cos alpha)^+, v ~ (cos alpha)^-, each lifted by 0.02.
+    Multipliers are evaluated from the stationarity identities, so they
+    make sense even at approximate minimizers.
     """
     cfg = cfg or SolveConfig()
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if lambda_kappa <= 0.0:
-        raise ValueError(f"lambda_kappa must be positive, got {lambda_kappa}")
+    _check_coupling(kappa, lambda_kappa)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
     pair0 = uniform_pair(n, m, np.zeros(m), np.zeros(m))
     lam2 = lambda_kappa**2
     t = np.cos(pair0.alpha)
-    starts = [(np.maximum(t, 0.0) + 0.02, np.maximum(-t, 0.0) + 0.02)]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(2):
-        starts.append((rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, m)))
-    best = None
-    for u0, v0 in starts:
-        out = _descent(u0.copy(), v0.copy(), pair0, kappa, lam2, cfg)
-        if best is None or out[2] < best[2]:
-            best = out
-    u, v, val, x, y, pm, its = best
+    u0, v0 = np.maximum(t, 0.0) + 0.02, np.maximum(-t, 0.0) + 0.02
+    u, v, val, x, y, pm, its = _descent(u0, v0, pair0, kappa, lam2, cfg)
     gpx = _gamma_prime(x, n)
     gpy = _gamma_prime(y, n)
     coupling = kappa * pm
@@ -402,17 +401,17 @@ def fit_deficit(kappas, values) -> SweepFit:
 def kappa_sweep(kappas, lambda_kappa, m, cfg: SolveConfig | None = None) -> SweepFit:
     """Run minimize_spherical across kappas and fit 2 - value ~ C kappa^p.
 
-    Needs at least 3 kappas spanning two decades.  Independent kappas
-    may run in worker threads; assembly order is the input order.
+    Needs at least 3 kappas spanning two decades; every kappa and
+    lambda_kappa is checked before the first minimization runs.
     """
     kappas = [float(k) for k in kappas]
     if len(kappas) < 3:
         raise ValueError("need at least 3 kappa values")
+    for k in kappas:
+        _check_coupling(k, lambda_kappa)
     if max(kappas) < 100.0 * min(kappas):
         raise ValueError("kappa values must span at least two decades")
-    reports = ordered_map(
-        lambda k: minimize_spherical(k, lambda_kappa, m, cfg), kappas
-    )
+    reports = [minimize_spherical(k, lambda_kappa, m, cfg) for k in kappas]
     fit = fit_deficit(kappas, [r.value for r in reports])
     fit.reports = reports
     return fit

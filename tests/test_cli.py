@@ -189,6 +189,31 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["profile", "--no-such-flag"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["spheremin", "--kappa", "nan", "--m", "16"], "kappa"),
+        (["spheremin", "--kappa", "inf", "--m", "16"], "kappa"),
+        (["spheremin", "--lambda", "nan", "--m", "16"], "lambda"),
+        (["spheremin", "--lambda", "0", "--m", "16"], "lambda"),
+        (["solve2d", "--kappa", "nan", "--n", "17"], "kappa"),
+        (["spheresweep", "--kappas", "100,nan,10000", "--m", "16"], "kappas"),
+        (["spheresweep", "--lambda", "-1", "--m", "16"], "lambda"),
+    ],
+)
+def test_nonfinite_or_nonpositive_coupling_exits_1(tmp_path, capsys, argv, field):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_nonfinite_json_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"scenario": "spheresweep", "lambda": NaN}')
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+    assert "config field 'lambda'" in capsys.readouterr().err
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     rc = main(["blowdown", "--in-u", str(tmp_path / "ghost_u.csv"),
                "--in-v", str(tmp_path / "ghost_v.csv"), "--outdir", str(tmp_path)])
@@ -208,3 +233,13 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
                "--radii", "0.3,0.5,0.7", "--outdir", str(tmp_path)])
     assert rc == 3
     assert "zero" in capsys.readouterr().err.lower()
+
+
+def test_descent_breakdown_exits_3(tmp_path, capsys, monkeypatch):
+    from segsym import sphere
+
+    monkeypatch.setattr(
+        sphere, "_value_and_quotients", lambda *a: (float("nan"), 1.0, 1.0, 0.0)
+    )
+    assert main(["spheremin", "--kappa", "200", "--m", "16", "--outdir", str(tmp_path)]) == 3
+    assert "descent" in capsys.readouterr().err

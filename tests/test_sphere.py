@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from segsym import sphere
 from segsym.config import SolveConfig
-from segsym.errors import DeficitNonpositive, NegativeInput
+from segsym.errors import DeficitNonpositive, NegativeInput, NumericalBreakdown
 from segsym.sphere import (
     SphericalPair,
     dirichlet_energy,
@@ -21,9 +22,9 @@ from segsym.sphere import (
     uniform_pair,
 )
 
-# Frozen values from converged runs of this module (seeded descent,
-# m=128 cells, three restarts).  Method: projected gradient with
-# rearrangement every 10 steps, tol 1e-10 over 50 steps.
+# Frozen values from converged runs of this module (descent from the
+# one cap start, m=128 cells).  Method: projected gradient with
+# rearrangement every 10 steps, stopped on a value stall over 50 steps.
 MIN_VALUE_K1E3 = 1.820489
 MIN_MULT_K1E3 = 0.86839
 MIN_SEG_K1E3 = 0.00851
@@ -283,8 +284,13 @@ def test_minimize_n3_value_below_two():
     assert 0.0 < rep.value < 2.0
 
 
-def test_kappa_sweep_fit():
-    fit = kappa_sweep([1e2, 1e3, 1e4], 1.0, 128)
+@pytest.fixture(scope="module")
+def sweep_m128():
+    return kappa_sweep([1e2, 1e3, 1e4], 1.0, 128)
+
+
+def test_kappa_sweep_fit(sweep_m128):
+    fit = sweep_m128
     assert np.all(fit.values < 2.0)
     assert not fit.clipped
     assert abs(fit.C - SWEEP_C_M128) <= 2e-2
@@ -293,6 +299,55 @@ def test_kappa_sweep_fit():
     segs = [r.seg for r in fit.reports]
     slope = np.polyfit(np.log(fit.kappas), np.log(segs), 1)[0]
     assert -0.65 <= slope <= -0.35
+
+
+def test_kappa_sweep_equals_single_minimizations(sweep_m128):
+    for k, rep in zip([1e2, 1e3, 1e4], sweep_m128.reports):
+        one = minimize_spherical(k, 1.0, 128)
+        assert rep.kappa == k
+        assert rep.value == one.value
+        assert rep.iterations == one.iterations
+        assert np.array_equal(rep.pair.ubar, one.pair.ubar)
+        assert np.array_equal(rep.pair.vbar, one.pair.vbar)
+
+
+def _no_descent(*args, **kwargs):
+    raise AssertionError("a descent ran on a rejected coupling")
+
+
+@pytest.mark.parametrize(
+    "kappa, lam", [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)]
+)
+def test_minimize_rejects_nonfinite_coupling(monkeypatch, kappa, lam):
+    monkeypatch.setattr(sphere, "_descent", _no_descent)
+    with pytest.raises(ValueError):
+        minimize_spherical(kappa, lam, 16)
+
+
+def test_sweep_rejects_nonfinite_coupling_before_any_descent(monkeypatch):
+    monkeypatch.setattr(sphere, "_descent", _no_descent)
+    with pytest.raises(ValueError):
+        kappa_sweep([1e2, 1e3, math.nan], 1.0, 16)
+    with pytest.raises(ValueError):
+        kappa_sweep([1e2, math.inf, 1e4], 1.0, 16)
+    with pytest.raises(ValueError):
+        kappa_sweep([1e2, 1e3, 1e4], math.nan, 16)
+
+
+def test_descent_breakdown_raises_numerical_error(monkeypatch):
+    # a non-finite value must fail the monotone-history check that
+    # guards every return, also under python -O
+    monkeypatch.setattr(
+        sphere, "_value_and_quotients", lambda *a: (math.nan, 1.0, 1.0, 0.0)
+    )
+    with pytest.raises(NumericalBreakdown):
+        minimize_spherical(10.0, 1.0, 16)
+
+
+def test_normalize_without_mass_raises_numerical_error():
+    w = np.full(16, 2.0 * math.pi / 16)
+    with pytest.raises(NumericalBreakdown):
+        sphere._normalize(np.zeros(16), w)
 
 
 def test_sweep_preconditions():
