@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _ZERO_SHELL, flatness_direction
-from .errors import DomainTooLarge, ZeroDenominator
-from .grid import Field, Grid2D, ball_weights, gradient, interpolate, shell_integral
+from .errors import DomainTooLarge, NumericalBreakdown, ZeroDenominator
+from .grid import Field, Grid2D, Window, interpolate, shell_integral
 
 _ORIGIN = (0.0, 0.0)
 
@@ -110,7 +110,7 @@ def rescale(
         # two interpolation stages: target sampling plus source spacing seen at scale R
         tol = 5.0 * (target.h + g.h / R)
         if abs(mass - 1.0) > tol:
-            raise ValueError(
+            raise NumericalBreakdown(
                 f"rescaled shell mass {mass:.6g} differs from 1 beyond "
                 f"tolerance {tol:.3g}; L or the inputs are inconsistent"
             )
@@ -141,12 +141,12 @@ def direction_convergence(
     r_top, _, fit_top = fits[-1]
     gx0 = fit_top.magnitude * fit_top.e[0]
     gy0 = fit_top.magnitude * fit_top.e[1]
-    w = gradient(Field(u.grid, u.values - v.values))
-    misfit = (w.vx - gx0) ** 2 + (w.vy - gy0) ** 2
+    win = Window.ball(u.grid, _ORIGIN, r_top)
+    wx, wy = win.grad(u.values - v.values)
+    misfit = (wx - gx0) ** 2 + (wy - gy0) ** 2
     records = []
     for R, L, fit in fits:
-        isl, jsl, wts = ball_weights(u.grid, _ORIGIN, R)
-        deficit = float(np.sum(misfit[isl, jsl] * wts)) / R**2
+        deficit = win.integral(misfit, _ORIGIN, R) / R**2
         # sup-misfit of the rescaled pair is the original misfit over L
         records.append(
             BlowdownRecord(R, L, fit.e, fit.h_flat * R / L, deficit)

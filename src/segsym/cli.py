@@ -154,11 +154,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid("argv", message)
 
 
-def _floats(text: str):
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigInvalid("radii", f"expected comma-separated numbers, got {text!r}")
+def _floats(field: str):
+    """argparse type for a comma-separated list of numbers; a parse
+    error names the config field the flag sets."""
+
+    def parse(text: str):
+        try:
+            return [float(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            raise ConfigInvalid(field, f"expected comma-separated numbers, got {text!r}")
+
+    return parse
 
 
 def _coerce(scenario: str, key: str, tag: str, value):
@@ -513,7 +519,7 @@ def _parser() -> _Parser:
     sp.add_argument("--half-width", dest="half_width", type=float)
     sp.add_argument("--center-x", dest="center_x", type=float)
     sp.add_argument("--center-y", dest="center_y", type=float)
-    sp.add_argument("--radii", type=_floats)
+    sp.add_argument("--radii", type=_floats("radii"))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--out")
 
@@ -525,7 +531,7 @@ def _parser() -> _Parser:
     sp.add_argument("--out")
 
     sp = scenario_parser("spheresweep", "minimization sweep across kappa")
-    sp.add_argument("--kappas", type=_floats)
+    sp.add_argument("--kappas", type=_floats("kappas"))
     sp.add_argument("--lambda", dest="lam", type=float)
     sp.add_argument("--m", type=int)
     sp.add_argument("--out")
@@ -537,7 +543,7 @@ def _parser() -> _Parser:
     sp.add_argument("--spacing", type=float)
     sp.add_argument("--n", type=int)
     sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--radii", type=_floats)
+    sp.add_argument("--radii", type=_floats("radii"))
     sp.add_argument("--out")
 
     sp = scenario_parser("run", "run an experiment from a JSON config or preset")

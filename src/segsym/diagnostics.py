@@ -8,6 +8,10 @@ asymptotic one-dimensionality.  Nothing in this module mutates fields
 or solves equations, except harmonic_deficit which delegates one
 Dirichlet solve.
 
+Ball functionals read only the ball's node window plus one node of
+halo (grid.Window), so their cost follows the ball, not the grid; the
+values are the same floats as full-grid densities would give.
+
 Conventions (n = 2 throughout, so the scaling prefactors r^{2-n} and
 r^{1-n} reduce to 1 and 1/r):
 
@@ -30,6 +34,7 @@ from .elliptic2d import solve_harmonic
 from .errors import ZeroDenominator
 from .grid import (
     Field,
+    Window,
     ball_integral,
     ball_weights,
     gradient,
@@ -42,6 +47,9 @@ _ZERO_SHELL = 1e-14
 # pairs closer than this are excluded from Holder quotients; the
 # all-pairs sup otherwise degenerates to the resolution scale
 PAIR_FLOOR = 0.1
+
+# rows per block of the cone scan
+_CONE_ROWS = 16
 
 # bisection bracket and depth for the ACF correction constant
 _CFIT_MAX = 1e3
@@ -68,14 +76,8 @@ class MonotonicityTrace:
     kappa: float
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
+        object.__setattr__(self, "radii", _check_radii(self.radii))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.radii.ndim != 1 or self.radii.size == 0:
-            raise ValueError("radii must be a nonempty 1D array")
-        if np.any(np.diff(self.radii) <= 0.0):
-            raise ValueError("radii must be strictly increasing")
-        if self.radii[0] <= 0.0:
-            raise ValueError("radii must be positive")
         if self.values.shape != self.radii.shape:
             raise ValueError("values must match radii in shape")
         if not np.all(np.isfinite(self.values)):
@@ -145,27 +147,14 @@ def _check_radii(radii) -> np.ndarray:
     return radii
 
 
-def _interaction(u: Field, v: Field, kappa: float) -> np.ndarray:
-    return kappa * (u.values * v.values) ** 2
-
-
-def _nd_density(u: Field, v: Field, kappa: float) -> Field:
-    gu = gradient(u)
-    gv = gradient(v)
-    return Field(
-        u.grid,
-        gu.magnitude_squared() + gv.magnitude_squared() + _interaction(u, v, kappa),
-    )
-
-
-def _j_densities(u: Field, v: Field, kappa: float) -> tuple[Field, Field]:
-    gu = gradient(u)
-    gv = gradient(v)
-    inter = _interaction(u, v, kappa)
-    return (
-        Field(u.grid, gu.magnitude_squared() + inter),
-        Field(u.grid, gv.magnitude_squared() + inter),
-    )
+def _ball_terms(u: Field, v: Field, kappa: float, x, r: float):
+    """The window of B_r(x) and, on it, |grad u|^2, |grad v|^2 and
+    kappa u^2 v^2; every ball functional integrates sums of these."""
+    win = Window.ball(u.grid, x, r)
+    ux, uy = win.grad(u.values)
+    vx, vy = win.grad(v.values)
+    inter = kappa * (u.values[win.isl, win.jsl] * v.values[win.isl, win.jsl]) ** 2
+    return win, ux * ux + uy * uy, vx * vx + vy * vy, inter
 
 
 def _sq_sum(u: Field, v: Field) -> Field:
@@ -176,43 +165,71 @@ def _sq_sum(u: Field, v: Field) -> Field:
 # Almgren functionals
 
 
+def _ball_values(functional: str, u: Field, v: Field, kappa: float, x, radii) -> list:
+    """N, H, D or J at each of the increasing radii about x.
+
+    Densities are built once, on the window of the largest ball (which
+    must lie inside the grid); shell integrals read u^2 + v^2."""
+    if functional == "H":
+        sq = _sq_sum(u, v)
+
+        def value(r):
+            return shell_integral(sq, x, r) / r
+
+    elif functional == "J":
+        win, gu2, gv2, inter = _ball_terms(u, v, kappa, x, radii[-1])
+        du, dv = gu2 + inter, gv2 + inter
+
+        def value(r):
+            return win.integral(du, x, r) * win.integral(dv, x, r) / r**4
+
+    elif functional in ("N", "D"):
+        win, gu2, gv2, inter = _ball_terms(u, v, kappa, x, radii[-1])
+        dens = gu2 + gv2 + inter
+        sq = _sq_sum(u, v) if functional == "N" else None
+
+        def value(r):
+            num = win.integral(dens, x, r)
+            if sq is None:
+                return num
+            den = shell_integral(sq, x, r)
+            if den <= _ZERO_SHELL:
+                raise ZeroDenominator(
+                    f"shell integral {den:.3e} at r={r} is numerically zero"
+                )
+            return r * num / den
+
+    else:
+        raise ValueError(f"unknown functional {functional!r}, expected N, H, D, or J")
+    return [value(r) for r in radii]
+
+
 def almgren_D(u: Field, v: Field, kappa: float, x, r: float) -> float:
     """Scaled energy of the pair on B_r(x); nondecreasing in r on
     solutions (n = 2, so the r^{2-n} prefactor is 1)."""
     _check_pair(u, v)
-    return ball_integral(_nd_density(u, v, kappa), x, r)
+    return _ball_values("D", u, v, kappa, x, (r,))[0]
 
 
 def almgren_H(u: Field, v: Field, x, r: float) -> float:
     """Average height r^{-1} * int_{dB_r(x)} (u^2 + v^2)."""
     _check_pair(u, v)
-    return shell_integral(_sq_sum(u, v), x, r) / r
+    return _ball_values("H", u, v, 0.0, x, (r,))[0]
 
 
 def almgren_H_rate(u: Field, v: Field, kappa: float, x, r: float) -> float:
     """dH/dr through the identity
     H'(r) = 2 r^{1-n} int_{B_r} |grad u|^2 + |grad v|^2 + 2 kappa u^2 v^2."""
     _check_pair(u, v)
-    gu = gradient(u)
-    gv = gradient(v)
-    dens = Field(
-        u.grid,
-        gu.magnitude_squared()
-        + gv.magnitude_squared()
-        + 2.0 * _interaction(u, v, kappa),
-    )
-    return 2.0 * ball_integral(dens, x, r) / r
+    win, gu2, gv2, inter = _ball_terms(u, v, kappa, x, r)
+    return 2.0 * win.integral(gu2 + gv2 + 2.0 * inter, x, r) / r
 
 
 def almgren_N(u: Field, v: Field, kappa: float, x, r: float) -> float:
     """Frequency r * int_{B_r}(|grad u|^2+|grad v|^2+kappa u^2v^2)
     / int_{dB_r}(u^2+v^2)."""
     _check_pair(u, v)
-    num = ball_integral(_nd_density(u, v, kappa), x, r)
-    den = shell_integral(_sq_sum(u, v), x, r)
-    if den <= _ZERO_SHELL:
-        raise ZeroDenominator(f"shell integral {den:.3e} at r={r} is numerically zero")
-    return r * num / den
+    return _ball_values("N", u, v, kappa, x, (r,))[0]
 
 
 def functional_trace(
@@ -220,42 +237,11 @@ def functional_trace(
 ) -> MonotonicityTrace:
     """Sample one of the functionals N, H, D, J over increasing radii.
 
-    Densities are built once, then each radius is evaluated in order."""
+    Densities are built once, on the window of the largest ball (which
+    must lie inside the grid), then each radius is evaluated in order."""
     _check_pair(u, v)
     radii = _check_radii(radii)
-    if functional == "N":
-        dens = _nd_density(u, v, kappa)
-        sq = _sq_sum(u, v)
-
-        def value(r):
-            den = shell_integral(sq, x, r)
-            if den <= _ZERO_SHELL:
-                raise ZeroDenominator(
-                    f"shell integral {den:.3e} at r={r} is numerically zero"
-                )
-            return r * ball_integral(dens, x, r) / den
-
-    elif functional == "H":
-        sq = _sq_sum(u, v)
-
-        def value(r):
-            return shell_integral(sq, x, r) / r
-
-    elif functional == "D":
-        dens = _nd_density(u, v, kappa)
-
-        def value(r):
-            return ball_integral(dens, x, r)
-
-    elif functional == "J":
-        du, dv = _j_densities(u, v, kappa)
-
-        def value(r):
-            return ball_integral(du, x, r) * ball_integral(dv, x, r) / r**4
-
-    else:
-        raise ValueError(f"unknown functional {functional!r}, expected N, H, D, or J")
-    values = np.array([value(r) for r in radii])
+    values = np.array(_ball_values(functional, u, v, kappa, x, radii))
     return MonotonicityTrace(functional, tuple(x), radii, values, kappa)
 
 
@@ -292,8 +278,7 @@ def check_doubling(trace_H: MonotonicityTrace, d: float, r1: float, r2: float) -
 def acf_J(u: Field, v: Field, kappa: float, x, r: float) -> float:
     """Two-factor product functional; the n=2 kernel is identically 1."""
     _check_pair(u, v)
-    du, dv = _j_densities(u, v, kappa)
-    return ball_integral(du, x, r) * ball_integral(dv, x, r) / r**4
+    return _ball_values("J", u, v, kappa, x, (r,))[0]
 
 
 def acf_J_radial(u_r, v_r, rho, kappa: float, r: float) -> float:
@@ -479,7 +464,8 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     Scans a 64-direction fan anchored at e; for each admissible tau the
     pair should satisfy tau . grad u >= 0 and tau . grad v <= 0 on the
     interior, and the violation is the worst signed excess (0 when the
-    cone property holds)."""
+    cone property holds).  The interior is scanned in blocks of rows, so
+    the temporaries stay cache-sized on large grids."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
@@ -488,22 +474,23 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     if norm <= 0.0:
         raise ValueError("direction e must be nonzero")
     ex, ey = ex / norm, ey / norm
-    gu = gradient(u)
-    gv = gradient(v)
-    ux = gu.vx[1:-1, 1:-1]
-    uy = gu.vy[1:-1, 1:-1]
-    vx = gv.vx[1:-1, 1:-1]
-    vy = gv.vy[1:-1, 1:-1]
     base = math.atan2(ey, ex)
-    worst = 0.0
+    fan = []
     for k in range(64):
         t = base + 2.0 * math.pi * k / 64.0
         tx, ty = math.cos(t), math.sin(t)
-        if tx * ex + ty * ey < aperture - 1e-12:
-            continue
-        du = tx * ux + ty * uy
-        dv = tx * vx + ty * vy
-        worst = max(worst, float(np.max(-du)), float(np.max(dv)))
+        if tx * ex + ty * ey >= aperture - 1e-12:
+            fan.append((tx, ty))
+    g = u.grid
+    worst = 0.0
+    for i in range(1, g.nx - 1, _CONE_ROWS):
+        win = Window(g, slice(i, min(i + _CONE_ROWS, g.nx - 1)), slice(1, g.ny - 1))
+        ux, uy = win.grad(u.values)
+        vx, vy = win.grad(v.values)
+        for tx, ty in fan:
+            du = tx * ux + ty * uy
+            dv = tx * vx + ty * vy
+            worst = max(worst, -float(np.min(du)), float(np.max(dv)))
     return max(0.0, worst)
 
 
@@ -517,38 +504,63 @@ def harmonic_deficit(
     w = Field(u.grid, u.values - v.values)
     phi = solve_harmonic(u.grid, x, R, w, cfg)
     diff = Field(u.grid, w.values - phi.values)
-    gd = gradient(diff)
-    return ball_integral(Field(u.grid, gd.magnitude_squared()), x, R)
+    win = Window.ball(u.grid, x, R)
+    gx, gy = win.grad(diff.values)
+    return win.integral(gx * gx + gy * gy, x, R)
 
 
 # ---------------------------------------------------------------------------
 # flatness extraction
 
 
-def _model_error(uu, vv, tx, ty, s, dx, dy):
-    t = s * (tx * dx + ty * dy)
-    return float(np.max(np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))))
+def _model_errors(uu, vv, proj):
+    """Sup-distance from (uu, vv) to the one-plane model
+    ((s proj)^+, (s proj)^-), as a function of the slope s > 0.
+
+    For s > 0, s proj has the sign of proj, so the nodes are split once
+    per direction: the error is |uu - s proj| + |vv| where proj >= 0 and
+    |uu| + |vv + s proj| where proj < 0.  These are the floats of the
+    unsplit formula, since x - 0 = x and a - (-b) = a + b exactly."""
+    pos = proj >= 0.0
+    neg = ~pos
+    up, vp, pp = uu[pos], np.abs(vv[pos]), proj[pos]
+    un, vn, pn = np.abs(uu[neg]), vv[neg], proj[neg]
+    bp, bn = np.empty_like(pp), np.empty_like(pn)
+
+    def err(s):
+        np.multiply(pp, s, out=bp)
+        np.subtract(up, bp, out=bp)
+        np.abs(bp, out=bp)
+        np.add(bp, vp, out=bp)
+        np.multiply(pn, s, out=bn)
+        np.add(vn, bn, out=bn)
+        np.abs(bn, out=bn)
+        np.add(un, bn, out=bn)
+        # errors are nonnegative, so initial=0.0 only covers an empty side
+        return float(max(bp.max(initial=0.0), bn.max(initial=0.0)))
+
+    return err
 
 
-def _best_magnitude(uu, vv, tx, ty, dx, dy, s_lo, s_hi):
+def _best_magnitude(err, s_lo, s_hi):
     # the sup-error is convex piecewise-linear in s: golden-section is safe
     gr = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = s_lo, s_hi
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc = _model_error(uu, vv, tx, ty, c, dx, dy)
-    fd = _model_error(uu, vv, tx, ty, d, dx, dy)
+    fc = err(c)
+    fd = err(d)
     for _ in range(40):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = _model_error(uu, vv, tx, ty, c, dx, dy)
+            fc = err(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = _model_error(uu, vv, tx, ty, d, dx, dy)
+            fd = err(d)
     s = 0.5 * (a + b)
-    return _model_error(uu, vv, tx, ty, s, dx, dy), s
+    return err(s), s
 
 
 def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
@@ -580,12 +592,11 @@ def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
     best = (math.inf, 0.0, s0)
     for t in thetas:
         tx, ty = math.cos(t), math.sin(t)
-        proj = tx * cdx + ty * cdy
+        err = _model_errors(cu, cv, tx * cdx + ty * cdy)
         for s in mags:
-            ts = s * proj
-            err = float(np.max(np.abs(cu - np.maximum(ts, 0.0)) + np.abs(cv - np.maximum(-ts, 0.0))))
-            if err < best[0]:
-                best = (err, t, s)
+            e = err(s)
+            if e < best[0]:
+                best = (e, t, s)
     _, t_best, s_best = best
     # golden-section on the angle, one coarse fan step to each side
     gr = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -594,7 +605,8 @@ def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
     s_lo, s_hi = s_best / 8.0, s_best * 8.0
 
     def angle_err(t):
-        return _best_magnitude(uu, vv, math.cos(t), math.sin(t), dx, dy, s_lo, s_hi)
+        proj = math.cos(t) * dx + math.sin(t) * dy
+        return _best_magnitude(_model_errors(uu, vv, proj), s_lo, s_hi)
 
     c = b - gr * (b - a)
     d = a + gr * (b - a)

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import spsolve
 
 from .config import SolveConfig
 from .errors import NoConvergence
-from .grid import Field, Grid2D, _require_ball_inside
+from .grid import Field, Grid2D, _require_ball_inside, gradient
 
 _CHECK_EVERY = 50  # sweeps between residual/energy checks
 
@@ -201,22 +201,19 @@ def solve_system(
 
 
 def energy(u: Field, v: Field, kappa: float, center=None, r: float | None = None) -> float:
-    """Quadrature of |∇u|² + |∇v|² + κ u² v², over a ball or the whole grid."""
-    from .grid import ball_integral, gradient
+    """Quadrature of |∇u|² + |∇v|² + κ u² v², over a ball or the whole grid.
 
+    Over a ball (center defaults to the grid center) this is almgren_D."""
+    if r is not None:
+        from .diagnostics import almgren_D  # diagnostics imports this module
+
+        return almgren_D(u, v, kappa, u.grid.center if center is None else center, r)
     gu = gradient(u)
     gv = gradient(v)
-    integrand = Field(
-        u.grid,
-        gu.magnitude_squared()
-        + gv.magnitude_squared()
-        + kappa * (u.values * v.values) ** 2,
+    integrand = (
+        gu.magnitude_squared() + gv.magnitude_squared() + kappa * (u.values * v.values) ** 2
     )
-    if r is None:
-        return float(np.sum(integrand.values) * u.grid.h**2)
-    if center is None:
-        center = u.grid.center
-    return ball_integral(integrand, center, r)
+    return float(np.sum(integrand) * u.grid.h**2)
 
 
 def _disk_dirichlet_solve(

@@ -188,7 +188,9 @@ def disk_rect_area(r: float, ax: float, bx: float, ay: float, by: float) -> floa
     cuts = [ax, bx]
     for yy in (ay, by):
         t = r * r - yy * yy
-        if t > 0.0:
+        # t == 0: the circle is tangent to the edge line; cutting at the
+        # tangent point keeps each piece's midpoint off the edge line
+        if t >= 0.0:
             s = math.sqrt(t)
             if ax < -s < bx:
                 cuts.append(-s)
@@ -225,13 +227,10 @@ def _require_ball_inside(g: Grid2D, center, r: float) -> None:
         )
 
 
-def ball_weights(g: Grid2D, center, r: float):
-    """Quadrature weights for the disk B_r(center).
-
-    Returns (islice, jslice, w): w[i, j] is the exact area of cell
-    (i, j)'s h-by-h square intersected with the disk, nonzero only on
-    the returned subwindow.  Monotone in r cell by cell.
-    """
+def _ball_slices(g: Grid2D, center, r: float) -> tuple[slice, slice]:
+    """Node slices of the subwindow that holds B_r(center) plus one cell,
+    clipped to the grid; the ball must lie inside the grid.  The window
+    of a smaller radius about the same center is a subwindow."""
     _require_ball_inside(g, center, r)
     h = g.h
     cx, cy = float(center[0]), float(center[1])
@@ -241,23 +240,78 @@ def ball_weights(g: Grid2D, center, r: float):
     i1 = min(int(math.ceil((cx + pad - xmin) / h)) + 1, g.nx)
     j0 = max(int(math.floor((cy - pad - ymin) / h)), 0)
     j1 = min(int(math.ceil((cy + pad - ymin) / h)) + 1, g.ny)
-    xs = g.x[i0:i1] - cx
-    ys = g.y[j0:j1] - cy
+    return slice(i0, i1), slice(j0, j1)
+
+
+def ball_weights(g: Grid2D, center, r: float):
+    """Quadrature weights for the disk B_r(center).
+
+    Returns (islice, jslice, w): w[i, j] is the exact area of cell
+    (i, j)'s h-by-h square intersected with the disk, nonzero only on
+    the returned subwindow.  Monotone in r cell by cell.
+    """
+    isl, jsl = _ball_slices(g, center, r)
+    h = g.h
+    cx, cy = float(center[0]), float(center[1])
+    xs = g.x[isl] - cx
+    ys = g.y[jsl] - cy
     d = np.hypot(xs[:, None], ys[None, :])
     half_diag = h * math.sqrt(0.5)
-    w = np.zeros((i1 - i0, j1 - j0))
+    w = np.zeros(d.shape)
     w[d <= r - half_diag] = h * h
     rim = np.argwhere((d > r - half_diag) & (d < r + half_diag))
     for i, j in rim:
         dx, dy = xs[i], ys[j]
         w[i, j] = disk_rect_area(r, dx - h / 2, dx + h / 2, dy - h / 2, dy + h / 2)
-    return slice(i0, i1), slice(j0, j1), w
+    return isl, jsl, w
 
 
 def ball_integral(f: Field, center, r: float) -> float:
     """Integral of f over B_r(center): cell-value times exact cell area."""
     isl, jsl, w = ball_weights(f.grid, center, r)
     return float(np.sum(f.values[isl, jsl] * w))
+
+
+@dataclass(frozen=True)
+class Window:
+    """A rectangular node window isl x jsl of a grid, for densities built
+    from field values and gradients on the window alone.
+
+    grad() differences a full-grid array on the window plus a one-node
+    halo.  The halo is clipped at the grid edge, where gradient's
+    one-sided stencil applies, so each window node gets the same float
+    as gradient(); that stencil needs the window to span at least two
+    nodes along an axis where it touches the grid edge.  integral()
+    gives the same float as ball_integral of the full-grid density.
+    """
+
+    grid: Grid2D
+    isl: slice
+    jsl: slice
+
+    @classmethod
+    def ball(cls, g: Grid2D, center, r: float) -> "Window":
+        """The window of B_r(center); it holds every B_s(center), s <= r."""
+        return cls(g, *_ball_slices(g, center, r))
+
+    def grad(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i0 = max(self.isl.start - 1, 0)
+        j0 = max(self.jsl.start - 1, 0)
+        ext = a[i0 : self.isl.stop + 1, j0 : self.jsl.stop + 1]
+        keep = (
+            slice(self.isl.start - i0, self.isl.stop - i0),
+            slice(self.jsl.start - j0, self.jsl.stop - j0),
+        )
+        h = self.grid.h
+        return _diff_axis(ext, h, 0)[keep], _diff_axis(ext, h, 1)[keep]
+
+    def integral(self, dens: np.ndarray, center, r: float) -> float:
+        """Integral over B_r(center) of a density given on this window,
+        which must hold the ball's window."""
+        isl, jsl, w = ball_weights(self.grid, center, r)
+        i = isl.start - self.isl.start
+        j = jsl.start - self.jsl.start
+        return float(np.sum(dens[i : i + w.shape[0], j : j + w.shape[1]] * w))
 
 
 def shell_integral(f: Field, center, r: float, m: int | None = None) -> float:

@@ -1,0 +1,317 @@
+"""Ball functionals evaluated on the ball's own window equal the
+full-grid formulas bit for bit.
+
+Each reference below builds its density on the whole grid, as the
+diagnostics did before they read only the ball window plus a one-node
+halo; the flatness and cone references are the plain loops that the
+split-by-sign fit and the row-blocked scan replace.  Every comparison
+is `==`, not approx: the windowed code must repeat the same floats.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from segsym.blowdown import direction_convergence
+from segsym.diagnostics import (
+    acf_J,
+    almgren_D,
+    almgren_H_rate,
+    almgren_N,
+    cone_monotonicity,
+    flatness_direction,
+    functional_trace,
+    harmonic_deficit,
+)
+from segsym.elliptic2d import energy, solve_harmonic
+from segsym.grid import Field, Grid2D, ball_integral, ball_weights, gradient, shell_integral
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+# ---------------------------------------------------------------------------
+# full-grid references
+
+
+def full_terms(u, v, kappa):
+    gu, gv = gradient(u), gradient(v)
+    return gu.magnitude_squared(), gv.magnitude_squared(), kappa * (u.values * v.values) ** 2
+
+
+def ref_D(u, v, kappa, x, r):
+    gu2, gv2, inter = full_terms(u, v, kappa)
+    return ball_integral(Field(u.grid, gu2 + gv2 + inter), x, r)
+
+
+def ref_N(u, v, kappa, x, r):
+    den = shell_integral(Field(u.grid, u.values**2 + v.values**2), x, r)
+    return r * ref_D(u, v, kappa, x, r) / den
+
+
+def ref_J(u, v, kappa, x, r):
+    gu2, gv2, inter = full_terms(u, v, kappa)
+    g = u.grid
+    return ball_integral(Field(g, gu2 + inter), x, r) * ball_integral(Field(g, gv2 + inter), x, r) / r**4
+
+
+def ref_H_rate(u, v, kappa, x, r):
+    gu2, gv2, inter = full_terms(u, v, kappa)
+    return 2.0 * ball_integral(Field(u.grid, gu2 + gv2 + 2.0 * inter), x, r) / r
+
+
+def ref_model_error(uu, vv, tx, ty, s, dx, dy):
+    t = s * (tx * dx + ty * dy)
+    return float(np.max(np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))))
+
+
+def ref_best_magnitude(uu, vv, tx, ty, dx, dy, s_lo, s_hi):
+    gr = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = s_lo, s_hi
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc = ref_model_error(uu, vv, tx, ty, c, dx, dy)
+    fd = ref_model_error(uu, vv, tx, ty, d, dx, dy)
+    for _ in range(40):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = ref_model_error(uu, vv, tx, ty, c, dx, dy)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = ref_model_error(uu, vv, tx, ty, d, dx, dy)
+    s = 0.5 * (a + b)
+    return ref_model_error(uu, vv, tx, ty, s, dx, dy), s
+
+
+def ref_flatness(u, v, x, R):
+    """(e, h_flat, magnitude) by the unsplit model error."""
+    g = u.grid
+    isl, jsl, w = ball_weights(g, x, R)
+    mask = w > 0.0
+    DX, DY = np.meshgrid(g.x[isl] - float(x[0]), g.y[jsl] - float(x[1]), indexing="ij")
+    dx, dy = DX[mask], DY[mask]
+    uu, vv = u.values[isl, jsl][mask], v.values[isl, jsl][mask]
+    sup = float(max(np.max(np.abs(uu)), np.max(np.abs(vv))))
+    if sup == 0.0:
+        return [1.0, 0.0], 0.0, 0.0
+    s0 = sup / R
+    stride = max(1, dx.size // 4096)
+    cdx, cdy, cu, cv = dx[::stride], dy[::stride], uu[::stride], vv[::stride]
+    best = (math.inf, 0.0, s0)
+    for t in 2.0 * math.pi * np.arange(256) / 256.0:
+        tx, ty = math.cos(t), math.sin(t)
+        for s in s0 * np.geomspace(0.125, 8.0, 16):
+            err = ref_model_error(cu, cv, tx, ty, s, cdx, cdy)
+            if err < best[0]:
+                best = (err, t, s)
+    _, t_best, s_best = best
+    gr = 0.5 * (math.sqrt(5.0) - 1.0)
+    span = 2.0 * math.pi / 256.0
+    a, b = t_best - span, t_best + span
+
+    def angle_err(t):
+        return ref_best_magnitude(uu, vv, math.cos(t), math.sin(t), dx, dy, s_best / 8.0, s_best * 8.0)
+
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, sc = angle_err(c)
+    fd, sd = angle_err(d)
+    for _ in range(24):
+        if fc <= fd:
+            b, d, fd, sd = d, c, fc, sc
+            c = b - gr * (b - a)
+            fc, sc = angle_err(c)
+        else:
+            a, c, fc, sc = c, d, fd, sd
+            d = a + gr * (b - a)
+            fd, sd = angle_err(d)
+    err, t_fin, s_fin = (fc, c, sc) if fc <= fd else (fd, d, sd)
+    return [math.cos(t_fin), math.sin(t_fin)], err / R, s_fin
+
+
+def ref_cone(u, v, e, aperture):
+    ex, ey = float(e[0]), float(e[1])
+    norm = math.hypot(ex, ey)
+    ex, ey = ex / norm, ey / norm
+    gu, gv = gradient(u), gradient(v)
+    ux, uy = gu.vx[1:-1, 1:-1], gu.vy[1:-1, 1:-1]
+    vx, vy = gv.vx[1:-1, 1:-1], gv.vy[1:-1, 1:-1]
+    base = math.atan2(ey, ex)
+    worst = 0.0
+    for k in range(64):
+        t = base + 2.0 * math.pi * k / 64.0
+        tx, ty = math.cos(t), math.sin(t)
+        if tx * ex + ty * ey < aperture - 1e-12:
+            continue
+        du = tx * ux + ty * uy
+        dv = tx * vx + ty * vy
+        worst = max(worst, float(np.max(-du)), float(np.max(dv)))
+    return max(0.0, worst)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def pairs(draw, min_n=5, max_n=40):
+    """A random grid, a random nonnegative pair on it, and its rng."""
+    nx = draw(st.integers(min_n, max_n))
+    ny = draw(st.integers(min_n, max_n))
+    h = draw(st.floats(0.01, 0.5))
+    origin = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    g = Grid2D(nx, ny, h, origin)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    v = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    return g, u, v, rng
+
+
+@st.composite
+def balls(draw, g, count=1):
+    """A center in the grid and `count` increasing radii whose balls fit.
+
+    Half the draws snap the center to a node, and the largest radius
+    often touches the nearest grid edge, so the window is clipped there
+    and the one-sided boundary stencil is in play."""
+    xmin, xmax, ymin, ymax = g.extent
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    cx, cy = xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)
+    if draw(st.booleans()):
+        cx = g.x[int(round(fx * (g.nx - 1)))]
+        cy = g.y[int(round(fy * (g.ny - 1)))]
+    room = min(cx - xmin, xmax - cx, cy - ymin, ymax - cy)
+    assume(room > 0.05 * g.h)
+    top = draw(st.sampled_from([1.0, 1.0, 0.999]) | st.floats(0.05, 1.0))
+    fracs = sorted(set(draw(st.lists(st.floats(0.02, 1.0), min_size=count - 1, max_size=count - 1))))
+    radii = [room * top * f for f in fracs if f < 1.0] + [room * top]
+    radii = np.unique(np.array(radii))
+    assume(radii[0] > 0.0)
+    return (cx, cy), radii
+
+
+# ---------------------------------------------------------------------------
+# single-ball functionals and traces
+
+
+@SETTINGS
+@given(data=st.data())
+def test_ball_functionals_equal_full_grid(data):
+    g, u, v, rng = data.draw(pairs())
+    x, (r,) = data.draw(balls(g))
+    kappa = float(rng.uniform(0.0, 100.0))
+    assert almgren_D(u, v, kappa, x, r) == ref_D(u, v, kappa, x, r)
+    assert almgren_N(u, v, kappa, x, r) == ref_N(u, v, kappa, x, r)
+    assert acf_J(u, v, kappa, x, r) == ref_J(u, v, kappa, x, r)
+    assert almgren_H_rate(u, v, kappa, x, r) == ref_H_rate(u, v, kappa, x, r)
+    assert energy(u, v, kappa, x, r) == almgren_D(u, v, kappa, x, r)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_traces_equal_full_grid(data):
+    g, u, v, rng = data.draw(pairs())
+    x, radii = data.draw(balls(g, count=4))
+    kappa = float(rng.uniform(0.0, 100.0))
+    refs = {"N": ref_N, "D": ref_D, "J": ref_J}
+    for name, ref in refs.items():
+        tr = functional_trace(name, u, v, kappa, x, radii)
+        assert tr.values.tolist() == [ref(u, v, kappa, x, r) for r in tr.radii]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_harmonic_deficit_equals_full_grid(data):
+    g, u, v, _ = data.draw(pairs(min_n=9, max_n=30))
+    x, (R,) = data.draw(balls(g))
+    w = Field(g, u.values - v.values)
+    phi = solve_harmonic(g, x, R, w)
+    gd = gradient(Field(g, w.values - phi.values))
+    ref = ball_integral(Field(g, gd.magnitude_squared()), x, R)
+    assert harmonic_deficit(u, v, x, R) == ref
+
+
+# ---------------------------------------------------------------------------
+# flatness fit, gradient deficit and cone scan
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_flatness_equals_unsplit_fit(data):
+    g, u, v, rng = data.draw(pairs(min_n=9, max_n=30))
+    x, (R,) = data.draw(balls(g))
+    if data.draw(st.booleans()):
+        # a noisy one-plane pair, the shape the fit is built for
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        X, Y = g.meshgrid()
+        p = math.cos(t) * (X - x[0]) + math.sin(t) * (Y - x[1])
+        u = Field(g, np.maximum(p, 0.0) + 0.01 * u.values)
+        v = Field(g, np.maximum(-p, 0.0) + 0.01 * v.values)
+    fit = flatness_direction(u, v, x, R)
+    e, h_flat, magnitude = ref_flatness(u, v, x, R)
+    assert fit.e.tolist() == e
+    assert fit.h_flat == h_flat
+    assert fit.magnitude == magnitude
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 2.0 * math.pi))
+def test_direction_convergence_deficit_equals_full_grid(seed, angle):
+    g = Grid2D(41, 37, 0.1, (-2.0, -1.8))
+    rng = np.random.default_rng(seed)
+    X, Y = g.meshgrid()
+    p = math.cos(angle) * X + math.sin(angle) * Y
+    u = Field(g, np.maximum(p, 0.0) + 0.01 * rng.uniform(0.0, 1.0, (41, 37)))
+    v = Field(g, np.maximum(-p, 0.0) + 0.01 * rng.uniform(0.0, 1.0, (41, 37)))
+    records, _ = direction_convergence(u, v, [0.5, 1.0, 1.8])
+    top = flatness_direction(u, v, (0.0, 0.0), 1.8)
+    w = gradient(Field(g, u.values - v.values))
+    misfit = Field(
+        g, (w.vx - top.magnitude * top.e[0]) ** 2 + (w.vy - top.magnitude * top.e[1]) ** 2
+    )
+    assert [rec.deficit for rec in records] == [
+        ball_integral(misfit, (0.0, 0.0), R) / R**2 for R in (0.5, 1.0, 1.8)
+    ]
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    e=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda t: math.hypot(*t) > 1e-3),
+    aperture=st.floats(0.0, 1.0),
+)
+def test_cone_scan_equals_full_grid(data, e, aperture):
+    # grids from 3 to 60 rows cover a partial last block and a single block
+    g, u, v, _ = data.draw(pairs(min_n=3, max_n=60))
+    assert cone_monotonicity(u, v, e, aperture) == ref_cone(u, v, e, aperture)
+
+
+# ---------------------------------------------------------------------------
+# ball weights
+
+
+@SETTINGS
+@given(data=st.data())
+def test_ball_weights_area_and_monotone(data):
+    g, _, _, _ = data.draw(pairs(min_n=5, max_n=60))
+    x, radii = data.draw(balls(g, count=3))
+    h2 = g.h * g.h
+    prev = None
+    for r in radii:
+        isl, jsl, w = ball_weights(g, x, r)
+        # rim cells carry exact intersection areas; only rounding is left
+        assert float(np.sum(w)) == pytest.approx(math.pi * r * r, rel=1e-9, abs=1e-12 * h2)
+        if prev is not None:
+            pisl, pjsl, pw = prev
+            i, j = pisl.start - isl.start, pjsl.start - jsl.start
+            assert i >= 0 and j >= 0
+            assert pisl.stop <= isl.stop and pjsl.stop <= jsl.stop
+            # cell by cell, up to the rounding of a rim area near h^2
+            assert np.all(pw <= w[i : i + pw.shape[0], j : j + pw.shape[1]] + 1e-12 * h2)
+        prev = (isl, jsl, w)

@@ -13,7 +13,12 @@ import pytest
 
 from segsym.blowdown import BlowdownRecord, compute_L, direction_convergence, rescale
 from segsym.diagnostics import almgren_N
-from segsym.errors import BallOutsideDomain, DomainTooLarge, ZeroDenominator
+from segsym.errors import (
+    BallOutsideDomain,
+    DomainTooLarge,
+    NumericalBreakdown,
+    ZeroDenominator,
+)
 from segsym.grid import Field, shell_integral, square_grid
 from segsym.presets import linear_pair, profile_pair
 from segsym.profile1d import solve_profile
@@ -113,7 +118,8 @@ def test_rescale_rejects_oversized_target(lin513):
 
 def test_rescale_rejects_inconsistent_L(lin513):
     g, u, v = lin513
-    with pytest.raises(ValueError):
+    # a numerical failure, not a bad argument: the CLI maps it to exit 3
+    with pytest.raises(NumericalBreakdown, match="shell mass"):
         rescale(u, v, 0.5, square_grid(1.2, 385), L=5.0)
     # no unit circle in the target, so the mass check cannot run
     u_r, v_r, L = rescale(u, v, 0.5, square_grid(0.5, 129), L=5.0)

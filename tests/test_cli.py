@@ -207,6 +207,21 @@ def test_nonfinite_or_nonpositive_coupling_exits_1(tmp_path, capsys, argv, field
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["spheresweep", "--kappas", "100,x,10000", "--m", "16"], "kappas"),
+        (["diag", "--radii", "0.3,x,0.9"], "radii"),
+        (["blowdown", "--radii", "8,sixteen,32"], "radii"),
+    ],
+)
+def test_bad_number_list_names_its_flag(tmp_path, capsys, argv, field):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config field '{field}': expected comma-separated numbers" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_nonfinite_json_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"scenario": "spheresweep", "lambda": NaN}')

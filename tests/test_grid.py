@@ -21,7 +21,7 @@ from segsym import (
     square_grid,
 )
 from segsym.errors import BallOutsideDomain, MSampleTooSmall, PointOutsideDomain
-from segsym.grid import disk_rect_area
+from segsym.grid import Window, ball_weights, disk_rect_area
 
 # integral of e^x over the unit disk, adaptive polar quadrature (scipy
 # dblquad, epsabs 1e-14), frozen:
@@ -113,6 +113,32 @@ def test_ball_area_is_exact():
     one = Field.from_function(g, lambda x, y: np.ones_like(x))
     for r in (0.3, 0.52, 0.97):
         assert abs(ball_integral(one, (0.0, 0.0), r) - math.pi * r * r) < 1e-12
+
+
+def test_ball_area_exact_when_circle_is_tangent_to_cell_edges():
+    # a node-centered radius of (k + 1/2) h touches cell edge lines
+    # without crossing them; those cells once counted as full squares
+    g = Grid2D(7, 7, 0.5, (0.0, 0.0))
+    for r in (0.25, 0.75, 1.25):
+        _, _, w = ball_weights(g, (1.5, 1.5), r)
+        assert abs(float(np.sum(w)) - math.pi * r * r) < 1e-12
+    # the center cell of a radius h/2 disk holds the whole disk
+    assert disk_rect_area(0.25, -0.25, 0.25, -0.25, 0.25) == pytest.approx(math.pi / 16, abs=1e-15)
+
+
+@pytest.mark.parametrize("isl, jsl", [
+    (slice(0, 3), slice(0, 17)),      # clipped at both grid edges
+    (slice(4, 9), slice(1, 16)),      # interior window, halo on every side
+    (slice(10, 17), slice(13, 17)),   # clipped at the far edges
+    (slice(8, 9), slice(15, 17)),     # one row, two nodes on the edge
+])
+def test_window_gradient_equals_full_gradient(isl, jsl):
+    g = Grid2D(17, 17, 0.1, (-0.3, 0.2))
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (17, 17))
+    full = gradient(Field(g, a))
+    gx, gy = Window(g, isl, jsl).grad(a)
+    assert np.array_equal(gx, full.vx[isl, jsl])
+    assert np.array_equal(gy, full.vy[isl, jsl])
 
 
 def test_ball_second_moment():
