@@ -3,7 +3,7 @@
 the minimal value gamma(x) + gamma(y) climbs toward the ceiling 2, the
 deficit 2 - value follows a power law in kappa, and the pair segregates.
 
-Run:  python3 demos/sphere_sweep.py    (~15 s)
+Run:  python3 demos/sphere_sweep.py    (~1 s)
 """
 
 import numpy as np
@@ -17,11 +17,15 @@ print(f"sweeping kappa over {KAPPAS} at m = {M} cells ...")
 fit = kappa_sweep(KAPPAS, 1.0, M)
 
 print()
-print(f"{'kappa':>8}  {'value':>8}  {'2-value':>9}  {'mult1':>7}  {'mult2':>7}  {'sup uv':>9}")
+print(
+    f"{'kappa':>8}  {'value':>8}  {'2-value':>9}  {'mult1':>7}  {'mult2':>7}"
+    f"  {'sup uv':>9}  {'iters':>5}  {'KKT':>8}"
+)
 for rep in fit.reports:
     print(
         f"{rep.kappa:8g}  {rep.value:8.5f}  {2.0 - rep.value:9.5f}"
         f"  {rep.mult1:7.4f}  {rep.mult2:7.4f}  {rep.seg:9.5f}"
+        f"  {rep.iterations:5d}  {rep.kkt:8.1e}"
     )
 
 print()

@@ -9,9 +9,10 @@ machine-readable summary lines
 
 on stdout.  Exit codes: 0 on success, 1 for configuration errors (bad
 flags, malformed or invalid JSON, out-of-range parameters), 2 for input
-errors (missing files, geometry that does not fit the provided grids),
-3 for numerical failures and for completed runs whose judgment is
-`fail`.  All file output is atomic (temp file + rename).
+errors (missing, malformed or non-finite field files, geometry that does
+not fit the provided grids), 3 for numerical failures and for completed
+runs whose judgment is `fail`.  All file output is atomic (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     ConfigInvalid,
     DeficitNonpositive,
     DomainTooLarge,
+    InputInvalid,
     InputMissing,
     MSampleTooSmall,
     MultipleSignChanges,
@@ -53,6 +55,7 @@ from .sphere import kappa_sweep, minimize_spherical
 
 _INPUT_ERRORS = (
     InputMissing,
+    InputInvalid,
     FileNotFoundError,
     BallOutsideDomain,
     PointOutsideDomain,
@@ -126,15 +129,7 @@ SCHEMAS = {
     "accept": {},
 }
 
-PRESETS = {
-    "accept": {"scenario": "accept"},
-    "blowdown": {"scenario": "blowdown"},
-    "diag": {"scenario": "diag"},
-    "profile": {"scenario": "profile"},
-    "solve2d": {"scenario": "solve2d"},
-    "spheremin": {"scenario": "spheremin"},
-    "spheresweep": {"scenario": "spheresweep"},
-}
+PRESETS = {name: {"scenario": name} for name in SCHEMAS}
 
 DESCRIPTIONS = {
     "accept": "full acceptance suite: thirteen criteria, per-criterion CSVs and results.csv",
@@ -341,6 +336,9 @@ def run_solve2d(params, outdir: Path):
 
 
 def run_diag(params, outdir: Path):
+    functional = params["functional"]
+    if functional not in ("N", "H", "D", "J"):
+        raise ConfigInvalid("functional", f"expected N, H, D or J, got {functional!r}")
     loaded = _load_or_solve(params, outdir)
     if loaded is None:
         g = square_grid(params["half_width"], params["n"])
@@ -349,9 +347,6 @@ def run_diag(params, outdir: Path):
         u, v = pair.u, pair.v
     else:
         u, v = loaded
-    functional = params["functional"]
-    if functional not in ("N", "H", "D", "J"):
-        raise ConfigInvalid("functional", f"expected N, H, D or J, got {functional!r}")
     center = (params["center_x"], params["center_y"])
     trace = functional_trace(functional, u, v, params["kappa"], center, params["radii"])
     eps = eps_mono(u.grid)
@@ -401,6 +396,7 @@ def run_spheremin(params, outdir: Path):
         "seg": rep.seg,
         "xi": rep.xi,
         "iterations": rep.iterations,
+        "kkt": rep.kkt,
     }
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -409,6 +405,8 @@ def run_spheremin(params, outdir: Path):
         "mult1": rep.mult1,
         "mult2": rep.mult2,
         "seg": rep.seg,
+        "iterations": rep.iterations,
+        "kkt": rep.kkt,
         "out": out,
     }
 
@@ -491,62 +489,19 @@ def _parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"segsym {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def scenario_parser(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    # one subcommand per scenario, one flag per schema key; accept runs
+    # only as a preset
+    for name, schema in SCHEMAS.items():
+        if not schema:
+            continue
+        sp = sub.add_parser(name, help=DESCRIPTIONS[name])
         sp.add_argument("--outdir", default=".", help="directory for output files")
-        return sp
+        for key, (tag, _) in schema.items():
+            kind = _floats(key) if tag == "F" else {"f": float, "i": int}.get(tag, str)
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
-    sp = scenario_parser("profile", "solve the 1D entire profile and write x,u,v")
-    sp.add_argument("--half-length", dest="half_length", type=float)
-    sp.add_argument("--spacing", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out")
-
-    sp = scenario_parser("solve2d", "solve the planar system with half-plane data")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out-u", dest="out_u")
-    sp.add_argument("--out-v", dest="out_v")
-
-    sp = scenario_parser("diag", "trace a monotone functional over radii")
-    sp.add_argument("--functional", choices=("N", "H", "D", "J"))
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--in-u", dest="in_u")
-    sp.add_argument("--in-v", dest="in_v")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--center-x", dest="center_x", type=float)
-    sp.add_argument("--center-y", dest="center_y", type=float)
-    sp.add_argument("--radii", type=_floats("radii"))
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out")
-
-    sp = scenario_parser("spheremin", "constrained spherical minimization at one kappa")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--out")
-
-    sp = scenario_parser("spheresweep", "minimization sweep across kappa")
-    sp.add_argument("--kappas", type=_floats("kappas"))
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--out")
-
-    sp = scenario_parser("blowdown", "rescaled direction-convergence measurements")
-    sp.add_argument("--in-u", dest="in_u")
-    sp.add_argument("--in-v", dest="in_v")
-    sp.add_argument("--half-length", dest="half_length", type=float)
-    sp.add_argument("--spacing", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--radii", type=_floats("radii"))
-    sp.add_argument("--out")
-
-    sp = scenario_parser("run", "run an experiment from a JSON config or preset")
+    sp = sub.add_parser("run", help="run an experiment from a JSON config or preset")
+    sp.add_argument("--outdir", default=".", help="directory for output files")
     sp.add_argument("config", nargs="?", help="path to a flat JSON experiment config")
     sp.add_argument("--preset", choices=sorted(PRESETS))
 
@@ -555,13 +510,7 @@ def _parser() -> _Parser:
 
 
 def _collect(args, scenario: str) -> dict:
-    raw = {}
-    for key in SCHEMAS[scenario]:
-        attr = "lam" if key == "lambda" else key
-        value = getattr(args, attr, None)
-        if value is not None:
-            raw[key] = value
-    return raw
+    return {k: getattr(args, k) for k in SCHEMAS[scenario] if getattr(args, k) is not None}
 
 
 def _dispatch(args) -> int:

@@ -1,4 +1,4 @@
-"""Solver configuration shared by the 1D and 2D solvers."""
+"""Solver configuration shared by the solvers and the spherical minimizer."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ from .errors import ConfigInvalid
 class SolveConfig:
     """Knobs for the iterative solvers.
 
-    tol            sup-norm residual target (not an energy delta)
-    max_iter       iteration / sweep cap before NoConvergence
+    tol            sup-norm residual target of the 1D and 2D solves (not an
+                   energy delta); the spherical minimizer does not read it,
+                   it stops on its own KKT tolerance (sphere._KKT_TOL)
+    max_iter       iteration / sweep / outer-step cap before NoConvergence
     damping        Newton step scale in (0, 1]; line search halves from here
     seed           RNG seed for acceptance criterion 7's random
                    rearrangement trials; no solver or minimizer draws

@@ -79,3 +79,11 @@ class InputMissing(SegsymError):
     def __init__(self, path):
         self.path = str(path)
         super().__init__(f"input file not found: {self.path}")
+
+
+class InputInvalid(SegsymError):
+    """An input file exists but is not a well-formed, finite field."""
+
+    def __init__(self, path, message: str):
+        self.path = str(path)
+        super().__init__(f"invalid input file {self.path}: {message}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write_text
-from .errors import BallOutsideDomain, MSampleTooSmall, PointOutsideDomain
+from .errors import BallOutsideDomain, InputInvalid, MSampleTooSmall, PointOutsideDomain
 
 # slack for "is this point inside" checks, relative to h
 _EDGE_EPS = 1e-9
@@ -377,5 +377,10 @@ def field_from_csv(text: str) -> Field:
 
 
 def read_field(path) -> Field:
+    """Read a snapshot; a malformed or non-finite one raises InputInvalid."""
     with open(path) as fh:
-        return field_from_csv(fh.read())
+        text = fh.read()
+    try:
+        return field_from_csv(text)
+    except ValueError as e:
+        raise InputInvalid(path, str(e)) from e

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import bmat, csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
 from .config import SolveConfig
@@ -115,8 +115,6 @@ def solve_profile(
         Jv = csr_matrix(
             diags([off, -2.0 / h2 - ui * ui, off], [-1, 0, 1], shape=(m, m))
         )
-        from scipy.sparse import bmat
-
         full = bmat(
             [
                 [J, diags(-2.0 * ui * vi)],

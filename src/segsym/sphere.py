@@ -7,6 +7,18 @@ constant in the polar angle alpha.  Cells are contiguous intervals of
 (0, pi) carrying their exact surface measure as weight, so the
 rearrangement bookkeeping (equimeasurability, mass of every level set)
 is exact up to float addition.
+
+The minimizer alternates ground-state solves.  gamma is concave, so the
+tangent gamma'(x) x + gamma'(y) y at the current pair majorizes the value
+up to a constant.  With v fixed it is a quadratic form in u, minimized
+over unit-mass u by the lowest eigenvector of gamma'(x) S + kappa
+(gamma'(x) lambda^2 + gamma'(y)) diag(w v^2) against diag(w), S the
+stiffness matrix; after W^{-1/2} scaling that is one O(m) tridiagonal
+eigen solve.  v follows, with the tangent taken at the new u.  No half
+step can raise the value, and since S has negative off-diagonals each
+ground state is simple and strictly positive (Perron-Frobenius): no
+clipping, projection or line search.  The stop rule is a relative KKT
+residual at most _KKT_TOL.
 """
 
 from __future__ import annotations
@@ -15,11 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .config import SolveConfig
 from .errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalBreakdown
 
 _FIBER = {2: 2.0, 3: 2.0 * math.pi}  # measure of the azimuthal fiber
+_KKT_TOL = 1e-6  # relative KKT residual at which the minimizer stops
 
 
 def surface_measure(n: int) -> float:
@@ -96,11 +110,7 @@ def _gamma_prime(x: float, n: int) -> float:
 
 def _cell_edges(p: SphericalPair) -> np.ndarray:
     """Cell boundaries in alpha, recovered from the cumulative measure."""
-    s = np.concatenate([[0.0], np.cumsum(p.w)])
-    if p.n == 2:
-        edges = s / 2.0
-    else:
-        edges = np.arccos(np.clip(1.0 - s / (2.0 * math.pi), -1.0, 1.0))
+    edges = _alpha_of_measure(p.n, np.concatenate([[0.0], np.cumsum(p.w)]))
     edges[0] = 0.0
     edges[-1] = math.pi
     return edges
@@ -157,9 +167,7 @@ def dirichlet_energy(p: SphericalPair, which: str) -> float:
     if p.m < 8:
         raise ValueError(f"need at least 8 cells, got {p.m}")
     f = p.ubar if which == "u" else p.vbar
-    edges = _cell_edges(p)[1:-1]
-    dalpha = np.diff(p.alpha)
-    w_edge = _FIBER[p.n] * np.sin(edges) ** (p.n - 2) * dalpha
+    w_edge, dalpha = _edge_data(p)
     return float(np.sum(w_edge * (np.diff(f) / dalpha) ** 2))
 
 
@@ -200,6 +208,7 @@ class MinimizerReport:
     xi: float
     iterations: int
     pair: SphericalPair
+    kkt: float = math.nan  # relative KKT residual; NaN when not measured
 
     def __post_init__(self):
         if self.value < 0.0 or self.x_kappa < 0.0 or self.y_kappa < 0.0:
@@ -240,75 +249,72 @@ def _normalize(f, w):
     return f / mass
 
 
-def _monotone_on(pair0: SphericalPair, u, v):
-    """Rearrange (u, v) and express the result on pair0's cells.
+def _ground_state(diag, off, rs, w):
+    """Positive unit-w-mass lowest eigenvector of the W^{-1/2}-scaled
+    tridiagonal matrix (diag, off); rs = w^{-1/2}."""
+    try:
+        _, q = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    except LinAlgError as e:
+        raise NumericalBreakdown(f"spherical descent eigen solve failed: {e}") from e
+    # off <= 0 makes the ground state one-signed (Perron-Frobenius)
+    return _normalize(np.abs(q[:, 0]) * rs, w)
 
-    Uniform cells come back directly (the rearrangement is a sort).  A
-    refined partition is averaged back cell by cell in measure space;
-    that loses exactness but only serves the optimizer."""
-    srt = rearrange_pair(SphericalPair(pair0.n, pair0.m, pair0.alpha, pair0.w, u, v))
-    if srt.m == pair0.m and np.array_equal(srt.w, pair0.w):
-        return srt.ubar, srt.vbar
-    er = np.concatenate([[0.0], np.cumsum(srt.w)])
-    et = np.concatenate([[0.0], np.cumsum(pair0.w)])
-    cu = np.concatenate([[0.0], np.cumsum(srt.ubar * srt.w)])
-    cv = np.concatenate([[0.0], np.cumsum(srt.vbar * srt.w)])
-    return (
-        np.diff(np.interp(et, er, cu)) / pair0.w,
-        np.diff(np.interp(et, er, cv)) / pair0.w,
-    )
+
+def _tangent(state, n, kappa, lam2):
+    """gamma'(x), gamma'(y) and kappa (gamma'(x) lambda^2 + gamma'(y)) at
+    state = (value, x, y, product mass)."""
+    gpx, gpy = _gamma_prime(state[1], n), _gamma_prime(state[2], n)
+    return gpx, gpy, kappa * (gpx * lam2 + gpy)
+
+
+def _kkt_residual(u, v, w, stiff, gpx, gpy, mix):
+    """max over f = u, v of sup_i |g_i / w_i - mu f_i| / mu, mu = g . f,
+    g half the value's gradient in f; iterates are positive, so there is
+    no off-support term."""
+    worst = 0.0
+    for f, g in (
+        (u, gpx * _laplacian(u, stiff) + mix * w * v * v * u),
+        (v, gpy * _laplacian(v, stiff) + mix * w * u * u * v),
+    ):
+        mu = float(np.dot(g, f))
+        worst = max(worst, float(np.max(np.abs(g / w - mu * f))) / mu)
+    return worst
+
+
+def _checked_value(prev, it, u, v, *args):
+    state = _value_and_quotients(u, v, *args)
+    # no half step may raise the value; written so that a NaN fails too
+    if not state[0] - prev <= 1e-14:
+        raise NumericalBreakdown(
+            f"spherical descent value rose or went non-finite at step {it}"
+        )
+    return state
 
 
 def _descent(u, v, pair0, kappa, lam2, cfg):
-    n = pair0.n
-    w = pair0.w
-    c = 0.5 * (n - 2)
+    """Alternating ground-state iteration; returns the pair, its value,
+    quotients and product mass, the outer steps and the KKT residual."""
+    n, w = pair0.n, pair0.w
     w_edge, dalpha = _edge_data(pair0)
     stiff = w_edge / dalpha**2
-    uniform = bool(np.all(w == w[0]))
-    u = _normalize(np.maximum(u, 0.0), w)
-    v = _normalize(np.maximum(v, 0.0), w)
-    val, x, y, pm = _value_and_quotients(u, v, w, stiff, kappa, lam2, c)
-    history = [val]
+    args = (w, stiff, kappa, lam2, 0.5 * (n - 2))
+    # W^{-1/2} S W^{-1/2} for the stiffness matrix S: diagonal, off-diagonal
+    rs = 1.0 / np.sqrt(w)
+    s_diag = (np.append(stiff, 0.0) + np.insert(stiff, 0, 0.0)) / w
+    s_off = -stiff * rs[:-1] * rs[1:]
+    u, v = _normalize(u, w), _normalize(v, w)
+    state = _checked_value(math.inf, 0, u, v, *args)
     for it in range(1, cfg.max_iter + 1):
-        if it % 10 == 0:
-            if uniform:
-                mu, mv = np.sort(u)[::-1], np.sort(v)
-            else:
-                mu, mv = _monotone_on(pair0, u, v)
-            u2, v2 = _normalize(mu, w), _normalize(mv, w)
-            cand = _value_and_quotients(u2, v2, w, stiff, kappa, lam2, c)
-            if cand[0] <= val:
-                u, v = u2, v2
-                val, x, y, pm = cand
-        gpx = 0.5 / math.sqrt(c * c + x)
-        gpy = 0.5 / math.sqrt(c * c + y)
-        mix = (gpx * lam2 + gpy) * kappa * w
-        gu = 2.0 * (gpx * _laplacian(u, stiff) + mix * u * v * v)
-        gv = 2.0 * (gpy * _laplacian(v, stiff) + mix * v * u * u)
-        step = 0.1
-        improved = False
-        for _ in range(40):
-            u2 = _normalize(np.maximum(u - step * gu, 0.0), w)
-            v2 = _normalize(np.maximum(v - step * gv, 0.0), w)
-            cand = _value_and_quotients(u2, v2, w, stiff, kappa, lam2, c)
-            if cand[0] < val:
-                u, v = u2, v2
-                val, x, y, pm = cand
-                improved = True
-                break
-            step *= 0.5
-        history.append(val)
-        done = len(history) > 50 and history[-51] - history[-1] < cfg.tol
-        if done or (not improved and len(history) > 50):
-            # descent only ever accepts non-increasing values; written so
-            # that a NaN anywhere in the history fails the check too
-            if not all(b - a <= 1e-14 for a, b in zip(history, history[1:])):
-                raise NumericalBreakdown(
-                    f"spherical descent value rose or went non-finite by iteration {it}"
-                )
-            return u, v, val, x, y, pm, it
-    raise NoConvergence(cfg.max_iter, history[0] - history[-1], "spherical descent")
+        gpx, _, mix = _tangent(state, n, kappa, lam2)
+        u = _ground_state(gpx * s_diag + mix * v * v, gpx * s_off, rs, w)
+        state = _checked_value(state[0], it, u, v, *args)
+        _, gpy, mix = _tangent(state, n, kappa, lam2)
+        v = _ground_state(gpy * s_diag + mix * u * u, gpy * s_off, rs, w)
+        state = _checked_value(state[0], it, u, v, *args)
+        kkt = _kkt_residual(u, v, w, stiff, *_tangent(state, n, kappa, lam2))
+        if kkt <= _KKT_TOL:
+            return u, v, *state, it, kkt
+    raise NoConvergence(cfg.max_iter, kkt, "spherical descent")
 
 
 def _check_coupling(kappa: float, lambda_kappa: float) -> None:
@@ -329,11 +335,14 @@ def minimize_spherical(
 
     x and y are the Dirichlet-plus-coupling quotients of the normalized
     problem (vbar rescaled to unit mass, coupling lambda_kappa^2 kappa
-    in x).  Projected gradient descent with clipping, renormalization,
-    and a monotone rearrangement every 10 steps, from one start: the cap
-    pair u ~ (cos alpha)^+, v ~ (cos alpha)^-, each lifted by 0.02.
-    Multipliers are evaluated from the stationarity identities, so they
-    make sense even at approximate minimizers.
+    in x).  Alternating ground-state solves (see the module docstring)
+    from one start, the cap pair u ~ (cos alpha)^+, v ~ (cos alpha)^-,
+    each lifted by 0.02, until the relative KKT residual is at most
+    _KKT_TOL = 1e-6; the report carries that residual as `kkt` and the
+    outer steps (one u and one v solve each) as `iterations`.  Raises
+    NoConvergence after cfg.max_iter outer steps (cfg.tol is not read)
+    and NumericalBreakdown if the value rises or goes non-finite.
+    Multipliers are evaluated from the stationarity identities.
     """
     cfg = cfg or SolveConfig()
     _check_coupling(kappa, lambda_kappa)
@@ -343,7 +352,7 @@ def minimize_spherical(
     lam2 = lambda_kappa**2
     t = np.cos(pair0.alpha)
     u0, v0 = np.maximum(t, 0.0) + 0.02, np.maximum(-t, 0.0) + 0.02
-    u, v, val, x, y, pm, its = _descent(u0, v0, pair0, kappa, lam2, cfg)
+    u, v, val, x, y, pm, its, kkt = _descent(u0, v0, pair0, kappa, lam2, cfg)
     gpx = _gamma_prime(x, n)
     gpy = _gamma_prime(y, n)
     coupling = kappa * pm
@@ -359,6 +368,7 @@ def minimize_spherical(
         xi=math.sqrt((lam2 + gpy / gpx) / (1.0 + lam2 * gpx / gpy)),
         iterations=its,
         pair=SphericalPair(n, m, pair0.alpha, pair0.w, u, v),
+        kkt=kkt,
     )
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from segsym import cli
 from segsym.cli import main
 from segsym.grid import Field, read_field, square_grid, write_field
 from segsym.presets import linear_pair
@@ -222,6 +223,15 @@ def test_bad_number_list_names_its_flag(tmp_path, capsys, argv, field):
     assert not any(tmp_path.iterdir())
 
 
+def test_unknown_functional_exits_1_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a pair was solved for a rejected functional")
+
+    monkeypatch.setattr(cli, "solve_system", no_solve)
+    assert main(["diag", "--functional", "X", "--n", "17", "--outdir", str(tmp_path)]) == 1
+    assert "config field 'functional'" in capsys.readouterr().err
+
+
 def test_nonfinite_json_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"scenario": "spheresweep", "lambda": NaN}')
@@ -236,6 +246,40 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "ghost_u.csv" in capsys.readouterr().err
     missing_cfg = tmp_path / "ghost.json"
     assert main(["run", str(missing_cfg)]) == 2
+
+
+def _nan_cell(text):
+    lines = text.splitlines()
+    row = lines[5].split(",")
+    row[3] = "nan"
+    lines[5] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def _truncated(text):
+    return "\n".join(text.splitlines()[:-3]) + "\n"
+
+
+@pytest.mark.parametrize("damage", [_nan_cell, _truncated])
+def test_invalid_field_file_exits_2(linear_files, tmp_path, capsys, damage):
+    in_u, in_v = linear_files
+    bad = tmp_path / "bad_u.csv"
+    bad.write_text(damage(in_u.read_text()))
+    outdir = tmp_path / "out"
+    rc = main(["diag", "--functional", "N", "--kappa", "1.0",
+               "--in-u", str(bad), "--in-v", str(in_v), "--outdir", str(outdir)])
+    assert rc == 2
+    assert "bad_u.csv" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+def test_spheremin_reports_iterations_and_kkt(tmp_path, capsys):
+    assert main(["spheremin", "--kappa", "200", "--m", "64", "--outdir", str(tmp_path)]) == 0
+    kv = last_result(capsys)
+    doc = json.loads((tmp_path / "spheremin.json").read_text())
+    assert int(kv["iterations"]) == doc["iterations"] >= 1
+    assert float(kv["kkt"]) == pytest.approx(doc["kkt"], rel=1e-9)
+    assert doc["kkt"] <= 1e-6
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
