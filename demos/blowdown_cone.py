@@ -11,7 +11,7 @@ import numpy as np
 from segsym import (
     compute_L,
     direction_convergence,
-    profile_pair,
+    extend_to_2d,
     rescale,
     shell_integral,
     solve_profile,
@@ -22,7 +22,7 @@ from segsym import (
 print("building the profile extension (half width 32) ...")
 prof = solve_profile(46.0, 0.05)
 g = square_grid(32.0, 513)
-u, v = profile_pair(prof, g)
+u, v = extend_to_2d(prof, g, (1.0, 0.0))
 
 radii = [4.0, 8.0, 16.0]
 records, gap = direction_convergence(u, v, radii)

@@ -13,7 +13,7 @@ from segsym import (
     asymptotic_slope,
     crossing_point,
     eps_mono,
-    profile_pair,
+    extend_to_2d,
     solve_profile,
     square_grid,
 )
@@ -41,7 +41,7 @@ print(f"uv decay rate   {rate:+.4f} per unit length")
 print()
 print("== planar extension ==")
 g = square_grid(16.0, 257)
-u, v = profile_pair(p, g)
+u, v = extend_to_2d(p, g, (1.0, 0.0))
 ceiling = 1.0 + eps_mono(g)
 print(f"grid {g.nx}x{g.ny}, h = {g.h:g}, N ceiling 1 + 5h = {ceiling:g}")
 print(f"{'point':>12}  {'r':>4}  {'N':>8}")

@@ -17,7 +17,6 @@ from .diagnostics import (
     MonotonicityTrace,
     ProductBounds,
     acf_J,
-    acf_J_radial,
     acf_trace_and_fit,
     almgren_D,
     almgren_H,
@@ -32,7 +31,6 @@ from .diagnostics import (
     functional_trace,
     gradient_bounds,
     harmonic_deficit,
-    holder_seminorm,
     nondegeneracy_exponent,
     product_bounds,
 )
@@ -60,7 +58,6 @@ from .grid import (
 from .presets import (
     linear_pair,
     linear_pair_bdata,
-    profile_pair,
 )
 from .profile1d import (
     Profile1D,
@@ -101,7 +98,6 @@ __all__ = [
     "SweepFit",
     "VectorField",
     "acf_J",
-    "acf_J_radial",
     "acf_trace_and_fit",
     "almgren_D",
     "almgren_H",
@@ -129,7 +125,6 @@ __all__ = [
     "gradient",
     "gradient_bounds",
     "harmonic_deficit",
-    "holder_seminorm",
     "interpolate",
     "kappa_sweep",
     "linear_pair",
@@ -138,7 +133,6 @@ __all__ = [
     "nondegeneracy_exponent",
     "product_bounds",
     "product_mass",
-    "profile_pair",
     "read_field",
     "rearrange_pair",
     "rescale",

@@ -29,8 +29,8 @@ from ._util import atomic_write_text, csv_text
 from .config import SolveConfig
 from .elliptic2d import solve_linear_decay, solve_system
 from .grid import Field, Grid2D, gradient, square_grid
-from .presets import linear_pair, linear_pair_bdata, profile_pair
-from .profile1d import crossing_point, solve_profile
+from .presets import linear_pair, linear_pair_bdata
+from .profile1d import crossing_point, extend_to_2d, solve_profile
 from .sphere import (
     dirichlet_energy,
     gamma,
@@ -139,7 +139,7 @@ class SuiteContext:
         def build():
             prof = solve_profile(128.0, 0.0625, SolveConfig(tol=1e-10))
             g = square_grid(128.0, 2049)
-            u, v = profile_pair(prof, g)
+            u, v = extend_to_2d(prof, g, (1.0, 0.0))
             return g, u, v
 
         return self._get("extension", build)

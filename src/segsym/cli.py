@@ -49,8 +49,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .grid import read_field, square_grid, write_field
-from .presets import linear_pair_bdata, profile_pair
-from .profile1d import asymptotic_slope, crossing_point, solve_profile
+from .presets import linear_pair_bdata
+from .profile1d import asymptotic_slope, crossing_point, extend_to_2d, solve_profile
 from .sphere import kappa_sweep, minimize_spherical
 
 _INPUT_ERRORS = (
@@ -313,7 +313,12 @@ def run_profile(params, outdir: Path):
         ["x", "u", "v"],
         zip(p.x, p.u, p.v),
     )
-    return "done", {"residual": p.residual, "crossing": x0, "out": out}
+    return "done", {
+        "residual": p.residual,
+        "newton_steps": p.newton_steps,
+        "crossing": x0,
+        "out": out,
+    }
 
 
 def run_solve2d(params, outdir: Path):
@@ -440,7 +445,7 @@ def run_blowdown(params, outdir: Path):
     if loaded is None:
         prof = solve_profile(params["half_length"], params["spacing"])
         g = square_grid(params["half_width"], params["n"])
-        u, v = profile_pair(prof, g)
+        u, v = extend_to_2d(prof, g, (1.0, 0.0))
     else:
         u, v = loaded
     records, gap = direction_convergence(u, v, params["radii"])

@@ -11,32 +11,22 @@ from .errors import ConfigInvalid
 class SolveConfig:
     """Knobs for the iterative solvers.
 
-    tol            sup-norm residual target of the 1D and 2D solves (not an
-                   energy delta); the spherical minimizer does not read it,
-                   it stops on its own KKT tolerance (sphere._KKT_TOL)
-    max_iter       iteration / sweep / outer-step cap before NoConvergence
-    damping        Newton step scale in (0, 1]; line search halves from here
-    seed           RNG seed for acceptance criterion 7's random
-                   rearrangement trials; no solver or minimizer draws
-                   random numbers
-    boundary_floor smallest value pinned on a Dirichlet boundary; keeps
-                   Jacobians nonsingular without visibly denting monotonicity
+    tol       sup-norm residual target of the 1D and 2D solves (not an
+              energy delta); the spherical minimizer does not read it,
+              it stops on its own KKT tolerance (sphere._KKT_TOL)
+    max_iter  sweep / outer-step cap of the 2D solve and the spherical
+              descent before NoConvergence; the 1D Newton solve has its
+              own cap (profile1d._NEWTON_MAX)
+    seed      RNG seed for acceptance criterion 7's random rearrangement
+              trials; no solver or minimizer draws random numbers
     """
 
     tol: float = 1e-8
     max_iter: int = 200_000
-    damping: float = 1.0
     seed: int = 0
-    boundary_floor: float = 1e-12
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ConfigInvalid("tol", f"must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigInvalid("max_iter", f"must be >= 1, got {self.max_iter}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigInvalid("damping", f"must be in (0, 1], got {self.damping}")
-        if not (0.0 <= self.boundary_floor < 1.0):
-            raise ConfigInvalid(
-                "boundary_floor", f"must be in [0, 1), got {self.boundary_floor}"
-            )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import SolveConfig
 from .elliptic2d import solve_harmonic
-from .errors import ZeroDenominator
+from .errors import NumericalBreakdown, ZeroDenominator
 from .grid import (
     Field,
     Window,
@@ -44,10 +44,6 @@ from .grid import (
 
 # shell integrals at or below this are treated as vanishing
 _ZERO_SHELL = 1e-14
-
-# pairs closer than this are excluded from Holder quotients; the
-# all-pairs sup otherwise degenerates to the resolution scale
-PAIR_FLOOR = 0.1
 
 # rows per block of the cone scan
 _CONE_ROWS = 16
@@ -82,7 +78,8 @@ class MonotonicityTrace:
         if self.values.shape != self.radii.shape:
             raise ValueError("values must match radii in shape")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("trace values must be finite")
+            # overflowed or NaN fields: a numerical failure, not bad config
+            raise NumericalBreakdown(f"{self.name} trace values must be finite")
 
     def min_pairwise_slope(self) -> float:
         """Smallest (value[i+1]-value[i])/(r[i+1]-r[i]); >= 0 means monotone."""
@@ -277,40 +274,6 @@ def acf_J(u: Field, v: Field, kappa: float, x, r: float) -> float:
     return _ball_values("J", u, v, kappa, x, (r,))[0]
 
 
-def acf_J_radial(u_r, v_r, rho, kappa: float, r: float) -> float:
-    """J for radially reduced n=3 data: 1D profiles of |x| around the
-    base point.  The kernel |y|^{-1} folds into the polar weight, so the
-    integrand 4 pi (f'^2 + kappa f^2 g^2) rho is regular at the origin."""
-    rho = np.asarray(rho, dtype=float)
-    u_r = np.asarray(u_r, dtype=float)
-    v_r = np.asarray(v_r, dtype=float)
-    if rho.ndim != 1 or rho.size < 3:
-        raise ValueError("need a 1D radial grid with at least 3 points")
-    if np.any(np.diff(rho) <= 0.0):
-        raise ValueError("radial grid must be strictly increasing")
-    if u_r.shape != rho.shape or v_r.shape != rho.shape:
-        raise ValueError("radial values must match the radial grid")
-    if rho[0] > 0.0 or not (0.0 < r <= rho[-1]):
-        raise ValueError(f"need rho starting at 0 and 0 < r <= {rho[-1]}, got r={r}")
-    du = np.gradient(u_r, rho)
-    dv = np.gradient(v_r, rho)
-    inter = kappa * (u_r * v_r) ** 2
-    fu = 4.0 * math.pi * (du**2 + inter) * rho
-    fv = 4.0 * math.pi * (dv**2 + inter) * rho
-    inside = rho <= r
-    k = int(np.sum(inside))
-
-    def cut_integral(f):
-        total = np.trapezoid(f[:k], rho[:k])
-        if k < rho.size and rho[k - 1] < r:
-            # fractional last cell by linear interpolation of the integrand
-            fr = f[k - 1] + (f[k] - f[k - 1]) * (r - rho[k - 1]) / (rho[k] - rho[k - 1])
-            total += 0.5 * (f[k - 1] + fr) * (r - rho[k - 1])
-        return total
-
-    return cut_integral(fu) * cut_integral(fv) / r**4
-
-
 def correction_constant(radii, values) -> float:
     """Smallest C >= 0 making e^{-C r^{-1/2}} * values pairwise
     nondecreasing over the radii.
@@ -352,7 +315,7 @@ def acf_trace_and_fit(u: Field, v: Field, kappa: float, x, radii):
 
 
 # ---------------------------------------------------------------------------
-# growth, segregation, and regularity measurements
+# growth and segregation measurements
 
 
 def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
@@ -407,51 +370,6 @@ def gradient_bounds(u: Field, v: Field, margin: float) -> float:
     gv = gradient(v)
     mag = np.hypot(gu.vx, gu.vy) + np.hypot(gv.vx, gv.vy)
     return float(np.max(mag[k:-k, k:-k]))
-
-
-def holder_seminorm(f: Field, alpha: float, region=None) -> float:
-    """Max of |f(x)-f(y)| / |x-y|^alpha over sampled node pairs.
-
-    Pairs are drawn from a lattice coarsened to at most 64 points per
-    axis inside `region` (xmin, xmax, ymin, ymax; default the whole
-    grid); pairs closer than PAIR_FLOOR are excluded."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    g = f.grid
-    xmin, xmax, ymin, ymax = g.extent
-    if region is None:
-        region = (xmin, xmax, ymin, ymax)
-    rx0, rx1, ry0, ry1 = (float(t) for t in region)
-    eps = 1e-9 * g.h
-    if rx0 < xmin - eps or rx1 > xmax + eps or ry0 < ymin - eps or ry1 > ymax + eps:
-        raise ValueError("region exceeds the grid extent")
-    isel = np.where((g.x >= rx0 - eps) & (g.x <= rx1 + eps))[0]
-    jsel = np.where((g.y >= ry0 - eps) & (g.y <= ry1 + eps))[0]
-    if isel.size < 2 or jsel.size < 2:
-        raise ValueError("region holds fewer than 2 nodes per axis")
-    # endpoint-preserving thinning to at most 64 nodes per axis
-    if isel.size > 64:
-        isel = isel[np.unique(np.round(np.linspace(0, isel.size - 1, 64)).astype(int))]
-    if jsel.size > 64:
-        jsel = jsel[np.unique(np.round(np.linspace(0, jsel.size - 1, 64)).astype(int))]
-    X, Y = np.meshgrid(g.x[isel], g.y[jsel], indexing="ij")
-    px = X.ravel()
-    py = Y.ravel()
-    vals = f.values[np.ix_(isel, jsel)].ravel()
-    best = 0.0
-    found = False
-    # row blocks keep the pairwise distance matrix at ~64 x n
-    for a in range(0, px.size, 64):
-        b = min(a + 64, px.size)
-        d = np.hypot(px[a:b, None] - px[None, :], py[a:b, None] - py[None, :])
-        q = np.abs(vals[a:b, None] - vals[None, :])
-        mask = d >= PAIR_FLOOR
-        if np.any(mask):
-            found = True
-            best = max(best, float(np.max(q[mask] / d[mask] ** alpha)))
-    if not found:
-        raise ValueError(f"no node pairs at distance >= {PAIR_FLOOR} in region")
-    return best
 
 
 def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:

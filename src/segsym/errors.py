@@ -61,8 +61,9 @@ class NoConvergence(SegsymError):
 
 
 class NumericalBreakdown(SegsymError):
-    """An iteration broke an invariant it must keep: an iterate lost
-    all its mass, or a descent raised the value it minimizes."""
+    """A computation broke an invariant it must keep: an iterate lost
+    all its mass, a descent raised the value it minimizes, or a
+    functional trace came out non-finite."""
 
 
 class ConfigInvalid(SegsymError):

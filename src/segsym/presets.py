@@ -3,9 +3,9 @@ and the command line runner.
 
 The one-dimensional half-plane pair u = (x·e)⁺, v = (x·e)⁻ solves the
 system for every κ (the product uv vanishes identically), so it is the
-reference object for exact checks.  The profile extension lifts a
-converged 1D profile to 2D along a direction, giving a genuine κ = 1
-solution up to the profile's own residual.
+reference object for exact checks.  The other canonical pair, the
+planar extension of the 1D profile, is profile1d.extend_to_2d: a
+genuine κ = 1 solution up to the profile's own residual.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .grid import Field, Grid2D
-from .profile1d import Profile1D, extend_to_2d
 
 
 def _unit(direction) -> tuple[float, float]:
@@ -49,9 +48,3 @@ def linear_pair(
     X, Y = g.meshgrid()
     return Field(g, fu(X, Y)), Field(g, fv(X, Y))
 
-
-def profile_pair(
-    profile: Profile1D, g: Grid2D, direction=(1.0, 0.0)
-) -> tuple[Field, Field]:
-    """Lift a 1D profile to the grid along a direction."""
-    return extend_to_2d(profile, g, direction)

@@ -1,10 +1,18 @@
 """The 1D entire profile: u'' = u v², v'' = v u² on [-L, L].
 
 Boundary data pins linear growth on one side of each component
-(u(L) = L, v(-L) = L) and a tiny positive floor on the other, which
-normalizes the profile to unit asymptotic slopes.  The solver is a
-damped Newton iteration on the centered-difference residual with a
-Gauss-Seidel fallback if a Newton step refuses to shrink the residual.
+(u(L) = L, v(-L) = L) and a floor of 1e-12 on the other, which
+normalizes the profile to unit asymptotic slopes.
+
+The solver is plain Newton on the centered-difference residual.  With
+the interior unknowns interleaved as (u₁, v₁, u₂, v₂, …) the Jacobian
+is pentadiagonal: each component's second difference sits at offsets
+±2 and the coupling −2uᵢvᵢ at ±1.  It is symmetric but indefinite, so
+each step is one banded LU solve (scipy.linalg.solve_banded).  The full
+step is taken, clamped at a tiny positive floor; a step that does not
+lower the sup residual raises NoConvergence.  From the piecewise-linear
+start every converging solve measured (L up to 400, h down to 0.01)
+accepts the full step every time, in 6–8 steps.
 """
 
 from __future__ import annotations
@@ -12,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, diags
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solve_banded
 
 from .config import SolveConfig
 from .errors import DomainTooLarge, MultipleSignChanges, NoConvergence, NoSignChange
@@ -22,8 +29,11 @@ from .grid import Field, Grid2D
 # keeps iterates strictly positive where the true values underflow
 _POS_FLOOR = 1e-300
 
+# value pinned on the decaying side of each component: keeps the
+# Jacobian nonsingular without visibly denting monotonicity
+_BOUNDARY_FLOOR = 1e-12
+
 _NEWTON_MAX = 60
-_GS_FALLBACK_SWEEPS = 500
 
 
 @dataclass
@@ -36,6 +46,7 @@ class Profile1D:
     residual: float
     half_length: float
     spacing: float
+    newton_steps: int = 0
 
     def interp_u(self, t) -> np.ndarray:
         return np.interp(t, self.x, self.u)
@@ -55,26 +66,34 @@ def _sup_residual(u, v, h) -> float:
     return max(np.max(np.abs(ru)), np.max(np.abs(rv)))
 
 
-def _gauss_seidel(u, v, h, sweeps):
-    # pointwise exact solves of the linearized scalar equations, in place
+def _newton_step(u, v, h):
+    """Newton correction (du, dv) of the interior values: one banded LU
+    solve on the interleaved unknowns."""
+    ui, vi = u[1:-1], v[1:-1]
+    ru, rv = _residual(u, v, h)
     h2 = h * h
-    for _ in range(sweeps):
-        for arr, other in ((u, v), (v, u)):
-            for parity in (1, 2):
-                sl = slice(parity, arr.size - 1, 2)
-                lo = slice(parity - 1, arr.size - 2, 2)
-                hi = slice(parity + 1, arr.size, 2)
-                arr[sl] = (arr[lo] + arr[hi]) / (2.0 + h2 * other[sl] ** 2)
-    return u, v
+    ab = np.zeros((5, 2 * ui.size))  # ab[2 + i - j, j] = J[i, j]
+    ab[0, 2:] = 1.0 / h2
+    ab[4, :-2] = 1.0 / h2
+    ab[1, 1::2] = ab[3, 0::2] = -2.0 * ui * vi
+    ab[2, 0::2] = -2.0 / h2 - vi * vi
+    ab[2, 1::2] = -2.0 / h2 - ui * ui
+    rhs = np.empty(2 * ui.size)
+    rhs[0::2], rhs[1::2] = -ru, -rv
+    delta = solve_banded((2, 2), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    return delta[0::2], delta[1::2]
 
 
 def solve_profile(
     half_length: float, spacing: float, cfg: SolveConfig | None = None
 ) -> Profile1D:
-    """Solve the two-point boundary value problem on [-L, L].
+    """Solve the two-point boundary value problem on [-L, L] to a sup
+    residual of cfg.tol (default 1e-10).
 
     Requires half_length >= 10 (so the linear regime is visible) and
-    0 < spacing <= 0.1 dividing the interval evenly.
+    0 < spacing <= 0.1 dividing the interval evenly.  Raises
+    NoConvergence on a non-finite residual, a singular Jacobian, a step
+    that does not lower the residual, or after _NEWTON_MAX steps.
     """
     cfg = cfg or SolveConfig(tol=1e-10)
     L, h = float(half_length), float(spacing)
@@ -87,15 +106,11 @@ def solve_profile(
         raise ValueError(f"spacing {h} does not divide [-{L}, {L}] evenly")
 
     x = -L + h * np.arange(n + 1)
-    floor = max(cfg.boundary_floor, _POS_FLOOR)
-    u = np.maximum(x, floor)
-    v = np.maximum(-x, floor)
-    u[0], u[-1] = floor, L
-    v[0], v[-1] = L, floor
+    u = np.maximum(x, _BOUNDARY_FLOOR)
+    v = np.maximum(-x, _BOUNDARY_FLOOR)
+    u[0], u[-1] = _BOUNDARY_FLOOR, L
+    v[0], v[-1] = L, _BOUNDARY_FLOOR
 
-    m = n - 1  # interior count
-    h2 = h * h
-    off = np.ones(m - 1) / h2
     res = _sup_residual(u, v, h)
     for newton_steps in range(_NEWTON_MAX):
         # NaN fails every comparison, so it must never reach `res <= tol`
@@ -105,46 +120,24 @@ def solve_profile(
             )
         if res <= cfg.tol:
             break
-        ui, vi = u[1:-1], v[1:-1]
-        ru, rv = _residual(u, v, h)
-        J = csr_matrix(
-            diags(
-                [off, -2.0 / h2 - vi * vi, off], [-1, 0, 1], shape=(m, m)
+        try:
+            du, dv = _newton_step(u, v, h)
+        except LinAlgError:
+            raise NoConvergence(
+                newton_steps, res, "profile Newton step hit a singular Jacobian"
+            ) from None
+        u_new, v_new = u.copy(), v.copy()
+        u_new[1:-1] = np.maximum(u[1:-1] + du, _POS_FLOOR)
+        v_new[1:-1] = np.maximum(v[1:-1] + dv, _POS_FLOOR)
+        res_new = _sup_residual(u_new, v_new, h)
+        if not res_new < res:
+            raise NoConvergence(
+                newton_steps + 1, res, "profile Newton step did not lower the residual"
             )
-        )
-        Jv = csr_matrix(
-            diags([off, -2.0 / h2 - ui * ui, off], [-1, 0, 1], shape=(m, m))
-        )
-        full = bmat(
-            [
-                [J, diags(-2.0 * ui * vi)],
-                [diags(-2.0 * vi * ui), Jv],
-            ],
-            format="csc",
-        )
-        delta = spsolve(full, -np.concatenate([ru, rv]))
-        du, dv = delta[:m], delta[m:]
-
-        step = cfg.damping
-        improved = False
-        for _ in range(40):
-            u_try = u.copy()
-            v_try = v.copy()
-            u_try[1:-1] = np.maximum(ui + step * du, _POS_FLOOR)
-            v_try[1:-1] = np.maximum(vi + step * dv, _POS_FLOOR)
-            res_try = _sup_residual(u_try, v_try, h)
-            if res_try < res:
-                u, v, res = u_try, v_try, res_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            # Newton refused; relax and try again
-            _gauss_seidel(u, v, h, _GS_FALLBACK_SWEEPS)
-            res = _sup_residual(u, v, h)
+        u, v, res = u_new, v_new, res_new
     else:
         raise NoConvergence(_NEWTON_MAX, res, "profile Newton iteration")
-    return Profile1D(x, u, v, res, L, h)
+    return Profile1D(x, u, v, res, L, h, newton_steps)
 
 
 def crossing_point(p: Profile1D) -> float:

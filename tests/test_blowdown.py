@@ -20,8 +20,8 @@ from segsym.errors import (
     ZeroDenominator,
 )
 from segsym.grid import Field, shell_integral, square_grid
-from segsym.presets import linear_pair, profile_pair
-from segsym.profile1d import solve_profile
+from segsym.presets import linear_pair
+from segsym.profile1d import extend_to_2d, solve_profile
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -176,7 +176,7 @@ def test_direction_convergence_recovers_rotation(prof46):
     # Cauchy across radii
     g = square_grid(32.0, 513)
     th = math.radians(30.0)
-    u, v = profile_pair(prof46, g, (math.cos(th), math.sin(th)))
+    u, v = extend_to_2d(prof46, g, (math.cos(th), math.sin(th)))
     records, gap = direction_convergence(u, v, [4.0, 6.0, 8.0])
     ang = math.atan2(records[-1].e[1], records[-1].e[0])
     assert abs(math.degrees(ang) - 30.0) < 2.0
@@ -191,7 +191,7 @@ def test_L_growth_window_profile_extension(prof46):
     # sublinear growth floor over a full decade of radii, plus the
     # doubling cap 2 e^{1/2} that L inherits from H-doubling with d = 1
     g = square_grid(32.0, 513)
-    u, v = profile_pair(prof46, g)
+    u, v = extend_to_2d(prof46, g, (1.0, 0.0))
     records, _ = direction_convergence(u, v, [3.0, 6.0, 15.0, 30.0])
     Rs = np.array([rec.R for rec in records])
     Ls = np.array([rec.L for rec in records])

@@ -52,6 +52,7 @@ def test_profile_writes_csv(tmp_path, capsys):
     assert kv["name"] == "profile"
     assert kv["status"] == "done"
     assert float(kv["residual"]) <= 1e-9
+    assert int(kv["newton_steps"]) >= 1
     text = (tmp_path / "profile.csv").read_text()
     lines = text.strip().splitlines()
     meta = [ln for ln in lines if ln.startswith("# ")]
@@ -304,6 +305,21 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
                "--radii", "0.3,0.5,0.7", "--outdir", str(tmp_path)])
     assert rc == 3
     assert "zero" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowed_trace_exits_3(tmp_path, capsys):
+    # u^2 + v^2 overflows: a numerical failure (3), not a config error (1)
+    g = square_grid(1.0, 65)
+    u, v = linear_pair(g)
+    write_field(Field(g, 1e200 * u.values), tmp_path / "bu.csv")
+    write_field(Field(g, 1e200 * v.values), tmp_path / "bv.csv")
+    rc = main(["diag", "--functional", "N", "--kappa", "1.0",
+               "--in-u", str(tmp_path / "bu.csv"), "--in-v", str(tmp_path / "bv.csv"),
+               "--radii", "0.3,0.5,0.7", "--outdir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diag.csv").exists()
 
 
 def test_descent_breakdown_exits_3(tmp_path, capsys, monkeypatch):

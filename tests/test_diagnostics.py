@@ -17,7 +17,6 @@ from segsym.diagnostics import (
     FlatnessFit,
     MonotonicityTrace,
     acf_J,
-    acf_J_radial,
     acf_trace_and_fit,
     almgren_D,
     almgren_H,
@@ -32,12 +31,11 @@ from segsym.diagnostics import (
     functional_trace,
     gradient_bounds,
     harmonic_deficit,
-    holder_seminorm,
     nondegeneracy_exponent,
     product_bounds,
 )
 from segsym.elliptic2d import solve_harmonic
-from segsym.errors import ZeroDenominator
+from segsym.errors import NumericalBreakdown, ZeroDenominator
 from segsym.grid import Field, ball_integral, gradient, square_grid
 from segsym.presets import linear_pair
 
@@ -72,7 +70,7 @@ def test_trace_validation():
         MonotonicityTrace("N", (0.0, 0.0), np.array([-0.1, 0.2]), np.ones(2), 1.0)
     with pytest.raises(ValueError):
         MonotonicityTrace("N", (0.0, 0.0), r, np.ones(2), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalBreakdown):
         MonotonicityTrace("N", (0.0, 0.0), r, np.array([1.0, np.nan, 1.0]), 1.0)
     with pytest.raises(ValueError):
         MonotonicityTrace("N", (0.0, 0.0), np.array([0.5]), np.array([1.0]), 1.0).min_pairwise_slope()
@@ -270,30 +268,6 @@ def test_acf_zero_pair_raises():
         acf_trace_and_fit(z, z, 1.0, (0.0, 0.0), np.array([0.3, 0.6]))
 
 
-def test_acf_radial_closed_form():
-    # f = g = rho with kappa = 0: each factor is 2 pi r^2, so J = 4 pi^2
-    # independently of r; the linear integrand makes trapezoid exact,
-    # including the fractional last cell
-    rho = np.linspace(0.0, 1.0, 11)
-    for r in (0.5, 0.77, 1.0):
-        J = acf_J_radial(rho, rho, rho, 0.0, r)
-        assert J == pytest.approx(4.0 * math.pi**2, rel=1e-12)
-
-
-def test_acf_radial_validation():
-    rho = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        acf_J_radial(rho, rho, rho + 0.1, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        acf_J_radial(rho, rho, rho, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        acf_J_radial(rho, rho, rho, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        acf_J_radial(rho[:5], rho, rho, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        acf_J_radial(rho, rho, rho[::-1], 0.0, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # growth and segregation measurements
 
@@ -335,31 +309,6 @@ def test_gradient_bounds_linear(lin257):
         gradient_bounds(u, v, 0.5 * g.h)
     with pytest.raises(ValueError):
         gradient_bounds(u, v, 3.0)
-
-
-def test_holder_seminorm_linear():
-    g = square_grid(1.0, 129)
-    f = Field.from_function(g, lambda x, y: x)
-    # extremal pair is the full x-diameter: |2| / 2^alpha = sqrt(2)
-    assert holder_seminorm(f, 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert holder_seminorm(Field.zeros(g), 0.5) == 0.0
-    two = Field.from_function(g, lambda x, y: 2.0 * x)
-    assert holder_seminorm(two, 0.5) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-
-
-def test_holder_seminorm_validation():
-    g = square_grid(1.0, 65)
-    f = Field.zeros(g)
-    with pytest.raises(ValueError):
-        holder_seminorm(f, 0.0)
-    with pytest.raises(ValueError):
-        holder_seminorm(f, 1.0)
-    with pytest.raises(ValueError):
-        holder_seminorm(f, 0.5, region=(-2.0, 1.0, -1.0, 1.0))
-    tiny = Field.zeros(square_grid(0.03, 9))
-    with pytest.raises(ValueError):
-        # every node pair sits below the quotient distance floor
-        holder_seminorm(tiny, 0.5)
 
 
 def test_cone_monotonicity_linear(lin257):

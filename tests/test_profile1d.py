@@ -42,6 +42,31 @@ def test_non_finite_residual_raises(monkeypatch):
     assert exc.value.iterations == 0
 
 
+def test_singular_jacobian_raises(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(p1d, "solve_banded", singular)
+    with pytest.raises(NoConvergence, match="singular") as exc:
+        solve_profile(20.0, 0.05)
+    assert exc.value.iterations == 0
+
+
+def test_newton_steps_recorded(profile):
+    # the full Newton step is accepted every time from the linear start
+    assert profile.newton_steps == 7
+
+
+def test_residual_floor_stops_newton_early():
+    # at L / h^2 = 1e6 the sup residual has a round-off floor near
+    # L / h^2 * eps ~ 1.4e-10, above the 1e-10 target: the first step
+    # that cannot lower it ends the solve, long before _NEWTON_MAX
+    with pytest.raises(NoConvergence) as exc:
+        solve_profile(100.0, 0.01)
+    assert exc.value.iterations <= 10
+    assert exc.value.residual > 1e-10
+
+
 def test_residual_independent_recheck(profile):
     p = profile
     h = p.spacing
@@ -98,7 +123,7 @@ def test_product_decays_exponentially(profile):
 
 
 def test_boundary_floor_respected():
-    p = solve_profile(10.0, 0.1, SolveConfig(tol=1e-10, boundary_floor=1e-12))
+    p = solve_profile(10.0, 0.1, SolveConfig(tol=1e-10))
     assert p.u[0] == 1e-12
     assert p.v[-1] == 1e-12
 

@@ -370,15 +370,19 @@ def test_eigen_solve_failure_raises_numerical_error(monkeypatch):
 
 
 def test_minimizer_does_not_load_scipy_optimize():
-    # scipy.optimize costs ~0.3 s of import time and ~16 MB of memory
+    # scipy.optimize costs ~0.3 s of import time and ~16 MB of memory;
+    # scipy.sparse is not needed either: the profile Newton solve is banded
     code = (
         "import sys, segsym\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "def loaded(): print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "loaded()\n"
         "segsym.kappa_sweep([1e2, 1e3, 1e4], 1.0, 32)\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "loaded()\n"
+        "segsym.solve_profile(10.0, 0.1)\n"
+        "loaded()\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"] * 6
 
 
 @pytest.fixture(scope="module")
