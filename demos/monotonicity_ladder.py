@@ -3,7 +3,7 @@
 three monotone quantities climb: the frequency N, the doubling ratio of
 H, and the corrected two-factor functional J.
 
-Run:  python3 demos/monotonicity_ladder.py    (one solve, ~10 s)
+Run:  python3 demos/monotonicity_ladder.py    (one solve, ~1 s)
 """
 
 import numpy as np

@@ -34,13 +34,7 @@ from .diagnostics import (
     nondegeneracy_exponent,
     product_bounds,
 )
-from .elliptic2d import (
-    SolutionPair,
-    energy,
-    solve_harmonic,
-    solve_linear_decay,
-    solve_system,
-)
+from .elliptic2d import SolutionPair, solve_harmonic, solve_linear_decay, solve_system
 from .grid import (
     Field,
     Grid2D,
@@ -112,7 +106,6 @@ __all__ = [
     "crossing_point",
     "direction_convergence",
     "dirichlet_energy",
-    "energy",
     "eps_mono",
     "extend_to_2d",
     "field_from_csv",

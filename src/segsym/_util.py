@@ -38,3 +38,9 @@ def atomic_write_text(path, text: str) -> None:
             pass
         raise
 
+
+def write_csv(path, meta: dict, header, rows) -> None:
+    """Write csv_text(meta, header, rows) to `path` atomically, creating
+    its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write_text(path, csv_text(meta, header, rows))

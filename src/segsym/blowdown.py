@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _ZERO_SHELL, flatness_direction
+from .diagnostics import _ZERO_SHELL, _check_pair, _check_radii, flatness_direction
 from .errors import DomainTooLarge, NumericalBreakdown, ZeroDenominator
 from .grid import Field, Grid2D, Window, interpolate, shell_sq_integral
 
@@ -55,8 +55,7 @@ def compute_L(u: Field, v: Field, R: float) -> float:
 
     The circle must fit inside the grid; vanishing shell mass raises
     ZeroDenominator."""
-    if u.grid != v.grid:
-        raise ValueError("u and v must share one grid")
+    _check_pair(u, v)
     mass = shell_sq_integral(u, v, _ORIGIN, R)
     if mass <= _ZERO_SHELL:
         raise ZeroDenominator(
@@ -75,8 +74,7 @@ def rescale(
     nodes).  The scaled target extent must fit inside the source grid.
     When the unit circle fits inside the target, the shell mass of the
     result is verified to be 1 within interpolation tolerance."""
-    if u.grid != v.grid:
-        raise ValueError("u and v must share one grid")
+    _check_pair(u, v)
     if not (R > 0.0):
         raise ValueError(f"R must be positive, got {R}")
     g = u.grid
@@ -124,13 +122,10 @@ def direction_convergence(
     grid.  Records carry the gradient deficit measured against the
     direction and slope fitted at the largest radius; cauchy_gap is the
     maximum angle (radians) between consecutive e(R)."""
-    if u.grid != v.grid:
-        raise ValueError("u and v must share one grid")
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 3:
+    _check_pair(u, v)
+    radii = _check_radii(radii)
+    if radii.size < 3:
         raise ValueError("need at least 3 radii")
-    if radii[0] <= 0.0 or np.any(np.diff(radii) <= 0.0):
-        raise ValueError("radii must be positive and strictly increasing")
     fits = []
     for R in radii:
         L = compute_L(u, v, float(R))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance
-from ._util import atomic_write_text, csv_text
+from ._util import atomic_write_text, write_csv
 from .blowdown import direction_convergence
 from .config import SolveConfig
 from .diagnostics import eps_mono, functional_trace
@@ -267,11 +267,6 @@ def _result(name: str, status: str, kv: dict) -> None:
     print("RESULT " + " ".join(parts))
 
 
-def _write_csv(path: Path, meta: dict, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, csv_text(meta, header, rows))
-
-
 def _load_or_solve(params, outdir):
     """Fields for diag/blowdown: read the named CSVs when both are
     given, otherwise build the scenario's default pair."""
@@ -299,7 +294,7 @@ def run_profile(params, outdir: Path):
     x0 = crossing_point(p)
     sp, sm = asymptotic_slope(p)
     out = outdir / params["out"]
-    _write_csv(
+    write_csv(
         out,
         {
             "half_length": p.half_length,
@@ -356,7 +351,7 @@ def run_diag(params, outdir: Path):
     trace = functional_trace(functional, u, v, params["kappa"], center, params["radii"])
     eps = eps_mono(u.grid)
     out = outdir / params["out"]
-    _write_csv(
+    write_csv(
         out,
         {
             "functional": functional,
@@ -419,7 +414,7 @@ def run_spheremin(params, outdir: Path):
 def run_spheresweep(params, outdir: Path):
     fit = kappa_sweep(params["kappas"], params["lambda"], params["m"])
     out = outdir / params["out"]
-    _write_csv(
+    write_csv(
         out,
         {
             "lambda": params["lambda"],
@@ -450,7 +445,7 @@ def run_blowdown(params, outdir: Path):
         u, v = loaded
     records, gap = direction_convergence(u, v, params["radii"])
     out = outdir / params["out"]
-    _write_csv(
+    write_csv(
         out,
         {"gap_deg": float(np.degrees(gap))},
         ["R", "L", "e_x", "e_y", "flatness", "deficit"],

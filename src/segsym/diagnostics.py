@@ -413,10 +413,13 @@ def harmonic_deficit(
 ) -> float:
     """Energy distance from u - v to its harmonic replacement on B_R(x):
     solve the Dirichlet problem with boundary data (u - v)|_{dB_R}, then
-    ball-integrate |grad(u - v - phi)|^2."""
+    ball-integrate |grad(u - v - phi)|^2.
+
+    cfg is accepted and unread: the Dirichlet solve stops on the linear
+    core's own relative residual."""
     _check_pair(u, v)
     w = Field(u.grid, u.values - v.values)
-    phi = solve_harmonic(u.grid, x, R, w, cfg)
+    phi = solve_harmonic(u.grid, x, R, w)
     diff = Field(u.grid, w.values - phi.values)
     win = Window.ball(u.grid, x, R)
     gx, gy = win.grad(diff.values)

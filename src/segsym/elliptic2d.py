@@ -21,7 +21,7 @@ the projection onto [0, ∞) does not raise it either, because 0 lies
 between a negative candidate and a* ≥ 0.
 
 The iteration starts from the harmonic extension of the boundary data
-(κ = 0) and continues in κ by factors of 10.
+(the κ = 0 solution) and relaxes at the target κ alone.
 
 Every linear problem (that harmonic start, harmonic replacement on a
 disk, Δw = M w on a disk) goes through one core, _mg_pcg: the 5-point
@@ -45,7 +45,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .config import SolveConfig
 from .errors import NoConvergence
-from .grid import Field, Grid2D, _require_ball_inside, gradient
+from .grid import Field, Grid2D, _require_ball_inside
 
 _CHECK_EVERY = 50  # sweeps between residual/energy checks
 
@@ -295,15 +295,6 @@ def _mg_pcg(x: np.ndarray, free: np.ndarray, shift: float, h: float) -> np.ndarr
     return out
 
 
-def _continuation_ladder(kappa: float) -> list[float]:
-    if kappa <= 10.0:
-        return [kappa]
-    ladder = [kappa]
-    while ladder[-1] > 10.0:
-        ladder.append(ladder[-1] / 10.0)
-    return ladder[::-1]
-
-
 def solve_system(
     g: Grid2D, bdata_u, bdata_v, kappa: float, cfg: SolveConfig | None = None
 ) -> SolutionPair:
@@ -329,61 +320,37 @@ def solve_system(
 
     u = _laplace_rectangle(g, bu)
     v = _laplace_rectangle(g, bv)
-    if kappa == 0.0:
-        res = _sup_residual(u, v, 0.0, g.h)
-        return SolutionPair(Field(g, u), Field(g, v), 0.0, res)
-
     h = g.h
     h2 = h * h
     # Young's optimal over-relaxation factor from the Jacobi spectral
     # radius of the 5-point Laplacian on this grid
     rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
     omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
-    total_sweeps = 0
+    sweeps = 0
     energies: list[float] = []
-    for stage_kappa in _continuation_ladder(kappa):
-        final = stage_kappa == kappa
-        tol = cfg.tol if final else max(cfg.tol, 1e-6)
-        res = _sup_residual(u, v, stage_kappa, h)
-        # NaN fails every comparison, so it must never reach `res <= tol`
-        while not res <= tol:
-            if not math.isfinite(res):
-                raise NoConvergence(
-                    total_sweeps, res, "red-black relaxation hit a non-finite residual"
-                )
-            for _ in range(_CHECK_EVERY):
-                for a, b in ((u, v), (v, u)):
-                    for color in (_RED, _BLACK):
-                        for i0, j0 in color:
-                            blk, nb = _blocks(a, i0, j0)
-                            cur = a[blk]
-                            star = nb / (4.0 + stage_kappa * h2 * b[blk] ** 2)
-                            a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
-            total_sweeps += _CHECK_EVERY
-            res = _sup_residual(u, v, stage_kappa, h)
-            if final:
-                energies.append(discrete_energy(u, v, stage_kappa, h))
-            if total_sweeps >= cfg.max_iter:
-                raise NoConvergence(total_sweeps, res, "red-black relaxation")
+    res = _sup_residual(u, v, kappa, h)
+    # NaN fails every comparison, so it must never reach `res <= cfg.tol`
+    while not res <= cfg.tol:
+        if not math.isfinite(res):
+            raise NoConvergence(
+                sweeps, res, "red-black relaxation hit a non-finite residual"
+            )
+        for _ in range(_CHECK_EVERY):
+            for a, b in ((u, v), (v, u)):
+                for color in (_RED, _BLACK):
+                    for i0, j0 in color:
+                        blk, nb = _blocks(a, i0, j0)
+                        cur = a[blk]
+                        star = nb / (4.0 + kappa * h2 * b[blk] ** 2)
+                        a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
+        sweeps += _CHECK_EVERY
+        res = _sup_residual(u, v, kappa, h)
+        energies.append(discrete_energy(u, v, kappa, h))
+        if sweeps >= cfg.max_iter:
+            raise NoConvergence(sweeps, res, "red-black relaxation")
     return SolutionPair(
-        Field(g, u), Field(g, v), kappa, res, total_sweeps, np.asarray(energies)
+        Field(g, u), Field(g, v), kappa, res, sweeps, np.asarray(energies)
     )
-
-
-def energy(u: Field, v: Field, kappa: float, center=None, r: float | None = None) -> float:
-    """Quadrature of |∇u|² + |∇v|² + κ u² v², over a ball or the whole grid.
-
-    Over a ball (center defaults to the grid center) this is almgren_D."""
-    if r is not None:
-        from .diagnostics import almgren_D  # diagnostics imports this module
-
-        return almgren_D(u, v, kappa, u.grid.center if center is None else center, r)
-    gu = gradient(u)
-    gv = gradient(v)
-    integrand = (
-        gu.magnitude_squared() + gv.magnitude_squared() + kappa * (u.values * v.values) ** 2
-    )
-    return float(np.sum(integrand) * u.grid.h**2)
 
 
 def _disk_dirichlet_solve(
@@ -399,9 +366,7 @@ def _disk_dirichlet_solve(
     return _mg_pcg(frozen_values, inside, shift, g.h)
 
 
-def solve_harmonic(
-    g: Grid2D, center, R: float, bdata, cfg: SolveConfig | None = None
-) -> Field:
+def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
     """Discrete harmonic function in B_R(center) matching bdata on the rim.
 
     bdata is a vectorized callable (x, y) -> values or a Field on the

@@ -27,7 +27,7 @@ from segsym.diagnostics import (
     functional_trace,
     harmonic_deficit,
 )
-from segsym.elliptic2d import energy, solve_harmonic
+from segsym.elliptic2d import solve_harmonic
 from segsym.grid import Field, Grid2D, ball_integral, ball_weights, gradient, shell_integral
 
 SETTINGS = settings(
@@ -219,7 +219,6 @@ def test_ball_functionals_equal_full_grid(data):
     assert almgren_H(u, v, x, r) == ref_H(u, v, kappa, x, r)
     assert acf_J(u, v, kappa, x, r) == ref_J(u, v, kappa, x, r)
     assert almgren_H_rate(u, v, kappa, x, r) == ref_H_rate(u, v, kappa, x, r)
-    assert energy(u, v, kappa, x, r) == almgren_D(u, v, kappa, x, r)
 
 
 @SETTINGS

@@ -11,9 +11,9 @@ from scipy.sparse.linalg import spsolve
 
 import segsym.elliptic2d as e2d
 from segsym.config import SolveConfig
+from segsym.diagnostics import almgren_D
 from segsym.elliptic2d import (
     _sup_residual,
-    energy,
     solve_harmonic,
     solve_linear_decay,
     solve_system,
@@ -28,7 +28,7 @@ from segsym.presets import linear_pair, linear_pair_bdata
 DECAY_CENTER_ORACLE = 0.036710892271286676
 
 # Sweeps plain red-black Gauss-Seidel needed for the solved_k100 fixture
-# (65^2, kappa = 100, tol = 1e-9); over-relaxation needs 500.
+# (65^2, kappa = 100, tol = 1e-9); over-relaxation needs 300.
 GAUSS_SEIDEL_SWEEPS_K100 = 10_100
 
 # u(0) of the 1D interface profile, from the profile solver at
@@ -140,6 +140,33 @@ def test_solution_invariants(solved_k100):
 def test_over_relaxation_sweep_count(solved_k100):
     _, pair = solved_k100
     assert pair.sweeps <= GAUSS_SEIDEL_SWEEPS_K100 // 10
+
+
+def test_one_stage_sweep_count():
+    # relaxing at the target kappa from the harmonic start takes 550 sweeps
+    g = square_grid(1.0, 129)
+    fu, fv = linear_pair_bdata()
+    pair = solve_system(g, fu, fv, 1e3)
+    assert pair.residual <= SolveConfig().tol
+    assert pair.sweeps <= 600
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([17, 33, 65]),
+    log_kappa=st.floats(0.0, 5.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_solve_converges_monotonically(n, log_kappa, theta):
+    g = square_grid(1.0, n)
+    kappa = 10.0**log_kappa
+    fu, fv = linear_pair_bdata(direction=(math.cos(theta), math.sin(theta)))
+    pair = solve_system(g, fu, fv, kappa, SolveConfig(tol=1e-8))
+    assert pair.residual <= 1e-8
+    assert _sup_residual(pair.u.values, pair.v.values, kappa, g.h) <= 1e-8
+    assert pair.u.values.min() >= 0.0
+    assert pair.v.values.min() >= 0.0
+    assert np.all(np.diff(pair.energy_trace) <= 1e-12)
 
 
 def test_non_square_grid():
@@ -296,12 +323,12 @@ def test_decay_validates_inputs():
 def test_energy_linear_pair_ball():
     g = square_grid(1.0, 257)
     u, v = linear_pair(g)
-    e = energy(u, v, 1.0, (0.0, 0.0), 0.8)
+    e = almgren_D(u, v, 1.0, (0.0, 0.0), 0.8)
     # centered differences halve the gradient on the kink column, an
     # O(h) strip, so the tolerance is a few h
     assert e == pytest.approx(np.pi * 0.64, abs=3 * g.h)
     # uv vanishes at every node, so kappa cannot matter
-    assert energy(u, v, 7.0, (0.0, 0.0), 0.8) == e
+    assert almgren_D(u, v, 7.0, (0.0, 0.0), 0.8) == e
 
 
 # ---------------------------------------------------------------------------
