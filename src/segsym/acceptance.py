@@ -3,10 +3,11 @@
 Each criterion function measures one cluster of guarantees (profile
 structure, closed-form oracles, monotonicity, decay, rearrangement,
 minimization, blow-down, segregation, cone, determinism), writes one
-self-describing CSV of its numeric checks, and returns a
-CriterionResult.  Artifacts shared between criteria (solved pairs, the
-profile extension, the kappa sweep) are built lazily on the context and
-reused.
+self-describing CSV of its numeric checks, and returns the checks; the
+`criterion` decorator registers it under its number, times it against
+its runtime budget and builds the CriterionResult.  Artifacts shared
+between criteria (solved pairs, the profile extension, the kappa sweep)
+are cached properties of the context.
 
 CSV conventions: `# key=value` meta lines, then a header row, then data
 rows with floats at 17 significant digits.  Wall-clock runtimes are
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ import numpy as np
 from . import blowdown as bd
 from . import diagnostics as dg
 from ._util import write_csv
-from .config import SolveConfig
 from .elliptic2d import solve_linear_decay, solve_system
 from .grid import Field, Grid2D, gradient, square_grid
 from .presets import linear_pair, linear_pair_bdata
@@ -48,6 +49,10 @@ ACF_RANGE_C = 10.0
 HARMONIC_C = 1.0
 
 _REARRANGE_TRIALS = 1000
+_REARRANGE_SEED = 0
+
+# criteria 3, 4 and 6: coupling constants of the solved pairs
+_SOLVED_KAPPAS = (1e2, 1e3)
 
 
 @dataclass(frozen=True)
@@ -99,56 +104,40 @@ def _finite(label, value) -> Check:
 class SuiteContext:
     """One suite run: an output directory plus cached heavy artifacts."""
 
-    def __init__(self, outdir, cfg: SolveConfig | None = None):
+    def __init__(self, outdir):
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.cfg = cfg or SolveConfig()
-        self._cache = {}
         self.results = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     # ---------------- shared artifacts
 
-    @property
+    @cached_property
     def profile20(self):
-        return self._get("profile20", lambda: solve_profile(20.0, 0.05, SolveConfig(tol=1e-10)))
+        return solve_profile(20.0, 0.05)
 
-    @property
+    @cached_property
     def lin513(self):
-        def build():
-            g = square_grid(1.0, 513)
-            u, v = linear_pair(g)
-            return g, u, v
+        g = square_grid(1.0, 513)
+        u, v = linear_pair(g)
+        return g, u, v
 
-        return self._get("lin513", build)
+    @cached_property
+    def solved(self):
+        """kappa -> pair solved on the 129² grid with half-plane data."""
+        g = square_grid(1.0, 129)
+        fu, fv = linear_pair_bdata()
+        return {kappa: solve_system(g, fu, fv, kappa) for kappa in _SOLVED_KAPPAS}
 
-    def solved(self, kappa: float):
-        def build():
-            g = square_grid(1.0, 129)
-            fu, fv = linear_pair_bdata()
-            return g, solve_system(g, fu, fv, kappa, self.cfg)
-
-        return self._get(("solved", kappa), build)
-
-    @property
+    @cached_property
     def extension(self):
-        def build():
-            prof = solve_profile(128.0, 0.0625, SolveConfig(tol=1e-10))
-            g = square_grid(128.0, 2049)
-            u, v = extend_to_2d(prof, g, (1.0, 0.0))
-            return g, u, v
+        prof = solve_profile(128.0, 0.0625)
+        g = square_grid(128.0, 2049)
+        u, v = extend_to_2d(prof, g, (1.0, 0.0))
+        return g, u, v
 
-        return self._get("extension", build)
-
-    @property
+    @cached_property
     def sweep(self):
-        return self._get(
-            "sweep", lambda: kappa_sweep([1e2, 1e3, 1e4], 1.0, 512, self.cfg)
-        )
+        return kappa_sweep([1e2, 1e3, 1e4], 1.0, 512)
 
     # ---------------- emission
 
@@ -169,11 +158,35 @@ class SuiteContext:
 # ---------------------------------------------------------------------------
 # criteria
 
+_CRITERIA = {}
 
-def criterion_01(ctx: SuiteContext) -> CriterionResult:
+
+def criterion(name: str, budget_s: float | None):
+    """Register a criterion body under the number that starts `name`.
+
+    The body writes its CSVs and returns its checks; the registered
+    runner times it, appends a `runtime_s` check against `budget_s`
+    (none when the budget is None) and returns the CriterionResult."""
+
+    def register(body):
+        def run(ctx: SuiteContext) -> CriterionResult:
+            t0 = time.perf_counter()
+            checks = body(ctx)
+            runtime = time.perf_counter() - t0
+            if budget_s is not None:
+                checks.append(_le("runtime_s", runtime, budget_s))
+            return CriterionResult(name, all(c.ok for c in checks), runtime, checks)
+
+        _CRITERIA[int(name.split()[0])] = run
+        return run
+
+    return register
+
+
+@criterion("01 profile structure", 10.0)
+def criterion_01(ctx: SuiteContext) -> list:
     """1D profile structure: residual, reflection symmetry, monotonicity,
     interface decay."""
-    t0 = time.perf_counter()
     p = ctx.profile20
     checks = [_le("residual", p.residual, 1e-10)]
     x0 = crossing_point(p)
@@ -191,13 +204,12 @@ def criterion_01(ctx: SuiteContext) -> CriterionResult:
         {"criterion": "profile_structure", "half_length": 20.0, "spacing": 0.05, "crossing": x0},
         checks,
     )
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 10.0))
-    return CriterionResult("01 profile structure", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_02(ctx: SuiteContext) -> CriterionResult:
+@criterion("02 linear-pair oracles", 30.0)
+def criterion_02(ctx: SuiteContext) -> list:
     """Closed-form oracle suite on the half-plane pair at h = 1/256."""
-    t0 = time.perf_counter()
     g, u, v = ctx.lin513
     tol = 5.0 * g.h
     checks = []
@@ -223,42 +235,37 @@ def criterion_02(ctx: SuiteContext) -> CriterionResult:
         rows,
     )
     ctx.write_checks("02_oracles.csv", {"criterion": "linear_oracles", "h": g.h}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 30.0))
-    return CriterionResult("02 linear-pair oracles", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_03(ctx: SuiteContext) -> CriterionResult:
+@criterion("03 frequency monotonicity", 120.0)
+def criterion_03(ctx: SuiteContext) -> list:
     """Frequency monotonicity on solved pairs."""
-    t0 = time.perf_counter()
     checks = []
     rows = []
     radii = np.linspace(0.1, 0.45, 8)
-    for kappa in (1e2, 1e3):
-        g, pair = ctx.solved(kappa)
+    eps = dg.eps_mono(ctx.solved[1e2].u.grid)
+    for kappa, pair in ctx.solved.items():
         tr = dg.frequency_trace(pair.u, pair.v, kappa, (0.0, 0.0), radii)
         rows.extend((kappa, r, val) for r, val in zip(tr.radii, tr.values))
-        checks.append(
-            _ge(f"min_pairwise_slope_k{kappa:g}", tr.min_pairwise_slope(), -dg.eps_mono(g))
-        )
+        checks.append(_ge(f"min_pairwise_slope_k{kappa:g}", tr.min_pairwise_slope(), -eps))
     ctx.write_csv(
         "03_frequency_data.csv",
-        {"criterion": "frequency_monotonicity", "eps_mono": dg.eps_mono(ctx.solved(1e2)[0])},
+        {"criterion": "frequency_monotonicity", "eps_mono": eps},
         ["kappa", "r", "N"],
         rows,
     )
     ctx.write_checks("03_frequency.csv", {"criterion": "frequency_monotonicity"}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 120.0))
-    return CriterionResult("03 frequency monotonicity", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_04(ctx: SuiteContext) -> CriterionResult:
+@criterion("04 doubling", 30.0)
+def criterion_04(ctx: SuiteContext) -> list:
     """Doubling bound H(2r)/H(r) <= e (2)^2 on the solved pairs."""
-    t0 = time.perf_counter()
     checks = []
     rows = []
     radii = np.linspace(0.1, 0.9, 17)
-    for kappa in (1e2, 1e3):
-        g, pair = ctx.solved(kappa)
+    for kappa, pair in ctx.solved.items():
         tr = dg.functional_trace("H", pair.u, pair.v, kappa, (0.0, 0.0), radii)
         for r1 in (0.1, 0.15, 0.2, 0.3, 0.45):
             chk = dg.check_doubling(tr, 1.0, r1, 2.0 * r1)
@@ -271,13 +278,12 @@ def criterion_04(ctx: SuiteContext) -> CriterionResult:
         rows,
     )
     ctx.write_checks("04_doubling.csv", {"criterion": "doubling", "d": 1.0}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 30.0))
-    return CriterionResult("04 doubling", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_05(ctx: SuiteContext) -> CriterionResult:
+@criterion("05 exponential decay", 60.0)
+def criterion_05(ctx: SuiteContext) -> list:
     """Exponential decay of the linear comparison solve in sqrt(M)."""
-    t0 = time.perf_counter()
     g = square_grid(1.6, 321)
     X, Y = g.meshgrid()
     inside = np.hypot(X, Y) <= 1.0
@@ -301,19 +307,17 @@ def criterion_05(ctx: SuiteContext) -> CriterionResult:
         list(zip(Ms, sups)),
     )
     ctx.write_checks("05_decay.csv", {"criterion": "exponential_decay"}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 60.0))
-    return CriterionResult("05 exponential decay", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_06(ctx: SuiteContext) -> CriterionResult:
+@criterion("06 sharp ACF fit", 120.0)
+def criterion_06(ctx: SuiteContext) -> list:
     """Sharp ACF correction fit: finite on solved pairs, zero on the
     half-plane pair, J two-sided bounded."""
-    t0 = time.perf_counter()
     checks = []
     rows = []
     radii = np.linspace(0.1, 0.45, 8)
-    for kappa in (1e2, 1e3):
-        g, pair = ctx.solved(kappa)
+    for kappa, pair in ctx.solved.items():
         tr, cfit = dg.acf_trace_and_fit(pair.u, pair.v, kappa, (0.0, 0.0), radii)
         rows.extend((kappa, r, val) for r, val in zip(tr.radii, tr.values))
         checks.append(_finite(f"C_fit_k{kappa:g}", cfit))
@@ -329,15 +333,14 @@ def criterion_06(ctx: SuiteContext) -> CriterionResult:
         rows,
     )
     ctx.write_checks("06_acf.csv", {"criterion": "acf_fit", "range_C": ACF_RANGE_C}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 120.0))
-    return CriterionResult("06 sharp ACF fit", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_07(ctx: SuiteContext) -> CriterionResult:
+@criterion("07 rearrangement laws", 30.0)
+def criterion_07(ctx: SuiteContext) -> list:
     """Rearrangement laws over random pairs: equimeasurability, energy
     and product descent, idempotence."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(ctx.cfg.seed)
+    rng = np.random.default_rng(_REARRANGE_SEED)
     checks = []
     for n in (2, 3):
         equi_fail = 0
@@ -381,17 +384,16 @@ def criterion_07(ctx: SuiteContext) -> CriterionResult:
         checks.append(_zero(f"idempotence_failures_n{n}", idem_fail))
     ctx.write_checks(
         "07_rearrangement.csv",
-        {"criterion": "rearrangement", "trials_per_n": _REARRANGE_TRIALS, "m": 256, "seed": ctx.cfg.seed},
+        {"criterion": "rearrangement", "trials_per_n": _REARRANGE_TRIALS, "m": 256, "seed": _REARRANGE_SEED},
         checks,
     )
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 30.0))
-    return CriterionResult("07 rearrangement laws", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_08(ctx: SuiteContext) -> CriterionResult:
+@criterion("08 spherical minimization", 300.0)
+def criterion_08(ctx: SuiteContext) -> list:
     """Constrained spherical minimization across kappa: value ceiling,
     deficit decay exponent, multiplier normalization, segregation rate."""
-    t0 = time.perf_counter()
     fit = ctx.sweep
     checks = []
     rows = []
@@ -416,13 +418,12 @@ def criterion_08(ctx: SuiteContext) -> CriterionResult:
     checks.append(_within("mult1_at_1e4", top.mult1, 0.95, 1.05))
     checks.append(_within("mult2_at_1e4", top.mult2, 0.95, 1.05))
     ctx.write_checks("08_sweep.csv", {"criterion": "spherical_minimization", "m": 512}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 300.0))
-    return CriterionResult("08 spherical minimization", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_09(ctx: SuiteContext) -> CriterionResult:
+@criterion("09 gamma identities", 1.0)
+def criterion_09(ctx: SuiteContext) -> list:
     """Identities of the homogeneity map gamma."""
-    t0 = time.perf_counter()
     checks = [Check("gamma_0", gamma(0.0, 2) == 0.0, gamma(0.0, 2), "== 0")]
     worst_unit = 0.0
     for n in range(2, 11):
@@ -435,14 +436,13 @@ def criterion_09(ctx: SuiteContext) -> CriterionResult:
         worst_concavity = max(worst_concavity, float(np.max(second)))
     checks.append(_le("concavity_violation", worst_concavity, 1e-8))
     ctx.write_checks("09_gamma.csv", {"criterion": "gamma_identities"}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 1.0))
-    return CriterionResult("09 gamma identities", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_10(ctx: SuiteContext) -> CriterionResult:
+@criterion("10 blow-down flatness", 300.0)
+def criterion_10(ctx: SuiteContext) -> list:
     """Blow-down flatness, direction stability, gradient deficit decay,
     and the frequency ceiling at interface points."""
-    t0 = time.perf_counter()
     g, u, v = ctx.extension
     records, gap = bd.direction_convergence(u, v, [8.0, 16.0, 32.0])
     checks = [_le("cauchy_gap_deg", math.degrees(gap), 2.0)]
@@ -469,14 +469,13 @@ def criterion_10(ctx: SuiteContext) -> CriterionResult:
         [(r.R, r.L, r.e[0], r.e[1], r.flatness, r.deficit) for r in records],
     )
     ctx.write_checks("10_blowdown.csv", {"criterion": "blowdown"}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 300.0))
-    return CriterionResult("10 blow-down flatness", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_11(ctx: SuiteContext) -> CriterionResult:
+@criterion("11 segregation bounds", 120.0)
+def criterion_11(ctx: SuiteContext) -> list:
     """Segregation bounds: sup uv, sup mixed, and interaction-mass
     growth, stable under domain doubling."""
-    t0 = time.perf_counter()
     g, u, v = ctx.extension
     half_grid = Grid2D(1025, 1025, g.h, (-64.0, -64.0))
     hu = Field(half_grid, u.values[512:1537, 512:1537])
@@ -499,14 +498,13 @@ def criterion_11(ctx: SuiteContext) -> CriterionResult:
         ],
     )
     ctx.write_checks("11_segregation.csv", {"criterion": "segregation_bounds"}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 120.0))
-    return CriterionResult("11 segregation bounds", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_12(ctx: SuiteContext) -> CriterionResult:
+@criterion("12 cone monotonicity", 30.0)
+def criterion_12(ctx: SuiteContext) -> list:
     """Cone of monotone directions around e1 and flatness of the
     transverse derivative."""
-    t0 = time.perf_counter()
     g, u, v = ctx.extension
     tol = 5.0 * g.h
     viol = dg.cone_monotonicity(u, v, (1.0, 0.0), 0.75)
@@ -521,70 +519,42 @@ def criterion_12(ctx: SuiteContext) -> CriterionResult:
         _le("transverse_derivative_sup", transverse, tol),
     ]
     ctx.write_checks("12_cone.csv", {"criterion": "cone_monotonicity", "tolerance": tol}, checks)
-    checks.append(_le("runtime_s", time.perf_counter() - t0, 30.0))
-    return CriterionResult("12 cone monotonicity", all(c.ok for c in checks), time.perf_counter() - t0, checks)
-
-
-CRITERIA = [
-    criterion_01,
-    criterion_02,
-    criterion_03,
-    criterion_04,
-    criterion_05,
-    criterion_06,
-    criterion_07,
-    criterion_08,
-    criterion_09,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-]
+    return checks
 
 
 def run_criterion(ctx: SuiteContext, index: int) -> CriterionResult:
-    """Run criterion `index` (1-based, 1..12) once per context."""
+    """Run criterion `index` (1-based, 1..13) once per context."""
     if index not in ctx.results:
-        ctx.results[index] = CRITERIA[index - 1](ctx)
+        ctx.results[index] = _CRITERIA[index](ctx)
     return ctx.results[index]
 
 
-def run_batch(ctx: SuiteContext):
-    """Run criteria 1..12, memoized on the context."""
-    return [run_criterion(ctx, k) for k in range(1, 13)]
-
-
-def compare_csv_dirs(dir_a, dir_b) -> CriterionResult:
-    """Criterion 13: every artifact CSV must be byte-identical."""
-    t0 = time.perf_counter()
-    names_a = sorted(p.name for p in Path(dir_a).glob("*.csv") if p.name != "results.csv")
-    names_b = sorted(p.name for p in Path(dir_b).glob("*.csv") if p.name != "results.csv")
+@criterion("13 determinism", None)
+def criterion_13(ctx: SuiteContext) -> list:
+    """Run criteria 1..12 here and again in a sibling directory; every
+    artifact CSV must be byte-identical."""
+    rerun = SuiteContext(ctx.outdir / "rerun")
+    for c in (ctx, rerun):
+        for k in range(1, 13):
+            run_criterion(c, k)
+    names_a = sorted(p.name for p in ctx.outdir.glob("*.csv") if p.name != "results.csv")
+    names_b = sorted(p.name for p in rerun.outdir.glob("*.csv") if p.name != "results.csv")
     checks = [_zero("file_set_mismatch", int(names_a != names_b))]
     mismatched = 0
     if names_a == names_b:
         for name in names_a:
-            if (Path(dir_a) / name).read_bytes() != (Path(dir_b) / name).read_bytes():
+            if (ctx.outdir / name).read_bytes() != (rerun.outdir / name).read_bytes():
                 mismatched += 1
     checks.append(_zero("byte_mismatched_files", mismatched))
     checks.append(_ge("files_compared", len(names_a), 12.0))
-    return CriterionResult("13 determinism", all(c.ok for c in checks), time.perf_counter() - t0, checks)
+    return checks
 
 
-def criterion_13(ctx: SuiteContext) -> CriterionResult:
-    """Rerun the suite in a sibling directory and byte-compare CSVs."""
-    run_batch(ctx)
-    rerun = SuiteContext(ctx.outdir / "rerun", ctx.cfg)
-    run_batch(rerun)
-    result = compare_csv_dirs(ctx.outdir, rerun.outdir)
-    ctx.results[13] = result
-    return result
-
-
-def run_all(outdir, cfg: SolveConfig | None = None):
+def run_all(outdir):
     """Full suite including determinism; writes results.csv and returns
     the thirteen CriterionResults in order."""
-    ctx = SuiteContext(outdir, cfg)
-    results = run_batch(ctx)
-    results.append(criterion_13(ctx))
+    ctx = SuiteContext(outdir)
+    results = [run_criterion(ctx, k) for k in sorted(_CRITERIA)]
     # runtimes stay on the CriterionResults (and the CLI RESULT lines);
     # keeping them out of the CSV keeps reruns byte-identical
     rows = []

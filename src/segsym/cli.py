@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto experiment scenarios: profile, solve2d,
-diag, spheremin, spheresweep, blowdown, plus `run` (a JSON config or a
-named preset) and `list-presets`.  Every run ends with one or more
+diag, spheremin, spheresweep, blowdown and accept (the thirteen-criterion
+acceptance suite), plus `run`, which takes the same scenario from a flat
+JSON config.  Every run ends with one or more
 machine-readable summary lines
 
     RESULT name=<scenario> status=<pass|fail|done> key=value ...
@@ -39,7 +40,6 @@ from .errors import (
     DomainTooLarge,
     InputInvalid,
     InputMissing,
-    MSampleTooSmall,
     MultipleSignChanges,
     NegativeInput,
     NoConvergence,
@@ -68,7 +68,6 @@ _NUMERIC_ERRORS = (
     NoSignChange,
     MultipleSignChanges,
     DeficitNonpositive,
-    MSampleTooSmall,
 )
 
 _DIAG_RADII = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
@@ -129,8 +128,6 @@ SCHEMAS = {
     "accept": {},
 }
 
-PRESETS = {name: {"scenario": name} for name in SCHEMAS}
-
 DESCRIPTIONS = {
     "accept": "full acceptance suite: thirteen criteria, per-criterion CSVs and results.csv",
     "blowdown": "blow-down of the 1D profile extension: direction, flatness and deficit decay",
@@ -162,7 +159,7 @@ def _floats(field: str):
     return parse
 
 
-def _coerce(scenario: str, key: str, tag: str, value):
+def _coerce(key: str, tag: str, value):
     if tag == "f":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigInvalid(key, f"expected a number, got {value!r}")
@@ -202,8 +199,8 @@ class Experiment:
 
 
 def make_experiment(doc: dict) -> Experiment:
-    """Build an Experiment from a flat config dict (already stripped of
-    outdir); validates the scenario id and every param."""
+    """Build an Experiment from a flat config dict; validates the
+    scenario id and every param."""
     doc = dict(doc)
     scenario = doc.pop("scenario", None)
     if not isinstance(scenario, str):
@@ -227,7 +224,7 @@ def validate_params(scenario: str, raw: dict) -> dict:
     for key, value in raw.items():
         if key not in schema:
             raise ConfigInvalid(key, f"unknown key for scenario {scenario!r}")
-        params[key] = _coerce(scenario, key, schema[key][0], value)
+        params[key] = _coerce(key, schema[key][0], value)
     if "kappa" in params and params["kappa"] < 0.0:
         raise ConfigInvalid("kappa", f"kappa must be nonnegative, got {params['kappa']}")
     if "kappas" in params and any(k < 0.0 for k in params["kappas"]):
@@ -267,9 +264,9 @@ def _result(name: str, status: str, kv: dict) -> None:
     print("RESULT " + " ".join(parts))
 
 
-def _load_or_solve(params, outdir):
-    """Fields for diag/blowdown: read the named CSVs when both are
-    given, otherwise build the scenario's default pair."""
+def _read_pair(params):
+    """Fields for diag/blowdown: the named CSVs when both are given,
+    None when neither is (the caller builds its default pair)."""
     in_u, in_v = params.get("in_u"), params.get("in_v")
     if (in_u is None) != (in_v is None):
         raise ConfigInvalid("in_u", "in_u and in_v must be given together")
@@ -282,6 +279,14 @@ def _load_or_solve(params, outdir):
             raise ConfigInvalid("in_v", "input fields must share one grid")
         return u, v
     return None
+
+
+def _solve_pair(params):
+    """solve2d and diag's pair: half-plane boundary data on
+    square_grid(half_width, n), solved at kappa to tol."""
+    g = square_grid(params["half_width"], params["n"])
+    fu, fv = linear_pair_bdata()
+    return solve_system(g, fu, fv, params["kappa"], SolveConfig(tol=params["tol"]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +322,7 @@ def run_profile(params, outdir: Path):
 
 
 def run_solve2d(params, outdir: Path):
-    g = square_grid(params["half_width"], params["n"])
-    fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, params["kappa"], SolveConfig(tol=params["tol"]))
+    pair = _solve_pair(params)
     out_u, out_v = outdir / params["out_u"], outdir / params["out_v"]
     out_u.parent.mkdir(parents=True, exist_ok=True)
     out_v.parent.mkdir(parents=True, exist_ok=True)
@@ -339,11 +342,9 @@ def run_diag(params, outdir: Path):
     functional = params["functional"]
     if functional not in ("N", "H", "D", "J"):
         raise ConfigInvalid("functional", f"expected N, H, D or J, got {functional!r}")
-    loaded = _load_or_solve(params, outdir)
+    loaded = _read_pair(params)
     if loaded is None:
-        g = square_grid(params["half_width"], params["n"])
-        fu, fv = linear_pair_bdata()
-        pair = solve_system(g, fu, fv, params["kappa"], SolveConfig(tol=params["tol"]))
+        pair = _solve_pair(params)
         u, v = pair.u, pair.v
     else:
         u, v = loaded
@@ -436,7 +437,7 @@ def run_spheresweep(params, outdir: Path):
 
 
 def run_blowdown(params, outdir: Path):
-    loaded = _load_or_solve(params, outdir)
+    loaded = _read_pair(params)
     if loaded is None:
         prof = solve_profile(params["half_length"], params["spacing"])
         g = square_grid(params["half_width"], params["n"])
@@ -495,23 +496,17 @@ def _parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"segsym {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    # one subcommand per scenario, one flag per schema key; accept runs
-    # only as a preset
+    # one subcommand per scenario, one flag per schema key
     for name, schema in SCHEMAS.items():
-        if not schema:
-            continue
         sp = sub.add_parser(name, help=DESCRIPTIONS[name])
         sp.add_argument("--outdir", default=".", help="directory for output files")
         for key, (tag, _) in schema.items():
             kind = _floats(key) if tag == "F" else {"f": float, "i": int}.get(tag, str)
             sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
-    sp = sub.add_parser("run", help="run an experiment from a JSON config or preset")
+    sp = sub.add_parser("run", help="run an experiment from a JSON config")
     sp.add_argument("--outdir", default=".", help="directory for output files")
-    sp.add_argument("config", nargs="?", help="path to a flat JSON experiment config")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
-
-    sub.add_parser("list-presets", help="list run presets with one-line descriptions")
+    sp.add_argument("config", help="path to a flat JSON experiment config")
     return p
 
 
@@ -520,23 +515,11 @@ def _collect(args, scenario: str) -> dict:
 
 
 def _dispatch(args) -> int:
-    if args.cmd == "list-presets":
-        width = max(len(k) for k in PRESETS)
-        for pid in sorted(PRESETS):
-            print(f"{pid:<{width}}  {DESCRIPTIONS[pid]}")
-        return 0
     if args.cmd == "run":
-        if (args.config is None) == (args.preset is None):
-            raise ConfigInvalid("config", "give exactly one of a config path or --preset")
-        doc = dict(PRESETS[args.preset]) if args.preset else load_experiment(args.config)
-        doc_outdir = doc.pop("outdir", None)
-        if doc_outdir is not None and not isinstance(doc_outdir, str):
-            raise ConfigInvalid("outdir", f"expected a string, got {doc_outdir!r}")
-        exp = make_experiment(doc)
-        outdir = Path(args.outdir if args.outdir != "." else (doc_outdir or "."))
+        exp = make_experiment(load_experiment(args.config))
     else:
         exp = make_experiment({"scenario": args.cmd, **_collect(args, args.cmd)})
-        outdir = Path(args.outdir)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     status, kv = RUNNERS[exp.scenario](exp.params, outdir)
     _result(exp.name, status, kv)

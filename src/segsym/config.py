@@ -17,13 +17,13 @@ class SolveConfig:
     max_iter  sweep / outer-step cap of the 2D solve and the spherical
               descent before NoConvergence; the 1D Newton solve has its
               own cap (profile1d._NEWTON_MAX)
-    seed      RNG seed for acceptance criterion 7's random rearrangement
-              trials; no solver or minimizer draws random numbers
+
+    No solver or minimizer draws random numbers; acceptance criterion 7
+    seeds its own rearrangement trials (acceptance._REARRANGE_SEED).
     """
 
     tol: float = 1e-8
     max_iter: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.tol > 0.0):

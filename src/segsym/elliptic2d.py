@@ -377,14 +377,12 @@ def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
     return Field(g, _disk_dirichlet_solve(g, center, R, frozen, 0.0))
 
 
-def solve_linear_decay(
-    M: float, A: float, R_outer: float, g: Grid2D, center=(0.0, 0.0)
-) -> Field:
-    """Solve Δw = M w in B_{R_outer}(center) with w = A on the rim."""
+def solve_linear_decay(M: float, A: float, R_outer: float, g: Grid2D) -> Field:
+    """Solve Δw = M w in B_{R_outer}(0) with w = A on the rim."""
     if M < 0.0:
         raise ValueError(f"M must be nonnegative, got {M}")
     if A < 0.0:
         raise ValueError(f"A must be nonnegative, got {A}")
-    _require_ball_inside(g, center, R_outer)
+    _require_ball_inside(g, (0.0, 0.0), R_outer)
     frozen = np.full((g.nx, g.ny), float(A))
-    return Field(g, _disk_dirichlet_solve(g, center, R_outer, frozen, float(M)))
+    return Field(g, _disk_dirichlet_solve(g, (0.0, 0.0), R_outer, frozen, float(M)))

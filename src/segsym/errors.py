@@ -18,10 +18,6 @@ class PointOutsideDomain(SegsymError):
     """An interpolation point lies outside the grid extent."""
 
 
-class MSampleTooSmall(SegsymError):
-    """Shell quadrature was asked for fewer than 16 sample points."""
-
-
 class DomainTooLarge(SegsymError):
     """A 1D profile (or source grid) does not cover the requested target."""
 

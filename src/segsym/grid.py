@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import atomic_write_text
-from .errors import BallOutsideDomain, InputInvalid, MSampleTooSmall, PointOutsideDomain
+from .errors import BallOutsideDomain, InputInvalid, PointOutsideDomain
 
 # slack for "is this point inside" checks, relative to h
 _EDGE_EPS = 1e-9
@@ -59,12 +59,12 @@ class Grid2D:
         return np.meshgrid(self.x, self.y, indexing="ij")
 
 
-def square_grid(half_width: float, n: int, center=(0.0, 0.0)) -> Grid2D:
-    """n-by-n grid covering [cx-half_width, cx+half_width]^2."""
+def square_grid(half_width: float, n: int) -> Grid2D:
+    """n-by-n grid covering [-half_width, half_width]^2."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     h = 2.0 * half_width / (n - 1)
-    return Grid2D(n, n, h, (center[0] - half_width, center[1] - half_width))
+    return Grid2D(n, n, h, (-half_width, -half_width))
 
 
 @dataclass
@@ -324,15 +324,12 @@ class Window:
         return float(np.sum(dens[i : i + w.shape[0], j : j + w.shape[1]] * w))
 
 
-def _shell(g: Grid2D, at, center, r: float, m: int | None = None) -> float:
+def _shell(g: Grid2D, at, center, r: float) -> float:
     """Trapezoid rule on the circle for the field whose node values are
     at(i, j); only the bilinear stencil nodes are read."""
     _require_ball_inside(g, center, r)
-    if m is None:
-        # multiple of 4 so quarter-turn rotations sample congruent node sets
-        m = max(128, 4 * int(math.ceil(4.0 * math.pi * r / g.h)))
-    if m < 16:
-        raise MSampleTooSmall(f"shell quadrature needs m >= 16 samples, got {m}")
+    # m is a multiple of 4 so quarter-turn rotations sample congruent node sets
+    m = max(128, 4 * int(math.ceil(4.0 * math.pi * r / g.h)))
     theta = 2.0 * math.pi * np.arange(m) / m
     pts = np.column_stack(
         (center[0] + r * np.cos(theta), center[1] + r * np.sin(theta))
@@ -341,14 +338,14 @@ def _shell(g: Grid2D, at, center, r: float, m: int | None = None) -> float:
     return float(r * np.sum(vals) * (2.0 * math.pi / m))
 
 
-def shell_integral(f: Field, center, r: float, m: int | None = None) -> float:
+def shell_integral(f: Field, center, r: float) -> float:
     """Line integral of f over the circle of radius r around center.
 
-    Trapezoid rule over m equispaced points, values by bilinear
-    interpolation; returns r * sum(f(theta_k)) * (2*pi/m).
+    Trapezoid rule over m = max(128, 4·ceil(4πr/h)) equispaced points,
+    values by bilinear interpolation; returns r * sum(f(theta_k)) * (2*pi/m).
     """
     v = f.values
-    return _shell(f.grid, lambda i, j: v[i, j], center, r, m)
+    return _shell(f.grid, lambda i, j: v[i, j], center, r)
 
 
 def shell_sq_integral(u: Field, v: Field, center, r: float) -> float:

@@ -25,26 +25,25 @@ def _unit(direction) -> tuple[float, float]:
     return dx / norm, dy / norm
 
 
-def linear_pair_bdata(direction=(1.0, 0.0), center=(0.0, 0.0), amplitude: float = 1.0):
-    """Vectorized callables for u = a·((x-c)·e)⁺ and v = a·((x-c)·e)⁻."""
+def linear_pair_bdata(direction=(1.0, 0.0), amplitude: float = 1.0):
+    """Vectorized callables for u = a·(x·e)⁺ and v = a·(x·e)⁻."""
     ex, ey = _unit(direction)
-    cx, cy = float(center[0]), float(center[1])
     a = float(amplitude)
 
     def fu(x, y):
-        return a * np.maximum((x - cx) * ex + (y - cy) * ey, 0.0)
+        return a * np.maximum(x * ex + y * ey, 0.0)
 
     def fv(x, y):
-        return a * np.maximum(-((x - cx) * ex + (y - cy) * ey), 0.0)
+        return a * np.maximum(-(x * ex + y * ey), 0.0)
 
     return fu, fv
 
 
 def linear_pair(
-    g: Grid2D, direction=(1.0, 0.0), center=(0.0, 0.0), amplitude: float = 1.0
+    g: Grid2D, direction=(1.0, 0.0), amplitude: float = 1.0
 ) -> tuple[Field, Field]:
     """The half-plane pair sampled on the lattice."""
-    fu, fv = linear_pair_bdata(direction, center, amplitude)
+    fu, fv = linear_pair_bdata(direction, amplitude)
     X, Y = g.meshgrid()
     return Field(g, fu(X, Y)), Field(g, fv(X, Y))
 

@@ -51,8 +51,6 @@ class Profile1D:
     def interp_u(self, t) -> np.ndarray:
         return np.interp(t, self.x, self.u)
 
-    def interp_v(self, t) -> np.ndarray:
-        return np.interp(t, self.x, self.v)
 
 
 def _residual(u, v, h):

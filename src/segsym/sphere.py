@@ -186,7 +186,7 @@ def quotient_pair(p: SphericalPair, kappa: float, lambda_kappa: float):
     mass_u = float(np.sum(p.w * p.ubar**2))
     mass_v = float(np.sum(p.w * p.vbar**2))
     if mass_u <= 0.0 or mass_v <= 0.0:
-        raise ValueError("both functions need positive mass")
+        raise NumericalBreakdown("both functions need positive mass")
     pm = product_mass(p)
     x = (dirichlet_energy(p, "u") + kappa * lambda_kappa**2 * pm) / mass_u
     y = (dirichlet_energy(p, "v") + kappa * pm) / mass_v

@@ -11,12 +11,11 @@ widened.  See the failure message for the measured gap.
 import pytest
 
 from segsym import acceptance
-from segsym.config import SolveConfig
 
 
 @pytest.fixture(scope="module")
 def ctx(tmp_path_factory):
-    return acceptance.SuiteContext(tmp_path_factory.mktemp("accept"), SolveConfig())
+    return acceptance.SuiteContext(tmp_path_factory.mktemp("accept"))
 
 
 def run(ctx, k):
@@ -93,5 +92,9 @@ def test_12_cone_monotonicity(ctx):
 
 
 def test_13_determinism(ctx):
-    res = acceptance.criterion_13(ctx)
-    assert res.passed, "; ".join(res.failures())
+    res = run(ctx, 13)
+    assert [c.label for c in res.checks] == [
+        "file_set_mismatch",
+        "byte_mismatched_files",
+        "files_compared",
+    ]

@@ -1,12 +1,13 @@
 """End-to-end checks of the command-line front end: RESULT lines, exit
-codes (1 config, 2 input, 3 numerical), CSV shapes, presets."""
+codes (1 config, 2 input, 3 numerical), CSV shapes, suite dispatch."""
 
 import json
 
 import numpy as np
 import pytest
 
-from segsym import cli
+from segsym import acceptance, cli
+from segsym.acceptance import Check, CriterionResult
 from segsym.cli import main
 from segsym.grid import Field, read_field, square_grid, write_field
 from segsym.presets import linear_pair
@@ -32,14 +33,37 @@ def linear_files(tmp_path_factory):
     return d / "u.csv", d / "v.csv"
 
 
-def test_list_presets_alphabetical(capsys):
-    assert main(["list-presets"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    ids = [ln.split()[0] for ln in lines]
-    assert ids == sorted(ids)
-    assert "accept" in ids and "blowdown" in ids and "spheresweep" in ids
-    for ln in lines:
-        assert len(ln.split(None, 1)) == 2, f"missing description: {ln!r}"
+def _fake_suite(monkeypatch):
+    """Replace acceptance.run_all with a fast stand-in; returns the
+    list of output directories it was called with."""
+    calls = []
+
+    def fake_run_all(outdir):
+        calls.append(outdir)
+        return [CriterionResult("01 fake", True, 0.5, [Check("x", True, 1.0, "<= 2")])]
+
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+    return calls
+
+
+def test_accept_subcommand_runs_the_suite(tmp_path, capsys, monkeypatch):
+    calls = _fake_suite(monkeypatch)
+    assert main(["accept", "--outdir", str(tmp_path / "suite")]) == 0
+    assert calls == [tmp_path / "suite"]
+    kv = last_result(capsys)
+    assert kv["name"] == "accept"
+    assert kv["status"] == "pass"
+    assert (kv["passed"], kv["total"]) == ("1", "1")
+
+
+def test_help_lists_every_scenario(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep each description on one line
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for name, text in cli.DESCRIPTIONS.items():
+        assert name in out and text in out
+    assert "preset" not in out
 
 
 def test_profile_writes_csv(tmp_path, capsys):
@@ -156,10 +180,21 @@ def test_run_json_config(tmp_path, capsys):
     assert (tmp_path / "out" / "profile.csv").exists()
 
 
-def test_run_preset_profile(tmp_path, capsys):
-    rc = main(["run", "--preset", "profile", "--outdir", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "profile.csv").exists()
+def test_run_json_accept_config(tmp_path, capsys, monkeypatch):
+    calls = _fake_suite(monkeypatch)
+    cfg = tmp_path / "accept.json"
+    cfg.write_text('{"scenario": "accept"}')
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "suite")]) == 0
+    assert calls == [tmp_path / "suite"]
+    assert last_result(capsys)["name"] == "accept"
+
+
+def test_json_outdir_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": "profile", "outdir": str(tmp_path / "out")}))
+    assert main(["run", str(cfg)]) == 1
+    assert "config field 'outdir'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_errors_exit_1(tmp_path, capsys):
@@ -187,8 +222,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     badscen = tmp_path / "bs.json"
     badscen.write_text('{"scenario": "warp"}')
     assert main(["run", str(badscen)]) == 1
-    assert main(["run", str(bad), "--preset", "profile"]) == 1
     assert main(["run"]) == 1
+    assert main(["run", "--preset", "profile"]) == 1
     assert main(["profile", "--no-such-flag"]) == 1
 
 

@@ -260,7 +260,7 @@ def test_quotient_swap_symmetry():
 
 def test_quotient_rejects_zero_mass():
     p = uniform_pair(2, 16, np.zeros(16), np.ones(16))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalBreakdown):
         quotient_pair(p, 10.0, 1.0)
 
 
