@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _ZERO_SHELL, _check_pair, _check_radii, flatness_direction
+from .diagnostics import _ZERO_SHELL, _check_pair, _check_radii, _flatness_fit
 from .errors import DomainTooLarge, NumericalBreakdown, ZeroDenominator
-from .grid import Field, Grid2D, Window, interpolate, shell_sq_integral
+from .grid import Field, Grid2D, Window, ball_weights, interpolate, shell_sq_integral
 
 _ORIGIN = (0.0, 0.0)
 
@@ -126,20 +126,22 @@ def direction_convergence(
     radii = _check_radii(radii)
     if radii.size < 3:
         raise ValueError("need at least 3 radii")
+    # each radius's weights serve both its flatness fit and its deficit
     fits = []
     for R in radii:
-        L = compute_L(u, v, float(R))
-        fit = flatness_direction(u, v, _ORIGIN, float(R))
-        fits.append((float(R), L, fit))
-    r_top, _, fit_top = fits[-1]
+        R = float(R)
+        L = compute_L(u, v, R)
+        weights = ball_weights(u.grid, _ORIGIN, R)
+        fits.append((R, L, _flatness_fit(u, v, _ORIGIN, R, weights), weights))
+    r_top, _, fit_top, _ = fits[-1]
     gx0 = fit_top.magnitude * fit_top.e[0]
     gy0 = fit_top.magnitude * fit_top.e[1]
     win = Window.ball(u.grid, _ORIGIN, r_top)
     wx, wy = win.grad(u.values - v.values)
     misfit = (wx - gx0) ** 2 + (wy - gy0) ** 2
     records = []
-    for R, L, fit in fits:
-        deficit = win.integral(misfit, _ORIGIN, R) / R**2
+    for R, L, fit, weights in fits:
+        deficit = win.weighted_sum(misfit, weights) / R**2
         # sup-misfit of the rescaled pair is the original misfit over L
         records.append(
             BlowdownRecord(R, L, fit.e, fit.h_flat * R / L, deficit)

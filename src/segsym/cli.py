@@ -204,7 +204,9 @@ def make_experiment(doc: dict) -> Experiment:
     doc = dict(doc)
     scenario = doc.pop("scenario", None)
     if not isinstance(scenario, str):
-        raise ConfigInvalid("scenario", f"expected a string scenario id, got {scenario!r}")
+        raise ConfigInvalid(
+            "scenario", f"required; expected a string scenario id, got {scenario!r}"
+        )
     name = doc.pop("name", scenario)
     if not isinstance(name, str) or not name or " " in name:
         raise ConfigInvalid("name", f"expected a label without spaces, got {name!r}")
@@ -247,8 +249,6 @@ def load_experiment(path) -> dict:
         )
     if not isinstance(doc, dict):
         raise ConfigInvalid("json", "experiment config must be a JSON object")
-    if "scenario" not in doc:
-        raise ConfigInvalid("scenario", "missing required key")
     return doc
 
 

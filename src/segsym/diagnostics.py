@@ -35,7 +35,6 @@ from .errors import NumericalBreakdown, ZeroDenominator
 from .grid import (
     Field,
     Window,
-    ball_integral,
     ball_weights,
     gradient,
     shell_integral,
@@ -45,8 +44,8 @@ from .grid import (
 # shell integrals at or below this are treated as vanishing
 _ZERO_SHELL = 1e-14
 
-# rows per block of the cone scan
-_CONE_ROWS = 16
+# rows per block of the cone and product-bound scans
+_BLOCK_ROWS = 16
 
 # bisection bracket and depth for the ACF correction constant
 _CFIT_MAX = 1e3
@@ -332,29 +331,52 @@ def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
     return float(np.polyfit(np.log(radii), np.log(shells), 1)[0])
 
 
+def _row_blocks(start: int, stop: int) -> list[slice]:
+    """Split rows start..stop-1 into the fewest near-equal consecutive
+    blocks of at most _BLOCK_ROWS rows.
+
+    Unlike a fixed stride, this never leaves a one-row last block: with
+    3 or more rows, every block has at least two, which a Window needs
+    where it touches the grid edge."""
+    n = stop - start
+    k = -(-n // _BLOCK_ROWS)
+    return [slice(start + b * n // k, start + (b + 1) * n // k) for b in range(k)]
+
+
 def product_bounds(u: Field, v: Field) -> ProductBounds:
     """Segregation bounds on the pair.
 
-    The interaction-mass exponent is fitted over the windows
-    R_max * {1/4, 1/2, 1} around the grid center, R_max the inscribed
-    radius; identically segregated pairs (zero product) report 0.0."""
+    sup uv and sup (u|grad v| + v|grad u|) are scanned over blocks of
+    whole rows, each block differenced through grid.Window, so the
+    temporaries stay block-sized; the max over blocks is the max over
+    the grid, the same float.  The interaction-mass exponent is fitted
+    over the balls R_max * {1/4, 1/2, 1} around the grid center, R_max
+    the inscribed radius, with u^2 v^2 built once on the largest ball's
+    window; identically segregated pairs (zero product) report 0.0."""
     _check_pair(u, v)
     g = u.grid
-    uv = u.values * v.values
-    gu = gradient(u)
-    gv = gradient(v)
-    mixed = u.values * np.hypot(gv.vx, gv.vy) + v.values * np.hypot(gu.vx, gu.vy)
+    sup_uv = sup_mixed = -math.inf
+    for rows in _row_blocks(0, g.nx):
+        win = Window(g, rows, slice(0, g.ny))
+        ux, uy = win.grad(u.values)
+        vx, vy = win.grad(v.values)
+        ub, vb = u.values[rows], v.values[rows]
+        sup_uv = max(sup_uv, float(np.max(ub * vb)))
+        mixed = ub * np.hypot(vx, vy) + vb * np.hypot(ux, uy)
+        sup_mixed = max(sup_mixed, float(np.max(mixed)))
     xmin, xmax, ymin, ymax = g.extent
     r_max = 0.5 * min(xmax - xmin, ymax - ymin)
     center = g.center
-    prod_sq = Field(g, uv**2)
+    win = Window.ball(g, center, r_max)
+    prod_sq = u.values[win.isl, win.jsl] * v.values[win.isl, win.jsl]
+    np.multiply(prod_sq, prod_sq, out=prod_sq)
     radii = np.array([0.25, 0.5, 1.0]) * r_max
-    masses = np.array([ball_integral(prod_sq, center, r) for r in radii])
+    masses = np.array([win.integral(prod_sq, center, r) for r in radii])
     if np.all(masses > 0.0):
         exponent = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
     else:
         exponent = 0.0
-    return ProductBounds(float(np.max(uv)), float(np.max(mixed)), exponent)
+    return ProductBounds(sup_uv, sup_mixed, exponent)
 
 
 def gradient_bounds(u: Field, v: Field, margin: float) -> float:
@@ -397,8 +419,8 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
             fan.append((tx, ty))
     g = u.grid
     worst = 0.0
-    for i in range(1, g.nx - 1, _CONE_ROWS):
-        win = Window(g, slice(i, min(i + _CONE_ROWS, g.nx - 1)), slice(1, g.ny - 1))
+    for rows in _row_blocks(1, g.nx - 1):
+        win = Window(g, rows, slice(1, g.ny - 1))
         ux, uy = win.grad(u.values)
         vx, vy = win.grad(v.values)
         for tx, ty in fan:
@@ -487,8 +509,14 @@ def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
     subsampled lattice, then golden-section refinement of the angle
     (with a nested magnitude search) on the full set of ball nodes."""
     _check_pair(u, v)
+    return _flatness_fit(u, v, x, R, ball_weights(u.grid, x, R))
+
+
+def _flatness_fit(u: Field, v: Field, x, R: float, weights) -> FlatnessFit:
+    """flatness_direction on the nodes where the ball_weights(g, x, R)
+    triple `weights` is positive, for callers that reuse the weights."""
     g = u.grid
-    isl, jsl, w = ball_weights(g, x, R)
+    isl, jsl, w = weights
     mask = w > 0.0
     xs = g.x[isl] - float(x[0])
     ys = g.y[jsl] - float(x[1])

@@ -180,48 +180,68 @@ def interpolate(f: Field, points) -> np.ndarray | float:
 # ball quadrature with exact rim geometry
 
 
-def _arc_antideriv(r: float, x: float) -> float:
-    # antiderivative of sqrt(r^2 - t^2); (r - x)(r + x) and atan2 stay
-    # accurate as x -> +-r, where r^2 - x^2 cancels and asin(x/r) is
-    # ill-conditioned
-    x = min(max(x, -r), r)
-    s = math.sqrt((r - x) * (r + x))
-    return 0.5 * (x * s + r * r * math.atan2(x, s))
+# math.atan2 element by element: np.arctan2 may differ from it in the
+# last bit (SIMD builds), and the rim areas must not depend on the build
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _disk_rect_areas(r: float, ax, bx, ay, by) -> np.ndarray:
+    """Exact areas of the rectangles [ax,bx] x [ay,by] intersected with
+    the disk |p| <= r, for arrays of corners.
+
+    Each row's x-range is cut at its ends and wherever the circle crosses
+    the lines y = ay, y = by: at most 6 cuts, padded with +inf and
+    sorted.  Between consecutive cuts the top and the bottom edge each
+    follow either the circle or a rectangle side, so each of the <= 5
+    pieces is an arc-antiderivative difference or a width times a side.
+    Pieces are added in cut order, as a per-rectangle loop would."""
+    ax = np.maximum(ax, -r)
+    bx = np.minimum(bx, r)
+    live = (bx > ax) & (by > ay) & (by > -r) & (ay < r)
+    cuts = np.full((ax.size, 6), np.inf)
+    cuts[:, 0], cuts[:, 1] = ax, bx
+    col = 2
+    for yy in (ay, by):
+        t = r * r - yy * yy
+        s = np.sqrt(np.maximum(t, 0.0))
+        # t == 0: the circle is tangent to the edge line; cutting at the
+        # tangent point keeps each piece's midpoint off the edge line
+        for c in (-s, s):
+            cuts[:, col] = np.where((t >= 0.0) & (ax < c) & (c < bx), c, np.inf)
+            col += 1
+    cuts.sort(axis=1)
+    # antiderivative of sqrt(r^2 - x^2), once per finite cut;
+    # (r - x)(r + x) and atan2 stay accurate as x -> +-r, where
+    # r^2 - x^2 cancels and asin(x/r) is ill-conditioned
+    fin = np.isfinite(cuts)
+    x = np.minimum(np.maximum(cuts[fin], -r), r)
+    s = np.sqrt((r - x) * (r + x))
+    anti = np.full(cuts.shape, np.nan)
+    anti[fin] = 0.5 * (x * s + r * r * _atan2(x, s).astype(float))
+    area = np.zeros(ax.size)
+    with np.errstate(invalid="ignore"):
+        for k in range(5):
+            p, q = cuts[:, k], cuts[:, k + 1]
+            width = q - p
+            xm = 0.5 * (p + q)
+            gm = np.sqrt(np.maximum(r * r - xm * xm, 0.0))
+            top = np.minimum(by, gm)
+            bot = np.maximum(ay, -gm)
+            arc = anti[:, k + 1] - anti[:, k]
+            piece_top = np.where(gm < by, arc, by * width)
+            piece_bot = np.where(-gm > ay, -arc, ay * width)
+            ok = live & fin[:, k + 1] & (width > 0.0) & (top > bot)
+            area = np.where(ok, area + (piece_top - piece_bot), area)
+    return area
 
 
 def disk_rect_area(r: float, ax: float, bx: float, ay: float, by: float) -> float:
-    """Exact area of [ax,bx] x [ay,by] intersected with the disk |p| <= r."""
-    ax = max(ax, -r)
-    bx = min(bx, r)
-    if bx <= ax or by <= ay or by <= -r or ay >= r:
-        return 0.0
-    cuts = [ax, bx]
-    for yy in (ay, by):
-        t = r * r - yy * yy
-        # t == 0: the circle is tangent to the edge line; cutting at the
-        # tangent point keeps each piece's midpoint off the edge line
-        if t >= 0.0:
-            s = math.sqrt(t)
-            if ax < -s < bx:
-                cuts.append(-s)
-            if ax < s < bx:
-                cuts.append(s)
-    cuts.sort()
-    area = 0.0
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        if q - p <= 0.0:
-            continue
-        xm = 0.5 * (p + q)
-        gm = math.sqrt(max(r * r - xm * xm, 0.0))
-        top = min(by, gm)
-        bot = max(ay, -gm)
-        if top <= bot:
-            continue
-        arc = _arc_antideriv(r, q) - _arc_antideriv(r, p)
-        piece_top = arc if gm < by else by * (q - p)
-        piece_bot = -arc if -gm > ay else ay * (q - p)
-        area += piece_top - piece_bot
-    return area
+    """Exact area of [ax,bx] x [ay,by] intersected with the disk |p| <= r.
+
+    A one-rectangle call of the vectorised rim kernel that ball_weights
+    uses; math.atan2 per element keeps its floats those of a scalar
+    evaluation."""
+    return float(_disk_rect_areas(r, *np.array([[ax], [bx], [ay], [by]], dtype=float))[0])
 
 
 def _require_ball_inside(g: Grid2D, center, r: float) -> None:
@@ -259,6 +279,12 @@ def ball_weights(g: Grid2D, center, r: float):
     Returns (islice, jslice, w): w[i, j] is the exact area of cell
     (i, j)'s h-by-h square intersected with the disk, nonzero only on
     the returned subwindow.  Monotone in r cell by cell.
+
+    Cells within half a diagonal of the circle (the rim) get their
+    areas from one vectorised _disk_rect_areas call.  It repeats a
+    per-cell loop's float operations in the same order and calls
+    math.atan2 per element, so the weights do not depend on numpy's
+    SIMD arctan2.
     """
     isl, jsl = _ball_slices(g, center, r)
     h = g.h
@@ -269,10 +295,9 @@ def ball_weights(g: Grid2D, center, r: float):
     half_diag = h * math.sqrt(0.5)
     w = np.zeros(d.shape)
     w[d <= r - half_diag] = h * h
-    rim = np.argwhere((d > r - half_diag) & (d < r + half_diag))
-    for i, j in rim:
-        dx, dy = xs[i], ys[j]
-        w[i, j] = disk_rect_area(r, dx - h / 2, dx + h / 2, dy - h / 2, dy + h / 2)
+    i, j = np.nonzero((d > r - half_diag) & (d < r + half_diag))
+    dx, dy = xs[i], ys[j]
+    w[i, j] = _disk_rect_areas(r, dx - h / 2, dx + h / 2, dy - h / 2, dy + h / 2)
     return isl, jsl, w
 
 
@@ -318,7 +343,11 @@ class Window:
     def integral(self, dens: np.ndarray, center, r: float) -> float:
         """Integral over B_r(center) of a density given on this window,
         which must hold the ball's window."""
-        isl, jsl, w = ball_weights(self.grid, center, r)
+        return self.weighted_sum(dens, ball_weights(self.grid, center, r))
+
+    def weighted_sum(self, dens: np.ndarray, weights) -> float:
+        """integral() with the ball_weights triple (isl, jsl, w) given."""
+        isl, jsl, w = weights
         i = isl.start - self.isl.start
         j = jsl.start - self.jsl.start
         return float(np.sum(dens[i : i + w.shape[0], j : j + w.shape[1]] * w))

@@ -129,8 +129,14 @@ def solve_profile(
         v_new[1:-1] = np.maximum(v[1:-1] + dv, _POS_FLOOR)
         res_new = _sup_residual(u_new, v_new, h)
         if not res_new < res:
+            # second differences of values up to L, divided by h², carry
+            # a rounding error near L/h²·ε that no Newton step removes
+            floor = L / (h * h) * np.finfo(float).eps
             raise NoConvergence(
-                newton_steps + 1, res, "profile Newton step did not lower the residual"
+                newton_steps + 1,
+                res,
+                "profile Newton step did not lower the residual "
+                f"(tol {cfg.tol:.3e}, round-off floor L/h²·ε ≈ {floor:.3e})",
             )
         u, v, res = u_new, v_new, res_new
     else:

@@ -9,6 +9,7 @@ is `==`, not approx: the windowed code must repeat the same floats.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,19 @@ from segsym.diagnostics import (
     flatness_direction,
     functional_trace,
     harmonic_deficit,
+    product_bounds,
 )
 from segsym.elliptic2d import solve_harmonic
-from segsym.grid import Field, Grid2D, ball_integral, ball_weights, gradient, shell_integral
+from segsym.grid import (
+    Field,
+    Grid2D,
+    _ball_slices,
+    ball_integral,
+    ball_weights,
+    gradient,
+    shell_integral,
+    square_grid,
+)
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -161,6 +172,75 @@ def ref_cone(u, v, e, aperture):
         dv = tx * vx + ty * vy
         worst = max(worst, float(np.max(-du)), float(np.max(dv)))
     return max(0.0, worst)
+
+
+def ref_arc_antideriv(r, x):
+    x = min(max(x, -r), r)
+    s = math.sqrt((r - x) * (r + x))
+    return 0.5 * (x * s + r * r * math.atan2(x, s))
+
+
+def ref_disk_rect_area(r, ax, bx, ay, by):
+    ax = max(ax, -r)
+    bx = min(bx, r)
+    if bx <= ax or by <= ay or by <= -r or ay >= r:
+        return 0.0
+    cuts = [ax, bx]
+    for yy in (ay, by):
+        t = r * r - yy * yy
+        if t >= 0.0:
+            s = math.sqrt(t)
+            if ax < -s < bx:
+                cuts.append(-s)
+            if ax < s < bx:
+                cuts.append(s)
+    cuts.sort()
+    area = 0.0
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        if q - p <= 0.0:
+            continue
+        xm = 0.5 * (p + q)
+        gm = math.sqrt(max(r * r - xm * xm, 0.0))
+        if min(by, gm) <= max(ay, -gm):
+            continue
+        arc = ref_arc_antideriv(r, q) - ref_arc_antideriv(r, p)
+        piece_top = arc if gm < by else by * (q - p)
+        piece_bot = -arc if -gm > ay else ay * (q - p)
+        area += piece_top - piece_bot
+    return area
+
+
+def ref_ball_weights(g, center, r):
+    """The per-cell rim loop that the vectorised rim kernel replaces."""
+    isl, jsl = _ball_slices(g, center, r)
+    h = g.h
+    xs = g.x[isl] - float(center[0])
+    ys = g.y[jsl] - float(center[1])
+    d = np.hypot(xs[:, None], ys[None, :])
+    half_diag = h * math.sqrt(0.5)
+    w = np.zeros(d.shape)
+    w[d <= r - half_diag] = h * h
+    for i, j in np.argwhere((d > r - half_diag) & (d < r + half_diag)):
+        dx, dy = xs[i], ys[j]
+        w[i, j] = ref_disk_rect_area(r, dx - h / 2, dx + h / 2, dy - h / 2, dy + h / 2)
+    return isl, jsl, w
+
+
+def ref_product_bounds(u, v):
+    """(sup uv, sup mixed, exponent) from full-grid arrays."""
+    g = u.grid
+    uv = u.values * v.values
+    gu, gv = gradient(u), gradient(v)
+    mixed = u.values * np.hypot(gv.vx, gv.vy) + v.values * np.hypot(gu.vx, gu.vy)
+    xmin, xmax, ymin, ymax = g.extent
+    r_max = 0.5 * min(xmax - xmin, ymax - ymin)
+    radii = np.array([0.25, 0.5, 1.0]) * r_max
+    prod_sq = Field(g, uv**2)
+    masses = np.array([ball_integral(prod_sq, g.center, r) for r in radii])
+    exponent = 0.0
+    if np.all(masses > 0.0):
+        exponent = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
+    return float(np.max(uv)), float(np.max(mixed)), exponent
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +386,7 @@ def test_direction_convergence_deficit_equals_full_grid(seed, angle):
     aperture=st.floats(0.0, 1.0),
 )
 def test_cone_scan_equals_full_grid(data, e, aperture):
-    # grids from 3 to 60 rows cover a partial last block and a single block
+    # grids from 3 to 60 rows cover a single block and up to four uneven ones
     g, u, v, _ = data.draw(pairs(min_n=3, max_n=60))
     assert cone_monotonicity(u, v, e, aperture) == ref_cone(u, v, e, aperture)
 
@@ -352,3 +432,50 @@ def test_ball_weights_tangent_circle():
             i, j = pisl.start - isl.start, pjsl.start - jsl.start
             assert np.all(pw <= w[i : i + pw.shape[0], j : j + pw.shape[1]])
         prev = (isl, jsl, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ball_weights_equal_per_cell_loop(data):
+    g, _, _, _ = data.draw(pairs(min_n=5, max_n=60))
+    x, radii = data.draw(balls(g, count=3))
+    # a node-centered radius of (k + 1/2) h is tangent to cell edge lines
+    node = (g.x[data.draw(st.integers(1, g.nx - 2))], g.y[data.draw(st.integers(1, g.ny - 2))])
+    xmin, xmax, ymin, ymax = g.extent
+    room = min(node[0] - xmin, xmax - node[0], node[1] - ymin, ymax - node[1])
+    k = data.draw(st.integers(0, max(0, int(room / g.h - 0.5))))
+    cases = [(x, r) for r in radii]
+    if (k + 0.5) * g.h <= room:
+        cases.append((node, (k + 0.5) * g.h))
+    for center, r in cases:
+        isl, jsl, w = ball_weights(g, center, r)
+        risl, rjsl, rw = ref_ball_weights(g, center, r)
+        assert (isl, jsl) == (risl, rjsl)
+        assert np.array_equal(w, rw)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (4, 5), (17, 9), (129, 7), (130, 33), (50, 3)])
+def test_product_bounds_equal_full_grid(nx, ny):
+    # 17 and 129 rows leave one row after a stride of 16
+    g = Grid2D(nx, ny, 0.05, (-0.4, 0.7))
+    rng = np.random.default_rng(nx * 1000 + ny)
+    u = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    v = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    pb = product_bounds(u, v)
+    assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
+
+
+def test_product_bounds_peak_memory():
+    # full-grid temporaries peaked at 9.25 field sizes; the row-block
+    # scan and the one uv^2 window stay under 4.5
+    g = square_grid(1.0, 1025)
+    rng = np.random.default_rng(0)
+    u = Field(g, rng.uniform(0.0, 1.0, (1025, 1025)))
+    v = Field(g, rng.uniform(0.0, 1.0, (1025, 1025)))
+    tracemalloc.start()
+    try:
+        product_bounds(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * u.values.nbytes

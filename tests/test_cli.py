@@ -197,6 +197,17 @@ def test_json_outdir_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc", [{"half_length": 10.0}, {"scenario": 3}, {"scenario": None}])
+def test_missing_or_non_string_scenario_exits_1(tmp_path, capsys, doc):
+    # one check covers both a config without the key and a non-string id
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config field 'scenario': required; expected a string scenario id" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["spheremin", "--kappa", "-5", "--outdir", str(tmp_path)]) == 1
     assert "kappa" in capsys.readouterr().err

@@ -67,6 +67,18 @@ def test_residual_floor_stops_newton_early():
     assert exc.value.residual > 1e-10
 
 
+def test_residual_floor_named_in_message():
+    # the stall message puts the floor L/h^2 * eps = 2.22e-10 next to tol,
+    # so a caller sees that tol, not the solver, is out of reach
+    with pytest.raises(NoConvergence) as exc:
+        solve_profile(100.0, 0.01)
+    floor = 100.0 / 0.01**2 * np.finfo(float).eps
+    assert exc.value.residual < 2.0 * floor
+    msg = str(exc.value)
+    assert "tol 1.000e-10" in msg
+    assert f"round-off floor L/h²·ε ≈ {floor:.3e}" in msg
+
+
 def test_residual_independent_recheck(profile):
     p = profile
     h = p.spacing
