@@ -137,7 +137,7 @@ def direction_convergence(
     gx0 = fit_top.magnitude * fit_top.e[0]
     gy0 = fit_top.magnitude * fit_top.e[1]
     win = Window.ball(u.grid, _ORIGIN, r_top)
-    wx, wy = win.grad(u.values - v.values)
+    wx, wy = win.grad(u.values, minus=v.values)
     misfit = (wx - gx0) ** 2 + (wy - gy0) ** 2
     records = []
     for R, L, fit, weights in fits:

@@ -47,6 +47,13 @@ _ZERO_SHELL = 1e-14
 # rows per block of the cone and product-bound scans
 _BLOCK_ROWS = 16
 
+# the flatness fit's magnitude search drops the nodes that cannot set
+# its sup-error from this golden-section iteration on, every few
+# iterations, while more than this many nodes remain
+_PRUNE_FROM = 10
+_PRUNE_EVERY = 4
+_PRUNE_MIN_NODES = 256
+
 # bisection bracket and depth for the ACF correction constant
 _CFIT_MAX = 1e3
 _CFIT_ITERS = 48
@@ -401,7 +408,18 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     pair should satisfy tau . grad u >= 0 and tau . grad v <= 0 on the
     interior, and the violation is the worst signed excess (0 when the
     cone property holds).  The interior is scanned in blocks of rows, so
-    the temporaries stay cache-sized on large grids."""
+    the temporaries stay cache-sized on large grids.
+
+    The fan is one arc of at most 180 degrees, and tau . g = |g| cos of
+    the angle from g has no interior minimum on such an arc unless -g
+    points into it, which needs e . g <= 0.  So every node is scanned
+    at the arc's two end directions, and the whole fan runs only on the
+    nodes with e . grad u <= 0 (resp. e . grad v >= 0, for the largest
+    tau . grad v) whose |d_x| + |d_y| exceeds the worst excess so far:
+    |tau_x|, |tau_y| <= 1 and rounding is monotone, so no direction's
+    float |tau_x d_x + tau_y d_y| exceeds fl(|d_x| + |d_y|).  Every
+    direction is evaluated by the same float expression, so the result
+    is the float of the full fan on every node."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
@@ -411,22 +429,32 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
         raise ValueError("direction e must be nonzero")
     ex, ey = ex / norm, ey / norm
     base = math.atan2(ey, ex)
+    # fan directions in arc order, k = -31 .. 32 steps from e
     fan = []
-    for k in range(64):
-        t = base + 2.0 * math.pi * k / 64.0
+    for k in range(-31, 33):
+        t = base + 2.0 * math.pi * (k % 64) / 64.0
         tx, ty = math.cos(t), math.sin(t)
         if tx * ex + ty * ey >= aperture - 1e-12:
             fan.append((tx, ty))
+    ends = {fan[0], fan[-1]}
     g = u.grid
     worst = 0.0
     for rows in _row_blocks(1, g.nx - 1):
         win = Window(g, rows, slice(1, g.ny - 1))
         ux, uy = win.grad(u.values)
         vx, vy = win.grad(v.values)
-        for tx, ty in fan:
+        for tx, ty in ends:
             du = tx * ux + ty * uy
             dv = tx * vx + ty * vy
             worst = max(worst, -float(np.min(du)), float(np.max(dv)))
+        # the excess is -tau . grad u and +tau . grad v
+        for gx, gy, sign in ((ux, uy, -1.0), (vx, vy, 1.0)):
+            live = (sign * (ex * gx + ey * gy) >= 0.0) & (np.abs(gx) + np.abs(gy) > worst)
+            if not live.any():
+                continue
+            gx, gy = gx[live], gy[live]
+            for tx, ty in fan:
+                worst = max(worst, float(np.max(sign * (tx * gx + ty * gy))))
     return max(0.0, worst)
 
 
@@ -452,36 +480,72 @@ def harmonic_deficit(
 # flatness extraction
 
 
-def _model_errors(uu, vv, proj):
-    """Sup-distance from (uu, vv) to the one-plane model
-    ((s proj)^+, (s proj)^-), as a function of the slope s > 0.
+def _slope_terms(uu, vv, proj):
+    """(m, f, q) per node, such that the node's distance to the one-plane
+    model ((s proj)^+, (s proj)^-) at a slope s > 0 is |m - s q| + f.
 
-    For s > 0, s proj has the sign of proj, so the nodes are split once
-    per direction: the error is |uu - s proj| + |vv| where proj >= 0 and
-    |uu| + |vv + s proj| where proj < 0.  These are the floats of the
-    unsplit formula, since x - 0 = x and a - (-b) = a + b exactly."""
+    For s > 0, s proj has the sign of proj: the distance is
+    |uu - s proj| + |vv| where proj >= 0, and |vv - s |proj|| + |uu|
+    where proj < 0.  These are the floats of the unsplit formula
+    |uu - (s proj)^+| + |vv - (s proj)^-|, since x - 0 = x,
+    a - (-b) = a + b and x + y = y + x exactly."""
     pos = proj >= 0.0
-    neg = ~pos
-    up, vp, pp = uu[pos], np.abs(vv[pos]), proj[pos]
-    un, vn, pn = np.abs(uu[neg]), vv[neg], proj[neg]
-    bp, bn = np.empty_like(pp), np.empty_like(pn)
+    return np.where(pos, uu, vv), np.abs(np.where(pos, vv, uu)), np.abs(proj)
+
+
+def _model_errors(m, f, q):
+    """Sup over the nodes of |m - s q| + f, as a function of s > 0."""
+    buf = np.empty_like(q)
 
     def err(s):
-        np.multiply(pp, s, out=bp)
-        np.subtract(up, bp, out=bp)
-        np.abs(bp, out=bp)
-        np.add(bp, vp, out=bp)
-        np.multiply(pn, s, out=bn)
-        np.add(vn, bn, out=bn)
-        np.abs(bn, out=bn)
-        np.add(un, bn, out=bn)
-        # errors are nonnegative, so initial=0.0 only covers an empty side
-        return float(max(bp.max(initial=0.0), bn.max(initial=0.0)))
+        np.multiply(q, s, out=buf)
+        np.subtract(m, buf, out=buf)
+        np.abs(buf, out=buf)
+        np.add(buf, f, out=buf)
+        return float(buf.max())
 
     return err
 
 
-def _best_magnitude(err, s_lo, s_hi):
+def _live_nodes(m, f, q, a, b, margin):
+    """Mask of the nodes whose error |m - s q| + f can still be the sup
+    at some slope s in [a, b].
+
+    Each error is convex in s, with its kink at s = m/q.  On [a, b] it
+    is at most f + max(|m - a q|, |m - b q|), its larger end value, and
+    at least f + max(a q - m, m - b q, 0): f when the kink lies in
+    [a, b], else the nearer end value.  The sup over the nodes is
+    therefore at least the largest such lower bound, and a node whose
+    upper bound falls below that by more than margin, which exceeds the
+    rounding of every evaluation, never sets the sup on [a, b]."""
+    da = np.multiply(q, a)
+    np.subtract(m, da, out=da)
+    db = np.multiply(q, b)
+    np.subtract(m, db, out=db)
+    low = np.negative(da)
+    np.maximum(low, db, out=low)
+    np.maximum(low, 0.0, out=low)
+    low += f
+    floor = float(low.max())
+    np.abs(da, out=da)
+    np.abs(db, out=db)
+    np.maximum(da, db, out=da)
+    da += f
+    return da >= floor - margin
+
+
+def _best_magnitude(m, f, q, s_lo, s_hi, margin):
+    """Golden-section search for the slope s in [s_lo, s_hi] with the
+    least sup-error of _model_errors(m, f, q); returns (error, s).
+
+    From iteration _PRUNE_FROM on, every _PRUNE_EVERY iterations while
+    more than _PRUNE_MIN_NODES nodes remain, the nodes that _live_nodes
+    rules out on the current bracket are dropped.  Every later slope
+    lies in that bracket, so each error is the same float as on all
+    nodes.  Earlier pruning does not pay: a node whose error does not
+    depend on s (u + v at the interface) keeps most nodes alive until
+    the bracket has narrowed."""
+    err = _model_errors(m, f, q)
     # the sup-error is convex piecewise-linear in s: golden-section is safe
     gr = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = s_lo, s_hi
@@ -489,7 +553,15 @@ def _best_magnitude(err, s_lo, s_hi):
     d = a + gr * (b - a)
     fc = err(c)
     fd = err(d)
-    for _ in range(40):
+    for it in range(40):
+        if (
+            it >= _PRUNE_FROM
+            and (it - _PRUNE_FROM) % _PRUNE_EVERY == 0
+            and q.size > _PRUNE_MIN_NODES
+        ):
+            live = _live_nodes(m, f, q, a, b, margin)
+            m, f, q = m[live], f[live], q[live]
+            err = _model_errors(m, f, q)
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -507,7 +579,15 @@ def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
 
     Coarse scan over a 256-direction fan and 16 magnitudes on a
     subsampled lattice, then golden-section refinement of the angle
-    (with a nested magnitude search) on the full set of ball nodes."""
+    (with a nested magnitude search) on the full set of ball nodes.
+
+    Once the magnitude bracket [a, b] has narrowed, the search drops
+    the nodes that cannot set its sup-error on [a, b] (_live_nodes).
+    Each node's error is convex in the slope, so a node whose larger
+    end value lies below some node's least value on [a, b], by more
+    than a rounding margin of 16 eps (max |u|, |v| + s_hi (R + h)), s_hi
+    the top of the magnitude range, is never the argmax there.  Every later slope lies in [a, b], so the fit is the
+    float of the search over all ball nodes."""
     _check_pair(u, v)
     return _flatness_fit(u, v, x, R, ball_weights(u.grid, x, R))
 
@@ -520,9 +600,8 @@ def _flatness_fit(u: Field, v: Field, x, R: float, weights) -> FlatnessFit:
     mask = w > 0.0
     xs = g.x[isl] - float(x[0])
     ys = g.y[jsl] - float(x[1])
-    DX, DY = np.meshgrid(xs, ys, indexing="ij")
-    dx = DX[mask]
-    dy = DY[mask]
+    dx = np.broadcast_to(xs[:, None], mask.shape)[mask]
+    dy = np.broadcast_to(ys[None, :], mask.shape)[mask]
     uu = u.values[isl, jsl][mask]
     vv = v.values[isl, jsl][mask]
     sup = float(max(np.max(np.abs(uu)), np.max(np.abs(vv))))
@@ -537,7 +616,7 @@ def _flatness_fit(u: Field, v: Field, x, R: float, weights) -> FlatnessFit:
     best = (math.inf, 0.0, s0)
     for t in thetas:
         tx, ty = math.cos(t), math.sin(t)
-        err = _model_errors(cu, cv, tx * cdx + ty * cdy)
+        err = _model_errors(*_slope_terms(cu, cv, tx * cdx + ty * cdy))
         for s in mags:
             e = err(s)
             if e < best[0]:
@@ -548,10 +627,14 @@ def _flatness_fit(u: Field, v: Field, x, R: float, weights) -> FlatnessFit:
     span = 2.0 * math.pi / 256.0
     a, b = t_best - span, t_best + span
     s_lo, s_hi = s_best / 8.0, s_best * 8.0
+    # every ball node lies within R + h of x, so |m|, f <= sup and
+    # s q <= s_hi (R + h): an error evaluation rounds by at most
+    # 2 eps (sup + s_hi (R + h)), and a pruning decision chains five
+    margin = 16.0 * float(np.finfo(float).eps) * (sup + s_hi * (R + g.h))
 
     def angle_err(t):
-        proj = math.cos(t) * dx + math.sin(t) * dy
-        return _best_magnitude(_model_errors(uu, vv, proj), s_lo, s_hi)
+        terms = _slope_terms(uu, vv, math.cos(t) * dx + math.sin(t) * dy)
+        return _best_magnitude(*terms, s_lo, s_hi, margin)
 
     c = b - gr * (b - a)
     d = a + gr * (b - a)

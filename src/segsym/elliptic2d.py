@@ -321,7 +321,7 @@ def solve_system(
     u = _laplace_rectangle(g, bu)
     v = _laplace_rectangle(g, bv)
     h = g.h
-    h2 = h * h
+    kh2 = kappa * (h * h)
     # Young's optimal over-relaxation factor from the Jacobi spectral
     # radius of the 5-point Laplacian on this grid
     rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
@@ -339,10 +339,18 @@ def solve_system(
             for a, b in ((u, v), (v, u)):
                 for color in (_RED, _BLACK):
                     for i0, j0 in color:
+                        # max(cur + omega (nb / (4 + kappa h² b²) - cur), 0),
+                        # the same operations in the same order, in place
                         blk, nb = _blocks(a, i0, j0)
                         cur = a[blk]
-                        star = nb / (4.0 + kappa * h2 * b[blk] ** 2)
-                        a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
+                        d = np.square(b[blk])
+                        d *= kh2
+                        d += 4.0
+                        nb /= d
+                        nb -= cur
+                        nb *= omega
+                        nb += cur
+                        np.maximum(nb, 0.0, out=cur)
         sweeps += _CHECK_EVERY
         res = _sup_residual(u, v, kappa, h)
         energies.append(discrete_energy(u, v, kappa, h))

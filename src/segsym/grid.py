@@ -280,22 +280,51 @@ def ball_weights(g: Grid2D, center, r: float):
     (i, j)'s h-by-h square intersected with the disk, nonzero only on
     the returned subwindow.  Monotone in r cell by cell.
 
-    Cells within half a diagonal of the circle (the rim) get their
-    areas from one vectorised _disk_rect_areas call.  It repeats a
-    per-cell loop's float operations in the same order and calls
-    math.atan2 per element, so the weights do not depend on numpy's
-    SIMD arctan2.
+    A cell whose node lies at distance d <= r - h/√2 is whole (h²);
+    one with r - h/√2 < d < r + h/√2 is a rim cell and gets its area
+    from one vectorised _disk_rect_areas call, which repeats a per-cell
+    loop's float operations in the same order and calls math.atan2 per
+    element, so the weights do not depend on numpy's SIMD arctan2.
+
+    Only a band of cells is classified by that test.  In each row the
+    columns with |y| <= sqrt((r - h/√2)² - x²) - h are whole and those
+    with |y| >= sqrt((r + h/√2)² - x²) + h are empty, with a margin of
+    about h²/(2r) in d, far above the rounding of np.hypot; d is
+    computed, and compared as above, only on the cells in between.
     """
     isl, jsl = _ball_slices(g, center, r)
     h = g.h
     cx, cy = float(center[0]), float(center[1])
     xs = g.x[isl] - cx
     ys = g.y[jsl] - cy
-    d = np.hypot(xs[:, None], ys[None, :])
     half_diag = h * math.sqrt(0.5)
-    w = np.zeros(d.shape)
-    w[d <= r - half_diag] = h * h
-    i, j = np.nonzero((d > r - half_diag) & (d < r + half_diag))
+    r_in, r_out = r - half_diag, r + half_diag
+    n, m = xs.size, ys.size
+    x2 = xs * xs
+    a = np.sqrt(np.maximum(r_in * r_in - x2, 0.0)) - h
+    b = np.sqrt(np.maximum(r_out * r_out - x2, 0.0)) + h
+    # each row's columns [lo_out, lo_in) [lo_in, hi_in) [hi_in, hi_out):
+    # |y| < b, then |y| <= a (none when a <= 0); a node on |y| = a or b
+    # may land on either side, as both sides are safe
+    edges = np.searchsorted(ys, np.array((-b, -a, a, b)))
+    lo_in, hi_in = edges[1], edges[2]
+    np.maximum(hi_in, lo_in, out=hi_in)
+    # each row is a run of zeros, h² on [lo_in, hi_in), then zeros
+    fill = np.zeros((n, 3))
+    fill[:, 1] = h * h
+    w = np.repeat(fill, np.array((lo_in, hi_in - lo_in, m - hi_in)).T.ravel())
+    w = w.reshape(n, m)
+    # the band, [lo_out, lo_in) and [hi_in, hi_out) of every row, as
+    # flat indices
+    edges += np.arange(0, n * m, m)
+    starts = edges[0::2].T.ravel()
+    counts = edges[1::2].T.ravel() - starts
+    flat = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    i, j = np.divmod(flat, m)
+    d = np.hypot(xs[i], ys[j])
+    w.flat[flat[d <= r_in]] = h * h
+    rim = (d > r_in) & (d < r_out)
+    i, j = i[rim], j[rim]
     dx, dy = xs[i], ys[j]
     w[i, j] = _disk_rect_areas(r, dx - h / 2, dx + h / 2, dy - h / 2, dy + h / 2)
     return isl, jsl, w
@@ -329,10 +358,16 @@ class Window:
         """The window of B_r(center); it holds every B_s(center), s <= r."""
         return cls(g, *_ball_slices(g, center, r))
 
-    def grad(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def grad(
+        self, a: np.ndarray, minus: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient on the window of the full-grid array a, or of a - minus,
+        which is then formed on the window plus halo only (elementwise, so
+        the same floats as differencing the full-grid a - minus)."""
         i0 = max(self.isl.start - 1, 0)
         j0 = max(self.jsl.start - 1, 0)
-        ext = a[i0 : self.isl.stop + 1, j0 : self.jsl.stop + 1]
+        halo = (slice(i0, self.isl.stop + 1), slice(j0, self.jsl.stop + 1))
+        ext = a[halo] if minus is None else a[halo] - minus[halo]
         keep = (
             slice(self.isl.start - i0, self.isl.stop - i0),
             slice(self.jsl.start - j0, self.jsl.stop - j0),

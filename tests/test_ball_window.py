@@ -6,6 +6,10 @@ diagnostics did before they read only the ball window plus a one-node
 halo; the flatness and cone references are the plain loops that the
 split-by-sign fit and the row-blocked scan replace.  Every comparison
 is `==`, not approx: the windowed code must repeat the same floats.
+
+The ball weights, the cone scan and the flatness fit evaluate only the
+nodes that can set their answer; the large cases below are sized so
+that those pruned paths run.
 """
 
 import math
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import segsym.diagnostics as dg
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
     acf_J,
@@ -40,6 +45,8 @@ from segsym.grid import (
     shell_integral,
     square_grid,
 )
+from segsym.presets import linear_pair
+from segsym.profile1d import extend_to_2d, solve_profile
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -359,6 +366,33 @@ def test_flatness_equals_unsplit_fit(data):
     assert fit.magnitude == magnitude
 
 
+def test_flatness_equals_unsplit_fit_on_profile_pair(monkeypatch):
+    # a rotated profile extension: ~13k ball nodes, enough for the
+    # magnitude search to drop nodes
+    g = square_grid(8.0, 161)
+    u, v = extend_to_2d(solve_profile(12.0, 0.05), g, (0.96, 0.28))
+    x, R = (0.3, -0.2), 6.5
+    sizes = []
+
+    def recording(m, f, q):
+        sizes.append(q.size)
+        return model_errors(m, f, q)
+
+    model_errors = dg._model_errors
+    monkeypatch.setattr(dg, "_model_errors", recording)
+    fit = flatness_direction(u, v, x, R)
+    monkeypatch.undo()
+    nodes = int(np.count_nonzero(ball_weights(g, x, R)[2]))
+    assert nodes > 10_000
+    assert max(sizes) == nodes
+    # the pruned path ran: later searches see a fraction of the nodes
+    assert min(sizes) < nodes // 10
+    e, h_flat, magnitude = ref_flatness(u, v, x, R)
+    assert fit.e.tolist() == e
+    assert fit.h_flat == h_flat
+    assert fit.magnitude == magnitude
+
+
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 2.0 * math.pi))
 def test_direction_convergence_deficit_equals_full_grid(seed, angle):
@@ -389,6 +423,27 @@ def test_cone_scan_equals_full_grid(data, e, aperture):
     # grids from 3 to 60 rows cover a single block and up to four uneven ones
     g, u, v, _ = data.draw(pairs(min_n=3, max_n=60))
     assert cone_monotonicity(u, v, e, aperture) == ref_cone(u, v, e, aperture)
+
+
+@pytest.mark.parametrize("e", [(1.0, 0.0), (-1.0, 0.0), (0.6, -0.8)])
+@pytest.mark.parametrize("aperture", [0.0, 0.75, 1.0])
+def test_cone_scan_equals_full_grid_on_noisy_flat_pair(e, aperture):
+    # a half-plane pair carrying 1e-12 noise, as the solved and extended
+    # pairs do: along e = (1, 0) only noise nodes need the whole fan,
+    # along (-1, 0) every node with a gradient does
+    g = Grid2D(301, 203, 0.01, (-1.5, -1.0))
+    u, v = linear_pair(g)
+    rng = np.random.default_rng(12)
+    u = Field(g, u.values + 1e-12 * rng.uniform(0.0, 1.0, u.values.shape))
+    v = Field(g, v.values + 1e-12 * rng.uniform(0.0, 1.0, v.values.shape))
+    assert cone_monotonicity(u, v, e, aperture) == ref_cone(u, v, e, aperture)
+
+
+def test_cone_scan_equals_full_grid_on_profile_pair():
+    g = square_grid(8.0, 257)
+    u, v = extend_to_2d(solve_profile(12.0, 0.05), g, (1.0, 0.0))
+    for e in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)):
+        assert cone_monotonicity(u, v, e, 0.75) == ref_cone(u, v, e, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +509,26 @@ def test_ball_weights_equal_per_cell_loop(data):
         assert np.array_equal(w, rw)
 
 
+@pytest.mark.parametrize(
+    "center, r",
+    [
+        ((0.0123, -0.0071), 1.3),  # off-node, 257^2+ window
+        ((0.3117, 0.34), 1.7 - 1e-12),  # off-node, touching the top edge
+        ((0.0, 0.0), 130.5 * 0.01),  # node-centered, tangent to cell edges
+        ((-0.005, 0.005), 1.6),  # cell corner
+    ],
+)
+def test_ball_weights_equal_per_cell_loop_large(center, r):
+    # windows of 257^2 and more, where whole rows of cells are filled
+    # without computing their distance
+    g = Grid2D(421, 405, 0.01, (-2.1, -2.0))
+    isl, jsl, w = ball_weights(g, center, r)
+    assert min(w.shape) >= 257
+    risl, rjsl, rw = ref_ball_weights(g, center, r)
+    assert (isl, jsl) == (risl, rjsl)
+    assert np.array_equal(w, rw)
+
+
 @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 5), (17, 9), (129, 7), (130, 33), (50, 3)])
 def test_product_bounds_equal_full_grid(nx, ny):
     # 17 and 129 rows leave one row after a stride of 16
@@ -479,3 +554,18 @@ def test_product_bounds_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * u.values.nbytes
+
+
+def test_direction_convergence_peak_memory():
+    # the largest ball's u - v is formed on its window plus halo: 0.64
+    # field sizes on the 2049^2 profile pair, 1.28 with the full-grid
+    # difference
+    prof = solve_profile(128.0, 0.0625)
+    u, v = extend_to_2d(prof, square_grid(128.0, 2049), (1.0, 0.0))
+    tracemalloc.start()
+    try:
+        direction_convergence(u, v, [8.0, 16.0, 32.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * u.values.nbytes

@@ -151,6 +151,33 @@ def test_one_stage_sweep_count():
     assert pair.sweeps <= 600
 
 
+@pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
+def test_in_place_update_equals_expression(kappa):
+    # the sweep's in-place update against the plain expression
+    # max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0), run from the same
+    # harmonic start for as many sweeps: the same floats, bit for bit
+    g = square_grid(1.3, 33)  # h = 0.08125 is not dyadic, so h^2 rounds
+    bu = lambda X, Y: np.maximum(0.8 * X + 0.6 * Y + 0.1, 0.0)
+    bv = lambda X, Y: np.maximum(-(0.8 * X + 0.6 * Y + 0.1), 0.0)
+    pair = solve_system(g, bu, bv, kappa)
+    u = e2d._laplace_rectangle(g, e2d._boundary_values(g, bu))
+    v = e2d._laplace_rectangle(g, e2d._boundary_values(g, bv))
+    h2 = g.h * g.h
+    rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
+    omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+    for _ in range(pair.sweeps):
+        for a, b in ((u, v), (v, u)):
+            for color in (e2d._RED, e2d._BLACK):
+                for i0, j0 in color:
+                    blk, nb = e2d._blocks(a, i0, j0)
+                    cur = a[blk]
+                    star = nb / (4.0 + kappa * h2 * b[blk] ** 2)
+                    a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
+    assert pair.sweeps > 0
+    assert np.array_equal(pair.u.values, u)
+    assert np.array_equal(pair.v.values, v)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     n=st.sampled_from([17, 33, 65]),
