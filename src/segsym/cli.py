@@ -333,6 +333,7 @@ def run_solve2d(params, outdir: Path):
         "residual": pair.residual,
         "residual_tolerance": params["tol"],
         "sweeps": pair.sweeps,
+        "seconds": pair.seconds,
         "out_u": out_u,
         "out_v": out_v,
     }

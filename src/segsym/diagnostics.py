@@ -181,7 +181,8 @@ def _ball_values(functional: str, u: Field, v: Field, kappa: float, x, radii) ->
         du, dv = gu2 + inter, gv2 + inter
 
         def value(r):
-            return win.integral(du, x, r) * win.integral(dv, x, r) / r**4
+            w = ball_weights(u.grid, x, r)
+            return win.weighted_sum(du, w) * win.weighted_sum(dv, w) / r**4
 
     elif functional in ("N", "D"):
         win, gu2, gv2, inter = _ball_terms(u, v, kappa, x, radii[-1])

@@ -23,6 +23,17 @@ between a negative candidate and a* ≥ 0.
 The iteration starts from the harmonic extension of the boundary data
 (the κ = 0 solution) and relaxes at the target κ alone.
 
+While it relaxes, u and v are held as their four parity planes
+a[p::2, q::2], each a contiguous array, so a colour block and its four
+neighbours are plain slices of planes.  Each block's views and two
+scratch buffers are built once, before the first sweep; a sweep then
+runs the update's eleven ufunc calls per block, each with out=, adding
+the neighbours in the order up + down, left, right.  These are the
+operations, in the order, of the same update on strided views of the
+full arrays, so every float is bit-identical to it.  Every _CHECK_EVERY
+sweeps (and at max_iter) the planes are copied back into u and v, and
+the sup residual and the energy are taken on the full arrays.
+
 Every linear problem (that harmonic start, harmonic replacement on a
 disk, Δw = M w on a disk) goes through one core, _mg_pcg: the 5-point
 equation (4 + s h²) x − Σ neighbours = 0 on a node mask, with the nodes
@@ -38,6 +49,7 @@ NoConvergence on a non-finite residual or after 100 iterations.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +85,7 @@ class SolutionPair:
     residual: float
     sweeps: int = 0
     energy_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    seconds: float = 0.0  # wall time of the solve
 
 
 def _boundary_values(g: Grid2D, bdata) -> np.ndarray:
@@ -106,6 +119,51 @@ def _sup_residual(u, v, kappa, h) -> float:
     ru = lap_u - kappa * u[1:-1, 1:-1] * v[1:-1, 1:-1] ** 2
     rv = lap_v - kappa * v[1:-1, 1:-1] * u[1:-1, 1:-1] ** 2
     return max(np.max(np.abs(ru)), np.max(np.abs(rv)))
+
+
+def _parity_planes(a: np.ndarray) -> list[list[np.ndarray]]:
+    """a's four parity planes a[p::2, q::2] as contiguous copies, [p][q]."""
+    return [[np.ascontiguousarray(a[p::2, q::2]) for q in (0, 1)] for p in (0, 1)]
+
+
+def _join_planes(a: np.ndarray, planes) -> None:
+    """Write the parity planes back into a."""
+    for p in (0, 1):
+        for q in (0, 1):
+            a[p::2, q::2] = planes[p][q]
+
+
+def _sweep_plan(pa, pb, g: Grid2D) -> list[tuple]:
+    """The colour blocks of a's interior in sweep order (red, then
+    black), as views into the parity planes pa of a and pb of b: the
+    block, its neighbours above, below, left and right, b on the block,
+    and two scratch buffers of the block's size.  The block at row
+    or column 2 is empty, and left out, on a grid with 3 nodes along
+    that axis."""
+    plan = []
+    for i0, j0 in _RED + _BLACK:
+        ni = len(range(i0, g.nx - 1, 2))
+        nj = len(range(j0, g.ny - 1, 2))
+        if ni == 0 or nj == 0:
+            continue
+
+        def at(planes, i, j):
+            # the nodes (i + 2k, j + 2l) of the block's shape
+            return planes[i % 2][j % 2][i // 2 : i // 2 + ni, j // 2 : j // 2 + nj]
+
+        plan.append(
+            (
+                at(pa, i0, j0),
+                at(pa, i0 - 1, j0),
+                at(pa, i0 + 1, j0),
+                at(pa, i0, j0 - 1),
+                at(pa, i0, j0 + 1),
+                at(pb, i0, j0),
+                np.empty((ni, nj)),
+                np.empty((ni, nj)),
+            )
+        )
+    return plan
 
 
 def _laplace_rectangle(g: Grid2D, border: np.ndarray) -> np.ndarray:
@@ -304,6 +362,7 @@ def solve_system(
     on the same grid; only the border values are read, and they must be
     finite and nonnegative.
     """
+    t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
@@ -326,6 +385,8 @@ def solve_system(
     # radius of the 5-point Laplacian on this grid
     rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
     omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+    pu, pv = _parity_planes(u), _parity_planes(v)
+    plan = _sweep_plan(pu, pv, g) + _sweep_plan(pv, pu, g)
     sweeps = 0
     energies: list[float] = []
     res = _sup_residual(u, v, kappa, h)
@@ -335,29 +396,37 @@ def solve_system(
             raise NoConvergence(
                 sweeps, res, "red-black relaxation hit a non-finite residual"
             )
-        for _ in range(_CHECK_EVERY):
-            for a, b in ((u, v), (v, u)):
-                for color in (_RED, _BLACK):
-                    for i0, j0 in color:
-                        # max(cur + omega (nb / (4 + kappa h² b²) - cur), 0),
-                        # the same operations in the same order, in place
-                        blk, nb = _blocks(a, i0, j0)
-                        cur = a[blk]
-                        d = np.square(b[blk])
-                        d *= kh2
-                        d += 4.0
-                        nb /= d
-                        nb -= cur
-                        nb *= omega
-                        nb += cur
-                        np.maximum(nb, 0.0, out=cur)
-        sweeps += _CHECK_EVERY
-        res = _sup_residual(u, v, kappa, h)
-        energies.append(discrete_energy(u, v, kappa, h))
         if sweeps >= cfg.max_iter:
             raise NoConvergence(sweeps, res, "red-black relaxation")
+        chunk = min(_CHECK_EVERY, cfg.max_iter - sweeps)
+        for _ in range(chunk):
+            for cur, up, down, left, right, b, nb, d in plan:
+                # max(cur + omega (nb / (4 + kappa h² b²) - cur), 0),
+                # the same operations in the same order, in place
+                np.add(up, down, out=nb)
+                nb += left
+                nb += right
+                np.square(b, out=d)
+                d *= kh2
+                d += 4.0
+                nb /= d
+                nb -= cur
+                nb *= omega
+                nb += cur
+                np.maximum(nb, 0.0, out=cur)
+        sweeps += chunk
+        _join_planes(u, pu)
+        _join_planes(v, pv)
+        res = _sup_residual(u, v, kappa, h)
+        energies.append(discrete_energy(u, v, kappa, h))
     return SolutionPair(
-        Field(g, u), Field(g, v), kappa, res, sweeps, np.asarray(energies)
+        Field(g, u),
+        Field(g, v),
+        kappa,
+        res,
+        sweeps,
+        np.asarray(energies),
+        seconds=time.perf_counter() - t0,
     )
 
 

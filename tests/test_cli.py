@@ -96,6 +96,8 @@ def test_solve2d_roundtrip(tmp_path, capsys):
     assert rc == 0
     kv = last_result(capsys)
     assert float(kv["residual"]) <= 1e-7
+    assert int(kv["sweeps"]) > 0
+    assert float(kv["seconds"]) > 0.0
     u = read_field(tmp_path / "u.csv")
     v = read_field(tmp_path / "v.csv")
     assert u.grid == v.grid

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from segsym import diagnostics as dg
+from segsym import grid
 from segsym.diagnostics import (
     DoublingCheck,
     FlatnessFit,
@@ -168,6 +169,25 @@ def test_functional_trace_matches_pointwise(lin257):
         assert trJ.values[i] == pytest.approx(acf_J(u, v, 2.0, (0.0, 0.0), r), abs=1e-14)
     with pytest.raises(ValueError):
         functional_trace("Q", u, v, 2.0, (0.0, 0.0), radii)
+
+
+def test_J_trace_builds_ball_weights_once_per_radius(lin257, monkeypatch):
+    # both ball integrals of J(r) share one set of weights
+    _, u, v = lin257
+    calls = []
+    real = grid.ball_weights
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(grid, "ball_weights", counting)
+    monkeypatch.setattr(dg, "ball_weights", counting)
+    radii = np.array([0.2, 0.4, 0.6])
+    tr = functional_trace("J", u, v, 2.0, (0.0, 0.0), radii)
+    assert len(calls) == radii.size
+    for i, r in enumerate(radii):
+        assert tr.values[i] == pytest.approx(acf_J(u, v, 2.0, (0.0, 0.0), r), abs=1e-14)
 
 
 def test_rotation_equivariance():

@@ -131,6 +131,7 @@ def test_solution_invariants(solved_k100):
     assert pair.v.values.min() >= 0.0
     assert pair.u.values.max() <= 1.0 + 1e-12
     assert pair.sweeps > 0
+    assert 0.0 < pair.seconds < 60.0
     # every pointwise update is an over-relaxed, projected move that does
     # not raise the energy in its coordinate, so the recorded energies can
     # only go down
@@ -152,11 +153,15 @@ def test_one_stage_sweep_count():
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
-def test_in_place_update_equals_expression(kappa):
-    # the sweep's in-place update against the plain expression
-    # max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0), run from the same
-    # harmonic start for as many sweeps: the same floats, bit for bit
-    g = square_grid(1.3, 33)  # h = 0.08125 is not dyadic, so h^2 rounds
+@pytest.mark.parametrize("nx, ny", [(33, 33), (4, 5), (34, 35), (35, 34), (65, 97)])
+def test_in_place_update_equals_expression(nx, ny, kappa):
+    # the sweep on parity planes against the plain expression
+    # max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0) on strided blocks
+    # of the full arrays, run from the same harmonic start for as many
+    # sweeps: the same floats, bit for bit.  Even and odd nx, ny give
+    # parity planes and colour blocks of ragged sizes.
+    h = 2.6 / (max(nx, ny) - 1)  # 0.08125 at 33: not dyadic, so h^2 rounds
+    g = Grid2D(nx, ny, h, origin=(-(nx - 1) * h / 2, -(ny - 1) * h / 2))
     bu = lambda X, Y: np.maximum(0.8 * X + 0.6 * Y + 0.1, 0.0)
     bv = lambda X, Y: np.maximum(-(0.8 * X + 0.6 * Y + 0.1), 0.0)
     pair = solve_system(g, bu, bv, kappa)
@@ -252,6 +257,26 @@ def test_product_sup_exponent():
         sups.append(np.max(pair.u.values * pair.v.values))
     slope = np.polyfit(np.log(ks), np.log(sups), 1)[0]
     assert -0.65 <= slope <= -0.35
+
+
+def test_converged_at_max_iter_returns():
+    # 129^2, kappa = 1e2 meets tol after exactly 500 sweeps: a cap of 500
+    # is reached and met together, and convergence wins
+    g = square_grid(1.0, 129)
+    fu, fv = linear_pair_bdata()
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=500))
+    assert pair.sweeps == 500
+    assert pair.residual <= SolveConfig().tol
+
+
+def test_max_iter_is_exact():
+    # a cap that is not a multiple of the check interval stops there
+    g = square_grid(1.0, 129)
+    fu, fv = linear_pair_bdata()
+    with pytest.raises(NoConvergence) as exc:
+        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=480))
+    assert exc.value.iterations == 480
+    assert exc.value.residual > SolveConfig().tol
 
 
 def test_no_convergence_raises():
