@@ -113,12 +113,18 @@ class VectorField:
 def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along `axis`: centered inside,
     one-sided three-point at both ends (exact on quadratics)."""
-    a = np.moveaxis(a, axis, 0)
+
+    def at(s):
+        # index s along `axis`, everything along the other axes
+        return (slice(None),) * axis + (s,)
+
     out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    inner = out[at(slice(1, -1))]
+    np.subtract(a[at(slice(2, None))], a[at(slice(None, -2))], out=inner)
+    inner /= 2.0 * h
+    out[at(0)] = (-3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]) / (2.0 * h)
+    out[at(-1)] = (3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]) / (2.0 * h)
+    return out
 
 
 def gradient(f: Field) -> VectorField:

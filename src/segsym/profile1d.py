@@ -178,8 +178,7 @@ def extend_to_2d(p: Profile1D, g: Grid2D, direction) -> tuple[Field, Field]:
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
     d = d / norm
-    X, Y = g.meshgrid()
-    t = X * d[0] + Y * d[1]
+    t = g.x[:, None] * d[0] + g.y[None, :] * d[1]
     lo, hi = float(t.min()), float(t.max())
     if lo < p.x[0] - 1e-12 or hi > p.x[-1] + 1e-12:
         raise DomainTooLarge(

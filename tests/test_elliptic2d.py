@@ -97,9 +97,9 @@ def test_non_finite_kappa_rejected(kappa):
 @pytest.mark.parametrize("name, bad_value", [("bdata_u", np.nan), ("bdata_v", np.inf)])
 def test_non_finite_boundary_rejected_before_solving(name, bad_value, monkeypatch):
     def no_solve(*args):
-        raise AssertionError("a Laplace solve ran on non-finite data")
+        raise AssertionError("the relaxation started on non-finite data")
 
-    monkeypatch.setattr(e2d, "_laplace_rectangle", no_solve)
+    monkeypatch.setattr(e2d, "_parity_planes", no_solve)
     g = square_grid(1.0, 17)
     fu, fv = linear_pair_bdata()
     bad = lambda x, y: np.where(x > 0.9, bad_value, 0.0)
@@ -144,7 +144,7 @@ def test_over_relaxation_sweep_count(solved_k100):
 
 
 def test_one_stage_sweep_count():
-    # relaxing at the target kappa from the harmonic start takes 550 sweeps
+    # relaxing at the target kappa from the border data takes 550 sweeps
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
     pair = solve_system(g, fu, fv, 1e3)
@@ -152,12 +152,56 @@ def test_one_stage_sweep_count():
     assert pair.sweeps <= 600
 
 
+def border_only(g, bdata):
+    """The boundary data on the lattice's outer ring, zero inside."""
+    X, Y = g.meshgrid()
+    a = np.zeros((g.nx, g.ny))
+    b = bdata(X, Y)
+    a[0, :], a[-1, :], a[:, 0], a[:, -1] = b[0, :], b[-1, :], b[:, 0], b[:, -1]
+    return a
+
+
+def test_pair_solve_runs_no_linear_solve(monkeypatch):
+    monkeypatch.setattr(e2d, "_mg_pcg", lambda *args: pytest.fail("a linear solve ran"))
+    g = square_grid(1.0, 33)
+    fu, fv = linear_pair_bdata()
+    pair = solve_system(g, fu, fv, 100.0)
+    assert pair.residual <= SolveConfig().tol
+
+
+def test_non_1d_data_sweep_count():
+    # (Re z^2)^+ and (Re z^2)^- on 65^2 at kappa = 1e3: 700 sweeps from
+    # the border data (750 from the harmonic extension of that data)
+    g = square_grid(1.0, 65)
+    fu = lambda X, Y: np.maximum(X * X - Y * Y, 0.0)
+    fv = lambda X, Y: np.maximum(Y * Y - X * X, 0.0)
+    pair = solve_system(g, fu, fv, 1e3)
+    assert pair.residual <= SolveConfig().tol
+    assert pair.sweeps <= 700
+
+
+def test_callable_array_not_mutated_or_aliased():
+    # a callable may hand back the same array on every call; np.asarray
+    # then makes no copy, so the solve must build its own
+    g = square_grid(1.0, 33)
+    X, Y = g.meshgrid()
+    data = np.maximum(X, 0.0)
+    data[1:-1, 1:-1] = 7.0  # interior values are never read
+    kept = data.copy()
+    pair = solve_system(g, lambda x, y: data, lambda x, y: data[::-1], 10.0)
+    assert np.array_equal(data, kept)
+    for a in (pair.u.values, pair.v.values):
+        assert not np.shares_memory(a, data)
+    fresh = solve_system(g, lambda x, y: np.maximum(X, 0.0), lambda x, y: kept[::-1], 10.0)
+    assert np.array_equal(pair.u.values, fresh.u.values)
+
+
 @pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
 @pytest.mark.parametrize("nx, ny", [(33, 33), (4, 5), (34, 35), (35, 34), (65, 97)])
 def test_in_place_update_equals_expression(nx, ny, kappa):
     # the sweep on parity planes against the plain expression
     # max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0) on strided blocks
-    # of the full arrays, run from the same harmonic start for as many
+    # of the full arrays, run from the same border-only start for as many
     # sweeps: the same floats, bit for bit.  Even and odd nx, ny give
     # parity planes and colour blocks of ragged sizes.
     h = 2.6 / (max(nx, ny) - 1)  # 0.08125 at 33: not dyadic, so h^2 rounds
@@ -165,8 +209,7 @@ def test_in_place_update_equals_expression(nx, ny, kappa):
     bu = lambda X, Y: np.maximum(0.8 * X + 0.6 * Y + 0.1, 0.0)
     bv = lambda X, Y: np.maximum(-(0.8 * X + 0.6 * Y + 0.1), 0.0)
     pair = solve_system(g, bu, bv, kappa)
-    u = e2d._laplace_rectangle(g, e2d._boundary_values(g, bu))
-    v = e2d._laplace_rectangle(g, e2d._boundary_values(g, bv))
+    u, v = border_only(g, bu), border_only(g, bv)
     h2 = g.h * g.h
     rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
     omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
@@ -260,12 +303,12 @@ def test_product_sup_exponent():
 
 
 def test_converged_at_max_iter_returns():
-    # 129^2, kappa = 1e2 meets tol after exactly 500 sweeps: a cap of 500
+    # 129^2, kappa = 1e2 meets tol after exactly 550 sweeps: a cap of 550
     # is reached and met together, and convergence wins
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=500))
-    assert pair.sweeps == 500
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=550))
+    assert pair.sweeps == 550
     assert pair.residual <= SolveConfig().tol
 
 

@@ -23,7 +23,7 @@ from segsym import (
     square_grid,
 )
 from segsym.errors import BallOutsideDomain, PointOutsideDomain
-from segsym.grid import Window, ball_weights, disk_rect_area
+from segsym.grid import Window, _diff_axis, ball_weights, disk_rect_area
 
 # integral of e^x over the unit disk, adaptive polar quadrature (scipy
 # dblquad, epsabs 1e-14), frozen:
@@ -85,6 +85,36 @@ def test_gradient_linearity():
     ga, gb, gc = gradient(a), gradient(b), gradient(combo)
     assert np.allclose(gc.vx, 2.5 * ga.vx - 0.75 * gb.vx, atol=1e-12)
     assert np.allclose(gc.vy, 2.5 * ga.vy - 0.75 * gb.vy, atol=1e-12)
+
+
+def ref_diff_axis(a, h, axis):
+    """The difference stencil on a copy moved to axis 0 and back."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape, window", [
+    ((3, 7), (slice(None), slice(None))),
+    ((7, 3), (slice(None), slice(None))),
+    ((3, 3), (slice(None), slice(None))),
+    ((65, 97), (slice(None), slice(None))),
+    ((1025, 1031), (slice(None), slice(None))),
+    ((2049, 2049), (slice(0, 18), slice(None))),        # row block at the edge
+    ((2049, 2049), (slice(1000, 1018), slice(None))),   # interior row block
+    ((300, 300), (slice(250, 300), slice(0, 41))),      # window at two edges
+    ((300, 300), (slice(17, 120), slice(33, 290))),     # strided interior window
+])
+def test_diff_axis_equals_moveaxis_stencil(shape, window):
+    a = np.random.default_rng(11).uniform(-1.0, 1.0, shape)[window]
+    h = 2.6 / 32  # not dyadic, so the division by 2h rounds
+    for axis in (0, 1):
+        got = _diff_axis(a, h, axis)
+        assert np.array_equal(got, ref_diff_axis(a, h, axis))
+        assert got.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

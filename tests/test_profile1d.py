@@ -1,10 +1,12 @@
 """1D profile: convergence, symmetry, monotonicity, growth, extension."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import segsym.profile1d as p1d
-from segsym import square_grid
+from segsym import Grid2D, square_grid
 from segsym.config import SolveConfig
 from segsym.errors import (
     DomainTooLarge,
@@ -211,3 +213,28 @@ def test_extension_domain_too_large():
     g = square_grid(11.0, 45)
     with pytest.raises(DomainTooLarge):
         extend_to_2d(p, g, (1.0, 0.0))
+
+
+def test_extension_equals_meshgrid_formula(profile):
+    # oblique direction, non-square grid, non-dyadic spacing
+    g = Grid2D(37, 53, 0.07, origin=(-1.3, -1.8))
+    d = np.array([0.6, -1.7]) / np.hypot(0.6, -1.7)
+    u2, v2 = extend_to_2d(profile, g, (0.6, -1.7))
+    X, Y = g.meshgrid()
+    t = X * d[0] + Y * d[1]
+    assert np.array_equal(u2.values, np.interp(t, profile.x, profile.u))
+    assert np.array_equal(v2.values, np.interp(t, profile.x, profile.v))
+
+
+def test_extension_peak_memory():
+    # t, u and v: 3 field sizes; a meshgrid X, Y and their products
+    # peaked at 5.13
+    p = solve_profile(128.0, 0.0625)
+    g = square_grid(90.0, 1025)  # its diagonal fits the profile's [-128, 128]
+    tracemalloc.start()
+    try:
+        extend_to_2d(p, g, (0.6, 0.8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * g.nx * g.ny * 8
