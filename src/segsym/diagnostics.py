@@ -54,9 +54,8 @@ _PRUNE_FROM = 10
 _PRUNE_EVERY = 4
 _PRUNE_MIN_NODES = 256
 
-# bisection bracket and depth for the ACF correction constant
+# largest finite ACF correction constant, and the slack of its constraints
 _CFIT_MAX = 1e3
-_CFIT_ITERS = 48
 _CFIT_SLACK = 1e-12
 
 
@@ -144,6 +143,8 @@ def _check_radii(radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
         raise ValueError("radii must be a nonempty 1D array")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
     if radii[0] <= 0.0:
@@ -283,35 +284,29 @@ def acf_J(u: Field, v: Field, kappa: float, x, r: float) -> float:
 
 def correction_constant(radii, values) -> float:
     """Smallest C >= 0 making e^{-C r^{-1/2}} * values pairwise
-    nondecreasing over the radii.
+    nondecreasing over the radii (up to a 1e-12 slack in the logs).
 
-    Bisection on [0, 1e3] against the pairwise constraints; math.inf is
-    the sentinel for an insufficient bracket.  Values must be positive.
-    """
+    Consecutive pairs must satisfy dlog - C ds >= -slack, with dlog the
+    step of log(values) and ds <= 0 the step of r^{-1/2}.  A pair with
+    dlog + slack >= 0 holds at every C >= 0; any other holds exactly
+    when C >= (dlog + slack) / ds, which is +inf where r^{-1/2} rounds
+    flat.  So the smallest feasible C is the largest of these bounds,
+    or 0.  math.inf is the sentinel for a C above 1e3.  Values must be
+    finite and positive."""
     radii = _check_radii(radii)
     values = np.asarray(values, dtype=float)
     if values.shape != radii.shape:
         raise ValueError("values must match radii in shape")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if np.any(values <= 0.0):
         raise ZeroDenominator("trace touches zero; correction fit undefined")
-    dlog = np.diff(np.log(values))
-    ds = np.diff(radii ** -0.5)  # negative: r^{-1/2} decreases
-
-    def feasible(c):
-        return bool(np.all(dlog - c * ds >= -_CFIT_SLACK))
-
-    if feasible(0.0):
-        return 0.0
-    if not feasible(_CFIT_MAX):
-        return math.inf
-    lo, hi = 0.0, _CFIT_MAX
-    for _ in range(_CFIT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    shortfall = -(np.diff(np.log(values)) + _CFIT_SLACK)
+    drop = np.abs(np.diff(radii ** -0.5))
+    binding = shortfall > 0.0
+    with np.errstate(divide="ignore"):
+        c = float(np.max(shortfall[binding] / drop[binding], initial=0.0))
+    return math.inf if c > _CFIT_MAX else c
 
 
 def acf_trace_and_fit(u: Field, v: Field, kappa: float, x, radii):
@@ -405,58 +400,44 @@ def gradient_bounds(u: Field, v: Field, margin: float) -> float:
 def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     """Violation of directional monotonicity over the cone tau . e >= aperture.
 
-    Scans a 64-direction fan anchored at e; for each admissible tau the
-    pair should satisfy tau . grad u >= 0 and tau . grad v <= 0 on the
-    interior, and the violation is the worst signed excess (0 when the
-    cone property holds).  The interior is scanned in blocks of rows, so
-    the temporaries stay cache-sized on large grids.
+    For every unit tau in the cone the pair should satisfy
+    tau . grad u >= 0 and tau . grad v <= 0 on the interior; the
+    violation is the largest excess -tau . grad u or tau . grad v over
+    the cone and the interior nodes, 0 when the cone property holds.
 
-    The fan is one arc of at most 180 degrees, and tau . g = |g| cos of
-    the angle from g has no interior minimum on such an arc unless -g
-    points into it, which needs e . g <= 0.  So every node is scanned
-    at the arc's two end directions, and the whole fan runs only on the
-    nodes with e . grad u <= 0 (resp. e . grad v >= 0, for the largest
-    tau . grad v) whose |d_x| + |d_y| exceeds the worst excess so far:
-    |tau_x|, |tau_y| <= 1 and rounding is monotone, so no direction's
-    float |tau_x d_x + tau_y d_y| exceeds fl(|d_x| + |d_y|).  Every
-    direction is evaluated by the same float expression, so the result
-    is the float of the full fan on every node."""
+    The sup over the cone has a closed form per node.  With a the
+    aperture and s = sqrt(1 - a^2), the cone is the arc of unit
+    vectors within acos(a) <= 90 degrees of e.  Write the node's
+    gradient g, signed so that the excess is tau . g (g = -grad u, or
+    grad v), as along = e . g and across = |e x g|.  On the arc,
+    tau . g = |g| cos of the angle from g, which is largest at tau =
+    g/|g| when g points into the arc (along >= 0 and
+    s along >= a across) and otherwise at the arc edge nearer g, where
+    it is a along + s across.  The interior is scanned in blocks of
+    rows, so the temporaries stay cache-sized on large grids."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
     ex, ey = float(e[0]), float(e[1])
     norm = math.hypot(ex, ey)
-    if norm <= 0.0:
-        raise ValueError("direction e must be nonzero")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction e must have a nonzero finite norm, got {e}")
     ex, ey = ex / norm, ey / norm
-    base = math.atan2(ey, ex)
-    # fan directions in arc order, k = -31 .. 32 steps from e
-    fan = []
-    for k in range(-31, 33):
-        t = base + 2.0 * math.pi * (k % 64) / 64.0
-        tx, ty = math.cos(t), math.sin(t)
-        if tx * ex + ty * ey >= aperture - 1e-12:
-            fan.append((tx, ty))
-    ends = {fan[0], fan[-1]}
+    a = aperture
+    s = math.sqrt((1.0 - a) * (1.0 + a))
     g = u.grid
     worst = 0.0
     for rows in _row_blocks(1, g.nx - 1):
         win = Window(g, rows, slice(1, g.ny - 1))
-        ux, uy = win.grad(u.values)
-        vx, vy = win.grad(v.values)
-        for tx, ty in ends:
-            du = tx * ux + ty * uy
-            dv = tx * vx + ty * vy
-            worst = max(worst, -float(np.min(du)), float(np.max(dv)))
-        # the excess is -tau . grad u and +tau . grad v
-        for gx, gy, sign in ((ux, uy, -1.0), (vx, vy, 1.0)):
-            live = (sign * (ex * gx + ey * gy) >= 0.0) & (np.abs(gx) + np.abs(gy) > worst)
-            if not live.any():
-                continue
-            gx, gy = gx[live], gy[live]
-            for tx, ty in fan:
-                worst = max(worst, float(np.max(sign * (tx * gx + ty * gy))))
-    return max(0.0, worst)
+        for f, sign in ((u, -1.0), (v, 1.0)):
+            gx, gy = win.grad(f.values)
+            along = sign * (ex * gx + ey * gy)
+            across = np.abs(ex * gy - ey * gx)
+            excess = a * along + s * across
+            inside = (along >= 0.0) & (s * along >= a * across)
+            excess[inside] = np.hypot(along[inside], across[inside])
+            worst = max(worst, float(np.max(excess)))
+    return worst
 
 
 def harmonic_deficit(

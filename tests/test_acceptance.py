@@ -70,8 +70,8 @@ def test_08_spherical_minimization(ctx):
         assert c.ok, (
             f"{c.label}: got {c.value:.10g}, wanted {c.requirement}; the "
             "converged multiplier gap at kappa=1e4 is ~7.5% and closes "
-            "like kappa^-0.24, so the 5% band is first reached near "
-            "kappa~6e4"
+            "like kappa^-0.24, so the 5% band is first reached between "
+            "kappa=3e4 and 6e4"
         )
 
 

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segsym import diagnostics as dg
 from segsym import grid
+from segsym.blowdown import direction_convergence
 from segsym.diagnostics import (
     DoublingCheck,
     FlatnessFit,
@@ -281,6 +284,75 @@ def test_correction_constant_sentinel_and_errors():
         correction_constant([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def assert_least_correction(radii, values, c):
+    """c meets every pairwise constraint up to rounding, and
+    c (1 - 1e-13) breaks one."""
+    dlog = np.diff(np.log(values))
+    ds = np.diff(np.asarray(radii) ** -0.5)
+    rounding = 8.0 * np.finfo(float).eps * (np.abs(dlog) + np.abs(c * ds))
+    assert np.all(dlog - c * ds >= -dg._CFIT_SLACK - rounding)
+    if c > 0.0:
+        assert np.any(dlog - c * (1.0 - 1e-13) * ds < -dg._CFIT_SLACK)
+
+
+def test_correction_constant_is_least_on_dip():
+    radii = np.array([1.0, 2.0, 3.0])
+    values = np.array([1.0, 0.5, 1.0])
+    assert_least_correction(radii, values, correction_constant(radii, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(0.01, 10.0),
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12),
+    logs=st.lists(st.floats(-3.0, 3.0), min_size=13, max_size=13),
+)
+def test_correction_constant_is_least(start, steps, logs):
+    radii = start + np.concatenate(([0.0], np.cumsum(steps)))
+    assume(np.all(np.diff(radii) > 0.0))
+    values = np.exp(np.array(logs[: radii.size]))
+    # a log step within rounding of the 1e-12 slack cannot resolve a
+    # 1e-13 relative change of C
+    assume(np.all(np.abs(np.diff(np.log(values))) > 1e-9))
+    c = correction_constant(radii, values)
+    assume(math.isfinite(c))
+    assert_least_correction(radii, values, c)
+
+
+def test_correction_constant_flat_step():
+    # r^{-1/2} rounds to the same float at 1000 and the next float above,
+    # so a drop between them is uncorrectable, and a rise needs no C
+    radii = [1000.0, np.nextafter(1000.0, 2000.0)]
+    assert np.diff(np.asarray(radii) ** -0.5)[0] == 0.0
+    assert correction_constant(radii, [2.0, 1.0]) == math.inf
+    assert correction_constant(radii, [1.0, 2.0]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correction_constant_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="values must be finite"):
+        correction_constant([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v, r: MonotonicityTrace("N", (0.0, 0.0), r, np.ones(r.size), 1.0),
+        lambda u, v, r: functional_trace("N", u, v, 1.0, (0.0, 0.0), r),
+        lambda u, v, r: correction_constant(r, np.ones(r.size)),
+        lambda u, v, r: nondegeneracy_exponent(u, v, (0.0, 0.0), r),
+        lambda u, v, r: direction_convergence(u, v, r),
+    ],
+    ids=["MonotonicityTrace", "functional_trace", "correction_constant",
+         "nondegeneracy_exponent", "direction_convergence"],
+)
+@pytest.mark.parametrize("bad", [[0.1, 0.2, np.nan], [0.1, 0.2, np.inf], [np.nan, 0.1, 0.2]])
+def test_non_finite_radii_rejected(lin257, call, bad):
+    g, u, v = lin257
+    with pytest.raises(ValueError, match="radii must be finite"):
+        call(u, v, np.array(bad))
+
+
 def test_acf_zero_pair_raises():
     g = square_grid(1.0, 33)
     z = Field.zeros(g)
@@ -346,6 +418,13 @@ def test_cone_monotonicity_validation(lin257):
         cone_monotonicity(u, v, (1.0, 0.0), 1.5)
     with pytest.raises(ValueError):
         cone_monotonicity(u, v, (0.0, 0.0), 0.5)
+
+
+@pytest.mark.parametrize("e", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
+def test_cone_monotonicity_rejects_non_finite_direction(lin257, e):
+    g, u, v = lin257
+    with pytest.raises(ValueError, match="finite"):
+        cone_monotonicity(u, v, e, 0.5)
 
 
 # ---------------------------------------------------------------------------
