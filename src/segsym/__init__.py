@@ -50,6 +50,7 @@ from .grid import (
     write_field,
 )
 from .presets import (
+    harmonic_pair,
     linear_pair,
     linear_pair_bdata,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "gradient",
     "gradient_bounds",
     "harmonic_deficit",
+    "harmonic_pair",
     "interpolate",
     "kappa_sweep",
     "linear_pair",

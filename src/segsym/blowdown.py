@@ -4,9 +4,11 @@ The rescaled pair u^R(x) = u(Rx)/L(R), with the normalization
 L(R)² = R^{1-n} ∫_{∂B_R(0)} (u² + v²), keeps unit shell mass at radius 1
 while zooming out.  For segregated pairs with linear growth the
 rescalings flatten onto a one-plane profile (s(e·x)^+, s(e·x)^-), and
-the per-radius best direction e(R) should be Cauchy.  Everything here
-is n = 2 and anchored at the origin: translate the pair first if the
-base point sits elsewhere.
+the per-radius direction e(R) should be Cauchy.  Each radius's s·e is
+the L² gradient fit, the ball average of ∇(u - v); its flatness is the
+sup distance to that model, an upper bound on the minimax distance to
+any one-plane pair.  Everything here is n = 2 and anchored at the
+origin: translate the pair first if the base point sits elsewhere.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ _ORIGIN = (0.0, 0.0)
 class BlowdownRecord:
     """One rescaling radius.
 
-    flatness is the sup-distance on B_1 between (u^R, v^R) and the best
-    one-plane pair (s(e·x)^+, s(e·x)^-); deficit is the gradient misfit
-    R^{-2} ∫_{B_R} |∇(u-v) - m e*|² against the direction e* and slope m
-    fitted at the largest radius of the batch."""
+    e and s come from the L² gradient fit on B_R: s·e is the ball
+    average of ∇(u - v).  flatness is the sup distance on B_1 between
+    (u^R, v^R) and the rescaled model (s(e·x)^+, s(e·x)^-) over L, an
+    upper bound on the minimax distance to any one-plane pair; deficit
+    is the gradient misfit R^{-2} ∫_{B_R} |∇(u-v) - m e*|² against the
+    direction e* and slope m fitted at the largest radius of the batch,
+    which minimize that misfit on the largest ball."""
 
     R: float
     L: float
@@ -126,18 +131,21 @@ def direction_convergence(
     radii = _check_radii(radii)
     if radii.size < 3:
         raise ValueError("need at least 3 radii")
-    # each radius's weights serve both its flatness fit and its deficit
+    # one gradient of u - v on the largest ball's window, and each
+    # radius's weights, serve every flatness fit and every deficit
+    win = Window.ball(u.grid, _ORIGIN, float(radii[-1]))
+    grad = win.grad(u.values, minus=v.values)
     fits = []
     for R in radii:
         R = float(R)
         L = compute_L(u, v, R)
         weights = ball_weights(u.grid, _ORIGIN, R)
-        fits.append((R, L, _flatness_fit(u, v, _ORIGIN, R, weights), weights))
-    r_top, _, fit_top, _ = fits[-1]
+        fit = _flatness_fit(u, v, _ORIGIN, R, win, grad, weights)
+        fits.append((R, L, fit, weights))
+    fit_top = fits[-1][2]
     gx0 = fit_top.magnitude * fit_top.e[0]
     gy0 = fit_top.magnitude * fit_top.e[1]
-    win = Window.ball(u.grid, _ORIGIN, r_top)
-    wx, wy = win.grad(u.values, minus=v.values)
+    wx, wy = grad
     misfit = (wx - gx0) ** 2 + (wy - gy0) ** 2
     records = []
     for R, L, fit, weights in fits:

@@ -47,13 +47,6 @@ _ZERO_SHELL = 1e-14
 # rows per block of the cone and product-bound scans
 _BLOCK_ROWS = 16
 
-# the flatness fit's magnitude search drops the nodes that cannot set
-# its sup-error from this golden-section iteration on, every few
-# iterations, while more than this many nodes remain
-_PRUNE_FROM = 10
-_PRUNE_EVERY = 4
-_PRUNE_MIN_NODES = 256
-
 # largest finite ACF correction constant, and the slack of its constraints
 _CFIT_MAX = 1e3
 _CFIT_SLACK = 1e-12
@@ -107,10 +100,13 @@ class DoublingCheck:
 
 @dataclass(frozen=True)
 class FlatnessFit:
-    """Best one-plane model (magnitude * e . y)^{+/-} on a ball.
+    """One-plane model (magnitude * e . y)^{+/-} on a ball, by the L^2
+    gradient fit of flatness_direction.
 
-    e is the unit direction, magnitude the fitted slope, h_flat the
-    sup-distance to the model divided by the ball radius."""
+    e is the unit direction and magnitude the slope: magnitude * e is
+    the ball average of grad(u - v).  h_flat is the sup distance to
+    that model divided by the ball radius, an upper bound on the
+    minimax distance to any one-plane model."""
 
     e: np.ndarray
     h_flat: float
@@ -255,7 +251,9 @@ def check_doubling(trace_H: MonotonicityTrace, d: float, r1: float, r2: float) -
     """Compare H(r2)/H(r1) against the doubling bound e^d (r2/r1)^{2d}.
 
     H is interpolated log-log between sampled radii, so r1 and r2 only
-    need to lie inside the trace range."""
+    need to lie inside the trace range.  d, r1 and r2 must be finite."""
+    if not all(math.isfinite(t) for t in (d, r1, r2)):
+        raise ValueError(f"d, r1 and r2 must be finite, got {d}, {r1}, {r2}")
     if r1 > r2:
         raise ValueError(f"need r1 <= r2, got {r1} > {r2}")
     radii = trace_H.radii
@@ -462,177 +460,42 @@ def harmonic_deficit(
 # flatness extraction
 
 
-def _slope_terms(uu, vv, proj):
-    """(m, f, q) per node, such that the node's distance to the one-plane
-    model ((s proj)^+, (s proj)^-) at a slope s > 0 is |m - s q| + f.
-
-    For s > 0, s proj has the sign of proj: the distance is
-    |uu - s proj| + |vv| where proj >= 0, and |vv - s |proj|| + |uu|
-    where proj < 0.  These are the floats of the unsplit formula
-    |uu - (s proj)^+| + |vv - (s proj)^-|, since x - 0 = x,
-    a - (-b) = a + b and x + y = y + x exactly."""
-    pos = proj >= 0.0
-    return np.where(pos, uu, vv), np.abs(np.where(pos, vv, uu)), np.abs(proj)
-
-
-def _model_errors(m, f, q):
-    """Sup over the nodes of |m - s q| + f, as a function of s > 0."""
-    buf = np.empty_like(q)
-
-    def err(s):
-        np.multiply(q, s, out=buf)
-        np.subtract(m, buf, out=buf)
-        np.abs(buf, out=buf)
-        np.add(buf, f, out=buf)
-        return float(buf.max())
-
-    return err
-
-
-def _live_nodes(m, f, q, a, b, margin):
-    """Mask of the nodes whose error |m - s q| + f can still be the sup
-    at some slope s in [a, b].
-
-    Each error is convex in s, with its kink at s = m/q.  On [a, b] it
-    is at most f + max(|m - a q|, |m - b q|), its larger end value, and
-    at least f + max(a q - m, m - b q, 0): f when the kink lies in
-    [a, b], else the nearer end value.  The sup over the nodes is
-    therefore at least the largest such lower bound, and a node whose
-    upper bound falls below that by more than margin, which exceeds the
-    rounding of every evaluation, never sets the sup on [a, b]."""
-    da = np.multiply(q, a)
-    np.subtract(m, da, out=da)
-    db = np.multiply(q, b)
-    np.subtract(m, db, out=db)
-    low = np.negative(da)
-    np.maximum(low, db, out=low)
-    np.maximum(low, 0.0, out=low)
-    low += f
-    floor = float(low.max())
-    np.abs(da, out=da)
-    np.abs(db, out=db)
-    np.maximum(da, db, out=da)
-    da += f
-    return da >= floor - margin
-
-
-def _best_magnitude(m, f, q, s_lo, s_hi, margin):
-    """Golden-section search for the slope s in [s_lo, s_hi] with the
-    least sup-error of _model_errors(m, f, q); returns (error, s).
-
-    From iteration _PRUNE_FROM on, every _PRUNE_EVERY iterations while
-    more than _PRUNE_MIN_NODES nodes remain, the nodes that _live_nodes
-    rules out on the current bracket are dropped.  Every later slope
-    lies in that bracket, so each error is the same float as on all
-    nodes.  Earlier pruning does not pay: a node whose error does not
-    depend on s (u + v at the interface) keeps most nodes alive until
-    the bracket has narrowed."""
-    err = _model_errors(m, f, q)
-    # the sup-error is convex piecewise-linear in s: golden-section is safe
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = s_lo, s_hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = err(c)
-    fd = err(d)
-    for it in range(40):
-        if (
-            it >= _PRUNE_FROM
-            and (it - _PRUNE_FROM) % _PRUNE_EVERY == 0
-            and q.size > _PRUNE_MIN_NODES
-        ):
-            live = _live_nodes(m, f, q, a, b, margin)
-            m, f, q = m[live], f[live], q[live]
-            err = _model_errors(m, f, q)
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = err(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = err(d)
-    s = 0.5 * (a + b)
-    return err(s), s
-
-
 def flatness_direction(u: Field, v: Field, x, R: float) -> FlatnessFit:
-    """Best-fit one-plane model on B_R(x).
+    """L^2 gradient fit of a one-plane model on B_R(x).
 
-    Coarse scan over a 256-direction fan and 16 magnitudes on a
-    subsampled lattice, then golden-section refinement of the angle
-    (with a nested magnitude search) on the full set of ball nodes.
-
-    Once the magnitude bracket [a, b] has narrowed, the search drops
-    the nodes that cannot set its sup-error on [a, b] (_live_nodes).
-    Each node's error is convex in the slope, so a node whose larger
-    end value lies below some node's least value on [a, b], by more
-    than a rounding margin of 16 eps (max |u|, |v| + s_hi (R + h)), s_hi
-    the top of the magnitude range, is never the argmax there.  Every later slope lies in [a, b], so the fit is the
-    float of the search over all ball nodes."""
+    The model pair ((s e.y)^+, (s e.y)^-), y = node - x, has
+    u - v = s e.y, so its gradient is the constant s e.  The fit takes
+    s e = the ball average of grad(u - v): the unique constant vector
+    closest to grad(u - v) in L^2(B_R(x)).  h_flat is the sup over the
+    ball nodes of |u - (s e.y)^+| + |v - (s e.y)^-|, divided by R: the
+    sup distance to that model, an upper bound on the minimax distance
+    to any one-plane model.  Where the ball average is exactly zero,
+    as for the zero pair or u = v, the model is zero: e = (1, 0) and
+    magnitude 0."""
     _check_pair(u, v)
-    return _flatness_fit(u, v, x, R, ball_weights(u.grid, x, R))
+    win = Window.ball(u.grid, x, R)
+    grad = win.grad(u.values, minus=v.values)
+    return _flatness_fit(u, v, x, R, win, grad, ball_weights(u.grid, x, R))
 
 
-def _flatness_fit(u: Field, v: Field, x, R: float, weights) -> FlatnessFit:
-    """flatness_direction on the nodes where the ball_weights(g, x, R)
-    triple `weights` is positive, for callers that reuse the weights."""
+def _flatness_fit(u: Field, v: Field, x, R: float, win: Window, grad, weights) -> FlatnessFit:
+    """flatness_direction from grad = win.grad(u.values, minus=v.values)
+    on a window holding B_R(x) and the ball_weights(g, x, R) triple
+    `weights`, for callers that fit several balls of one window."""
     g = u.grid
     isl, jsl, w = weights
     mask = w > 0.0
-    xs = g.x[isl] - float(x[0])
-    ys = g.y[jsl] - float(x[1])
-    dx = np.broadcast_to(xs[:, None], mask.shape)[mask]
-    dy = np.broadcast_to(ys[None, :], mask.shape)[mask]
     uu = u.values[isl, jsl][mask]
     vv = v.values[isl, jsl][mask]
-    sup = float(max(np.max(np.abs(uu)), np.max(np.abs(vv))))
-    if sup == 0.0:
+    if max(np.max(np.abs(uu)), np.max(np.abs(vv))) == 0.0:
         return FlatnessFit(np.array([1.0, 0.0]), 0.0, 0.0)
-    s0 = sup / R
-    # coarse stage on a stride-thinned subset (at most ~4096 nodes)
-    stride = max(1, dx.size // 4096)
-    cdx, cdy, cu, cv = dx[::stride], dy[::stride], uu[::stride], vv[::stride]
-    thetas = 2.0 * math.pi * np.arange(256) / 256.0
-    mags = s0 * np.geomspace(0.125, 8.0, 16)
-    best = (math.inf, 0.0, s0)
-    for t in thetas:
-        tx, ty = math.cos(t), math.sin(t)
-        err = _model_errors(*_slope_terms(cu, cv, tx * cdx + ty * cdy))
-        for s in mags:
-            e = err(s)
-            if e < best[0]:
-                best = (e, t, s)
-    _, t_best, s_best = best
-    # golden-section on the angle, one coarse fan step to each side
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    span = 2.0 * math.pi / 256.0
-    a, b = t_best - span, t_best + span
-    s_lo, s_hi = s_best / 8.0, s_best * 8.0
-    # every ball node lies within R + h of x, so |m|, f <= sup and
-    # s q <= s_hi (R + h): an error evaluation rounds by at most
-    # 2 eps (sup + s_hi (R + h)), and a pruning decision chains five
-    margin = 16.0 * float(np.finfo(float).eps) * (sup + s_hi * (R + g.h))
-
-    def angle_err(t):
-        terms = _slope_terms(uu, vv, math.cos(t) * dx + math.sin(t) * dy)
-        return _best_magnitude(*terms, s_lo, s_hi, margin)
-
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, sc = angle_err(c)
-    fd, sd = angle_err(d)
-    for _ in range(24):
-        if fc <= fd:
-            b, d, fd, sd = d, c, fc, sc
-            c = b - gr * (b - a)
-            fc, sc = angle_err(c)
-        else:
-            a, c, fc, sc = c, d, fd, sd
-            d = a + gr * (b - a)
-            fd, sd = angle_err(d)
-    if fc <= fd:
-        err, t_fin, s_fin = fc, c, sc
-    else:
-        err, t_fin, s_fin = fd, d, sd
-    return FlatnessFit(np.array([math.cos(t_fin), math.sin(t_fin)]), err / R, s_fin)
+    area = float(np.sum(w))
+    gx = win.weighted_sum(grad[0], weights) / area
+    gy = win.weighted_sum(grad[1], weights) / area
+    dx = np.broadcast_to((g.x[isl] - float(x[0]))[:, None], mask.shape)[mask]
+    dy = np.broadcast_to((g.y[jsl] - float(x[1]))[None, :], mask.shape)[mask]
+    t = gx * dx + gy * dy
+    err = np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))
+    s = math.hypot(gx, gy)
+    e = np.array([gx / s, gy / s]) if s > 0.0 else np.array([1.0, 0.0])
+    return FlatnessFit(e, float(np.max(err)) / R, s)

@@ -5,12 +5,15 @@ The one-dimensional half-plane pair u = (x·e)⁺, v = (x·e)⁻ solves the
 system for every κ (the product uv vanishes identically), so it is the
 reference object for exact checks.  The other canonical pair, the
 planar extension of the 1D profile, is profile1d.extend_to_2d: a
-genuine κ = 1 solution up to the profile's own residual.
+genuine κ = 1 solution up to the profile's own residual.  The harmonic
+pair (Re z^d)^± is the non-1D control: for d >= 2 it solves the κ → ∞
+limit problem but is not one-dimensional.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -47,3 +50,13 @@ def linear_pair(
     X, Y = g.meshgrid()
     return Field(g, fu(X, Y)), Field(g, fv(X, Y))
 
+
+def harmonic_pair(g: Grid2D, d: int) -> tuple[Field, Field]:
+    """u = (Re z^d)⁺, v = (Re z^d)⁻ with z = x + iy, sampled on the
+    lattice; d = 1 is the half-plane pair in direction e₁."""
+    d = operator.index(d)
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    X, Y = g.meshgrid()
+    w = ((X + 1j * Y) ** d).real
+    return Field(g, np.maximum(w, 0.0)), Field(g, np.maximum(-w, 0.0))

@@ -3,17 +3,16 @@ full-grid formulas bit for bit.
 
 Each reference below builds its density on the whole grid, as the
 diagnostics did before they read only the ball window plus a one-node
-halo; the flatness reference is the plain loop that the split-by-sign
-fit replaces, and the cone reference is the same closed form on the
+halo; the flatness reference is the gradient fit on the full-grid
+gradient, and the cone reference is the same closed form on the
 full-grid gradient that the scan applies to row blocks.  These
 comparisons are `==`, not approx: the windowed code must repeat the
 same floats.  The cone scan's closed form is checked against its
 definition, a sup over the directions of the cone, with a stated
 tolerance.
 
-The ball weights and the flatness fit evaluate only the nodes that can
-set their answer; the large cases below are sized so that those pruned
-paths run.
+The ball weights evaluate only the cells that can set their answer;
+the large cases below are sized so that the pruned path runs.
 """
 
 import math
@@ -24,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import segsym.diagnostics as dg
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
     acf_J,
@@ -42,6 +40,7 @@ from segsym.elliptic2d import solve_harmonic
 from segsym.grid import (
     Field,
     Grid2D,
+    Window,
     _ball_slices,
     ball_integral,
     ball_weights,
@@ -94,75 +93,25 @@ def ref_H_rate(u, v, kappa, x, r):
     return 2.0 * ball_integral(Field(u.grid, gu2 + gv2 + 2.0 * inter), x, r) / r
 
 
-def ref_model_error(uu, vv, tx, ty, s, dx, dy):
-    t = s * (tx * dx + ty * dy)
-    return float(np.max(np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))))
-
-
-def ref_best_magnitude(uu, vv, tx, ty, dx, dy, s_lo, s_hi):
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = s_lo, s_hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = ref_model_error(uu, vv, tx, ty, c, dx, dy)
-    fd = ref_model_error(uu, vv, tx, ty, d, dx, dy)
-    for _ in range(40):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = ref_model_error(uu, vv, tx, ty, c, dx, dy)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = ref_model_error(uu, vv, tx, ty, d, dx, dy)
-    s = 0.5 * (a + b)
-    return ref_model_error(uu, vv, tx, ty, s, dx, dy), s
-
-
-def ref_flatness(u, v, x, R):
-    """(e, h_flat, magnitude) by the unsplit model error."""
+def ref_gradient_fit(u, v, x, R):
+    """The w-weighted mean of the full-grid gradient(u - v) on B_R(x),
+    and the full-grid sup distance over the ball nodes to the model
+    ((mean . y)^+, (mean . y)^-), y = node - x."""
     g = u.grid
     isl, jsl, w = ball_weights(g, x, R)
-    mask = w > 0.0
-    DX, DY = np.meshgrid(g.x[isl] - float(x[0]), g.y[jsl] - float(x[1]), indexing="ij")
-    dx, dy = DX[mask], DY[mask]
-    uu, vv = u.values[isl, jsl][mask], v.values[isl, jsl][mask]
-    sup = float(max(np.max(np.abs(uu)), np.max(np.abs(vv))))
-    if sup == 0.0:
-        return [1.0, 0.0], 0.0, 0.0
-    s0 = sup / R
-    stride = max(1, dx.size // 4096)
-    cdx, cdy, cu, cv = dx[::stride], dy[::stride], uu[::stride], vv[::stride]
-    best = (math.inf, 0.0, s0)
-    for t in 2.0 * math.pi * np.arange(256) / 256.0:
-        tx, ty = math.cos(t), math.sin(t)
-        for s in s0 * np.geomspace(0.125, 8.0, 16):
-            err = ref_model_error(cu, cv, tx, ty, s, cdx, cdy)
-            if err < best[0]:
-                best = (err, t, s)
-    _, t_best, s_best = best
-    gr = 0.5 * (math.sqrt(5.0) - 1.0)
-    span = 2.0 * math.pi / 256.0
-    a, b = t_best - span, t_best + span
+    grad = gradient(Field(g, u.values - v.values))
+    mean = np.array([np.sum(grad.vx[isl, jsl] * w), np.sum(grad.vy[isl, jsl] * w)]) / np.sum(w)
+    X, Y = g.meshgrid()
+    t = mean[0] * (X - float(x[0])) + mean[1] * (Y - float(x[1]))
+    err = np.abs(u.values - np.maximum(t, 0.0)) + np.abs(v.values - np.maximum(-t, 0.0))
+    return mean, float(np.max(err[isl, jsl][w > 0.0])) / R
 
-    def angle_err(t):
-        return ref_best_magnitude(uu, vv, math.cos(t), math.sin(t), dx, dy, s_best / 8.0, s_best * 8.0)
 
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, sc = angle_err(c)
-    fd, sd = angle_err(d)
-    for _ in range(24):
-        if fc <= fd:
-            b, d, fd, sd = d, c, fc, sc
-            c = b - gr * (b - a)
-            fc, sc = angle_err(c)
-        else:
-            a, c, fc, sc = c, d, fd, sd
-            d = a + gr * (b - a)
-            fd, sd = angle_err(d)
-    err, t_fin, s_fin = (fc, c, sc) if fc <= fd else (fd, d, sd)
-    return [math.cos(t_fin), math.sin(t_fin)], err / R, s_fin
+def deficit_at(u, v, R, c):
+    """Criterion 10's gradient deficit on B_R(0) against the vector c."""
+    g = u.grid
+    grad = gradient(Field(g, u.values - v.values))
+    return ball_integral(Field(g, (grad.vx - c[0]) ** 2 + (grad.vy - c[1]) ** 2), (0.0, 0.0), R) / R**2
 
 
 def ref_cone(u, v, e, aperture):
@@ -274,6 +223,13 @@ def ref_product_bounds(u, v):
     return float(np.max(uv)), float(np.max(mixed)), exponent
 
 
+@pytest.fixture(scope="module")
+def profile48():
+    """A 1D profile long enough to extend onto square_grid(34.0, n) in
+    any direction."""
+    return solve_profile(48.0, 0.0625)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -373,7 +329,7 @@ def test_harmonic_deficit_equals_full_grid(data):
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_flatness_equals_unsplit_fit(data):
+def test_flatness_equals_full_grid_gradient_fit(data):
     g, u, v, rng = data.draw(pairs(min_n=9, max_n=30))
     x, (R,) = data.draw(balls(g))
     if data.draw(st.booleans()):
@@ -384,37 +340,34 @@ def test_flatness_equals_unsplit_fit(data):
         u = Field(g, np.maximum(p, 0.0) + 0.01 * u.values)
         v = Field(g, np.maximum(-p, 0.0) + 0.01 * v.values)
     fit = flatness_direction(u, v, x, R)
-    e, h_flat, magnitude = ref_flatness(u, v, x, R)
-    assert fit.e.tolist() == e
+    mean, h_flat = ref_gradient_fit(u, v, x, R)
+    assert np.hypot(*(fit.magnitude * fit.e - mean)) <= 1e-12 * np.hypot(*mean)
     assert fit.h_flat == h_flat
-    assert fit.magnitude == magnitude
 
 
-def test_flatness_equals_unsplit_fit_on_profile_pair(monkeypatch):
-    # a rotated profile extension: ~13k ball nodes, enough for the
-    # magnitude search to drop nodes
-    g = square_grid(8.0, 161)
-    u, v = extend_to_2d(solve_profile(12.0, 0.05), g, (0.96, 0.28))
-    x, R = (0.3, -0.2), 6.5
-    sizes = []
+def test_flatness_angle_on_rotated_profile_pair(profile48):
+    # 53.1301 degrees to four places at every radius: the angle misses
+    # atan2(0.8, 0.6) by at most 7.5e-6 degrees at h = 1/16 (R = 8)
+    # and by 1.2e-4 at h = 1/4, falling like h^2
+    g = square_grid(34.0, 1089)
+    u, v = extend_to_2d(profile48, g, (0.6, 0.8))
+    records, gap = direction_convergence(u, v, [8.0, 16.0, 32.0])
+    exact = math.degrees(math.atan2(0.8, 0.6))
+    for rec in records:
+        assert math.degrees(math.atan2(rec.e[1], rec.e[0])) == pytest.approx(exact, abs=5e-5)
+    assert gap < 1e-6
 
-    def recording(m, f, q):
-        sizes.append(q.size)
-        return model_errors(m, f, q)
 
-    model_errors = dg._model_errors
-    monkeypatch.setattr(dg, "_model_errors", recording)
-    fit = flatness_direction(u, v, x, R)
-    monkeypatch.undo()
-    nodes = int(np.count_nonzero(ball_weights(g, x, R)[2]))
-    assert nodes > 10_000
-    assert max(sizes) == nodes
-    # the pruned path ran: later searches see a fraction of the nodes
-    assert min(sizes) < nodes // 10
-    e, h_flat, magnitude = ref_flatness(u, v, x, R)
-    assert fit.e.tolist() == e
-    assert fit.h_flat == h_flat
-    assert fit.magnitude == magnitude
+def test_top_fit_minimizes_the_deficit(profile48):
+    # the deficit is a quadratic in the vector c with its minimum at the
+    # ball mean of grad(u - v): moving c by d raises it by |d|^2 |B_R| / R^2
+    g = square_grid(34.0, 273)
+    u, v = extend_to_2d(profile48, g, (0.96, 0.28))
+    top = flatness_direction(u, v, (0.0, 0.0), 32.0)
+    c = top.magnitude * top.e
+    best = deficit_at(u, v, 32.0, c)
+    for d in ((1e-3, 0.0), (0.0, 1e-3), (-1e-3, 0.0), (0.0, -1e-3), (7e-4, -7e-4)):
+        assert deficit_at(u, v, 32.0, c + np.array(d)) > best
 
 
 @settings(max_examples=5, deadline=None)
@@ -615,3 +568,20 @@ def test_direction_convergence_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 0.8 * u.values.nbytes
+
+
+def test_direction_convergence_takes_one_gradient(monkeypatch, profile48):
+    # every radius's flatness fit and deficit read the largest ball's
+    # gradient of u - v
+    g = square_grid(34.0, 273)
+    u, v = extend_to_2d(profile48, g, (1.0, 0.0))
+    calls = []
+    grad = Window.grad
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return grad(self, *args, **kwargs)
+
+    monkeypatch.setattr(Window, "grad", counting)
+    direction_convergence(u, v, [8.0, 16.0, 32.0])
+    assert len(calls) == 1

@@ -252,6 +252,25 @@ def test_doubling_validation():
         check_doubling(zero, 1.0, 0.2, 0.4)
 
 
+@pytest.mark.parametrize(
+    "d, r1, r2",
+    [
+        (1.0, math.nan, 0.5),
+        (1.0, 0.2, math.nan),
+        (math.nan, 0.2, 0.4),
+        (math.inf, 0.2, 0.4),
+        (1.0, -math.inf, 0.4),
+    ],
+)
+def test_doubling_rejects_non_finite(d, r1, r2):
+    # every comparison with NaN is false, so the range checks alone let
+    # a NaN radius through to ratio = nan
+    radii = np.linspace(0.1, 0.9, 5)
+    tr = MonotonicityTrace("H", (0.0, 0.0), radii, radii**2, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        check_doubling(tr, d, r1, r2)
+
+
 # ---------------------------------------------------------------------------
 # ACF correction fit
 
@@ -492,6 +511,19 @@ def test_flatness_zero_pair():
     z = Field.zeros(g)
     fit = flatness_direction(z, z, (0.0, 0.0), 0.5)
     assert fit.h_flat == 0.0 and fit.magnitude == 0.0
+    assert fit.e.tolist() == [1.0, 0.0]
+
+
+def test_flatness_zero_mean_gradient():
+    # u = v: grad(u - v) is exactly 0, so the model is zero, e = (1, 0),
+    # and h_flat is the sup of u + v over the ball nodes, over R
+    g = square_grid(1.0, 65)
+    f = Field(g, np.random.default_rng(3).uniform(0.0, 1.0, (65, 65)))
+    fit = flatness_direction(f, f, (0.1, -0.2), 0.5)
+    assert fit.e.tolist() == [1.0, 0.0]
+    assert fit.magnitude == 0.0
+    isl, jsl, w = grid.ball_weights(g, (0.1, -0.2), 0.5)
+    assert fit.h_flat == float(np.max((2.0 * f.values[isl, jsl])[w > 0.0])) / 0.5
 
 
 def test_flatness_fit_validation():
