@@ -23,9 +23,11 @@ def csv_text(meta: dict, header, rows) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` via a same-directory temp file + rename."""
+    """Write `text` to `path` via a same-directory temp file + rename,
+    creating the directory first."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -40,7 +42,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, meta: dict, header, rows) -> None:
-    """Write csv_text(meta, header, rows) to `path` atomically, creating
-    its directory first."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """Write csv_text(meta, header, rows) to `path` atomically."""
     atomic_write_text(path, csv_text(meta, header, rows))

@@ -10,10 +10,11 @@ machine-readable summary lines
 
 on stdout.  Exit codes: 0 on success, 1 for configuration errors (bad
 flags, malformed or invalid JSON, out-of-range parameters), 2 for input
-errors (missing, malformed or non-finite field files, geometry that does
-not fit the provided grids), 3 for numerical failures and for completed
-runs whose judgment is `fail`.  All file output is atomic (temp file +
-rename).
+errors (missing, unreadable, malformed or non-finite field files,
+geometry that does not fit the provided grids), 3 for numerical failures
+and for completed runs whose judgment is `fail`.  Each error class
+carries its code (`errors.SegsymError.exit_code`).  All file output is
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,110 +34,33 @@ from .blowdown import direction_convergence
 from .config import SolveConfig
 from .diagnostics import eps_mono, functional_trace
 from .elliptic2d import solve_system
-from .errors import (
-    BallOutsideDomain,
-    ConfigInvalid,
-    DeficitNonpositive,
-    DomainTooLarge,
-    InputInvalid,
-    InputMissing,
-    MultipleSignChanges,
-    NegativeInput,
-    NoConvergence,
-    NoSignChange,
-    NumericalBreakdown,
-    PointOutsideDomain,
-    ZeroDenominator,
-)
+from .errors import ConfigInvalid, InputInvalid, InputMissing, SegsymError
 from .grid import read_field, square_grid, write_field
 from .presets import linear_pair_bdata
 from .profile1d import asymptotic_slope, crossing_point, extend_to_2d, solve_profile
 from .sphere import kappa_sweep, minimize_spherical
 
-_INPUT_ERRORS = (
-    InputMissing,
-    InputInvalid,
-    FileNotFoundError,
-    BallOutsideDomain,
-    PointOutsideDomain,
-    DomainTooLarge,
-)
-_NUMERIC_ERRORS = (
-    NoConvergence,
-    NumericalBreakdown,
-    ZeroDenominator,
-    NoSignChange,
-    MultipleSignChanges,
-    DeficitNonpositive,
-)
+class Scenario(NamedTuple):
+    description: str
+    defaults: dict
+    run: Callable
 
-_DIAG_RADII = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
 
-# schema: key -> (type tag, default); tags: f float, i int, s str,
-# s? optional str, F list of floats.  Configs are flat by design.
-SCHEMAS = {
-    "profile": {
-        "half_length": ("f", 20.0),
-        "spacing": ("f", 0.05),
-        "tol": ("f", 1e-10),
-        "out": ("s", "profile.csv"),
-    },
-    "solve2d": {
-        "kappa": ("f", 100.0),
-        "n": ("i", 129),
-        "half_width": ("f", 1.0),
-        "tol": ("f", 1e-8),
-        "out_u": ("s", "u.csv"),
-        "out_v": ("s", "v.csv"),
-    },
-    "diag": {
-        "functional": ("s", "N"),
-        "kappa": ("f", 100.0),
-        "in_u": ("s?", None),
-        "in_v": ("s?", None),
-        "n": ("i", 129),
-        "half_width": ("f", 1.0),
-        "center_x": ("f", 0.0),
-        "center_y": ("f", 0.0),
-        "radii": ("F", _DIAG_RADII),
-        "tol": ("f", 1e-8),
-        "out": ("s", "diag.csv"),
-    },
-    "spheremin": {
-        "kappa": ("f", 1000.0),
-        "lambda": ("f", 1.0),
-        "m": ("i", 256),
-        "n": ("i", 2),
-        "out": ("s", "spheremin.json"),
-    },
-    "spheresweep": {
-        "kappas": ("F", [100.0, 1000.0, 10000.0]),
-        "lambda": ("f", 1.0),
-        "m": ("i", 256),
-        "out": ("s", "spheresweep.csv"),
-    },
-    "blowdown": {
-        "in_u": ("s?", None),
-        "in_v": ("s?", None),
-        "half_length": ("f", 46.0),
-        "spacing": ("f", 0.05),
-        "n": ("i", 513),
-        "half_width": ("f", 32.0),
-        "radii": ("F", [4.0, 6.0, 8.0]),
-        "out": ("s", "blowdown.csv"),
-    },
-    "accept": {},
-}
+SCENARIOS: dict[str, Scenario] = {}
 
-DESCRIPTIONS = {
-    "accept": "full acceptance suite: thirteen criteria, per-criterion CSVs and results.csv",
-    "blowdown": "blow-down of the 1D profile extension: direction, flatness and deficit decay",
-    "diag": "Almgren frequency trace on a freshly solved pair, judged for monotonicity",
-    "profile": "entire 1D profile: residual, reflection symmetry, interface decay",
-    "solve2d": "planar system solve with half-plane boundary data; writes both fields",
-    "spheremin": "constrained spherical minimization at a single kappa",
-    "spheresweep": "minimization sweep across kappa: value ceiling and deficit power law",
-}
+
+def scenario(name: str, description: str, defaults: dict):
+    """Register a runner as the scenario `name`, with one flag per key
+    of `defaults`.  A flag's type is its default's: float, int, str,
+    None (an optional path) or a list of floats.  Configs are flat by
+    design.  The runner takes validated params and an output directory
+    and returns (status, summary dict)."""
+
+    def register(run):
+        SCENARIOS[name] = Scenario(description, defaults, run)
+        return run
+
+    return register
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,48 +83,37 @@ def _floats(field: str):
     return parse
 
 
-def _coerce(key: str, tag: str, value):
-    if tag == "f":
+def _coerce(key: str, default, value):
+    """Check a config value against the type of its default."""
+    if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigInvalid(key, f"expected a number, got {value!r}")
         if not math.isfinite(value):
             raise ConfigInvalid(key, f"expected a finite number, got {value!r}")
         return float(value)
-    if tag == "i":
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigInvalid(key, f"expected an integer, got {value!r}")
         return int(value)
-    if tag in ("s", "s?"):
+    if default is None or isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigInvalid(key, f"expected a string, got {value!r}")
         return value
-    if tag == "F":
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigInvalid(key, f"expected a nonempty list of numbers, got {value!r}")
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigInvalid(key, f"expected numbers, got {item!r}")
-            if not math.isfinite(item):
-                raise ConfigInvalid(key, f"expected finite numbers, got {item!r}")
-            out.append(float(item))
-        return out
-    raise AssertionError(tag)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigInvalid(key, f"expected a nonempty list of numbers, got {value!r}")
+    out = []
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ConfigInvalid(key, f"expected numbers, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigInvalid(key, f"expected finite numbers, got {item!r}")
+        out.append(float(item))
+    return out
 
 
-@dataclass
-class Experiment:
-    """One configured scenario run: a display name, the scenario id
-    and validated params."""
-
-    name: str
-    scenario: str
-    params: dict
-
-
-def make_experiment(doc: dict) -> Experiment:
-    """Build an Experiment from a flat config dict; validates the
-    scenario id and every param."""
+def make_experiment(doc: dict) -> tuple[str, str, dict]:
+    """(display name, scenario id, validated params) from a flat config
+    dict; validates the scenario id and every param."""
     doc = dict(doc)
     scenario = doc.pop("scenario", None)
     if not isinstance(scenario, str):
@@ -210,23 +123,23 @@ def make_experiment(doc: dict) -> Experiment:
     name = doc.pop("name", scenario)
     if not isinstance(name, str) or not name or " " in name:
         raise ConfigInvalid("name", f"expected a label without spaces, got {name!r}")
-    return Experiment(name, scenario, validate_params(scenario, doc))
+    return name, scenario, validate_params(scenario, doc)
 
 
 def validate_params(scenario: str, raw: dict) -> dict:
-    """Check keys and types against the scenario schema (every number
-    finite), fill defaults, and enforce sign preconditions on kappa
-    values and lambda."""
-    if scenario not in SCHEMAS:
+    """Check keys and types against the scenario's defaults (every
+    number finite), fill defaults, and enforce sign preconditions on
+    kappa values and lambda."""
+    if scenario not in SCENARIOS:
         raise ConfigInvalid(
-            "scenario", f"unknown scenario {scenario!r}, expected one of {sorted(SCHEMAS)}"
+            "scenario", f"unknown scenario {scenario!r}, expected one of {sorted(SCENARIOS)}"
         )
-    schema = SCHEMAS[scenario]
-    params = {k: d for k, (_, d) in schema.items()}
+    defaults = SCENARIOS[scenario].defaults
+    params = dict(defaults)
     for key, value in raw.items():
-        if key not in schema:
+        if key not in defaults:
             raise ConfigInvalid(key, f"unknown key for scenario {scenario!r}")
-        params[key] = _coerce(key, schema[key][0], value)
+        params[key] = _coerce(key, defaults[key], value)
     if "kappa" in params and params["kappa"] < 0.0:
         raise ConfigInvalid("kappa", f"kappa must be nonnegative, got {params['kappa']}")
     if "kappas" in params and any(k < 0.0 for k in params["kappas"]):
@@ -242,7 +155,11 @@ def load_experiment(path) -> dict:
     if not p.exists():
         raise InputMissing(p)
     try:
-        doc = json.loads(p.read_text())
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputInvalid(p, str(e)) from e
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigInvalid(
             "json", f"malformed JSON in {p} at line {e.lineno} column {e.colno}: {e.msg}"
@@ -290,10 +207,14 @@ def _solve_pair(params):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: take validated params and an output directory,
-# return (status, summary dict)
+# scenario runners
 
 
+@scenario(
+    "profile",
+    "entire 1D profile: residual, reflection symmetry, interface decay",
+    {"half_length": 20.0, "spacing": 0.05, "tol": 1e-10, "out": "profile.csv"},
+)
 def run_profile(params, outdir: Path):
     p = solve_profile(params["half_length"], params["spacing"], SolveConfig(tol=params["tol"]))
     x0 = crossing_point(p)
@@ -321,11 +242,15 @@ def run_profile(params, outdir: Path):
     }
 
 
+@scenario(
+    "solve2d",
+    "planar system solve with half-plane boundary data; writes both fields",
+    {"kappa": 100.0, "n": 129, "half_width": 1.0, "tol": 1e-8,
+     "out_u": "u.csv", "out_v": "v.csv"},
+)
 def run_solve2d(params, outdir: Path):
     pair = _solve_pair(params)
     out_u, out_v = outdir / params["out_u"], outdir / params["out_v"]
-    out_u.parent.mkdir(parents=True, exist_ok=True)
-    out_v.parent.mkdir(parents=True, exist_ok=True)
     write_field(pair.u, out_u)
     write_field(pair.v, out_v)
     return "done", {
@@ -339,6 +264,13 @@ def run_solve2d(params, outdir: Path):
     }
 
 
+@scenario(
+    "diag",
+    "Almgren frequency trace on a freshly solved pair, judged for monotonicity",
+    {"functional": "N", "kappa": 100.0, "in_u": None, "in_v": None, "n": 129,
+     "half_width": 1.0, "center_x": 0.0, "center_y": 0.0,
+     "radii": [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45], "tol": 1e-8, "out": "diag.csv"},
+)
 def run_diag(params, outdir: Path):
     functional = params["functional"]
     if functional not in ("N", "H", "D", "J"):
@@ -379,6 +311,11 @@ def run_diag(params, outdir: Path):
     return "done", kv
 
 
+@scenario(
+    "spheremin",
+    "constrained spherical minimization at a single kappa",
+    {"kappa": 1000.0, "lambda": 1.0, "m": 256, "n": 2, "out": "spheremin.json"},
+)
 def run_spheremin(params, outdir: Path):
     rep = minimize_spherical(
         params["kappa"], params["lambda"], params["m"], n=params["n"]
@@ -400,7 +337,6 @@ def run_spheremin(params, outdir: Path):
         "iterations": rep.iterations,
         "kkt": rep.kkt,
     }
-    out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return "done", {
         "value": rep.value,
@@ -413,6 +349,11 @@ def run_spheremin(params, outdir: Path):
     }
 
 
+@scenario(
+    "spheresweep",
+    "minimization sweep across kappa: value ceiling and deficit power law",
+    {"kappas": [100.0, 1000.0, 10000.0], "lambda": 1.0, "m": 256, "out": "spheresweep.csv"},
+)
 def run_spheresweep(params, outdir: Path):
     fit = kappa_sweep(params["kappas"], params["lambda"], params["m"])
     out = outdir / params["out"]
@@ -437,6 +378,12 @@ def run_spheresweep(params, outdir: Path):
     }
 
 
+@scenario(
+    "blowdown",
+    "blow-down of the 1D profile extension: direction, flatness and deficit decay",
+    {"in_u": None, "in_v": None, "half_length": 46.0, "spacing": 0.05, "n": 513,
+     "half_width": 32.0, "radii": [4.0, 6.0, 8.0], "out": "blowdown.csv"},
+)
 def run_blowdown(params, outdir: Path):
     loaded = _read_pair(params)
     if loaded is None:
@@ -463,6 +410,11 @@ def run_blowdown(params, outdir: Path):
     }
 
 
+@scenario(
+    "accept",
+    "full acceptance suite: thirteen criteria, per-criterion CSVs and results.csv",
+    {},
+)
 def run_accept(params, outdir: Path):
     results = acceptance.run_all(outdir)
     for res in results:
@@ -477,17 +429,6 @@ def run_accept(params, outdir: Path):
     return status, {"passed": passed, "total": len(results), "outdir": outdir}
 
 
-RUNNERS = {
-    "profile": run_profile,
-    "solve2d": run_solve2d,
-    "diag": run_diag,
-    "spheremin": run_spheremin,
-    "spheresweep": run_spheresweep,
-    "blowdown": run_blowdown,
-    "accept": run_accept,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -497,12 +438,15 @@ def _parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"segsym {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    # one subcommand per scenario, one flag per schema key
-    for name, schema in SCHEMAS.items():
-        sp = sub.add_parser(name, help=DESCRIPTIONS[name])
+    # one subcommand per scenario, one flag per key, typed by its default
+    for name, sc in SCENARIOS.items():
+        sp = sub.add_parser(name, help=sc.description)
         sp.add_argument("--outdir", default=".", help="directory for output files")
-        for key, (tag, _) in schema.items():
-            kind = _floats(key) if tag == "F" else {"f": float, "i": int}.get(tag, str)
+        for key, default in sc.defaults.items():
+            if isinstance(default, list):
+                kind = _floats(key)
+            else:
+                kind = str if default is None else type(default)
             sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
     sp = sub.add_parser("run", help="run an experiment from a JSON config")
@@ -511,35 +455,33 @@ def _parser() -> _Parser:
     return p
 
 
-def _collect(args, scenario: str) -> dict:
-    return {k: getattr(args, k) for k in SCHEMAS[scenario] if getattr(args, k) is not None}
+def _collect(args, name: str) -> dict:
+    return {k: getattr(args, k) for k in SCENARIOS[name].defaults if getattr(args, k) is not None}
 
 
 def _dispatch(args) -> int:
     if args.cmd == "run":
-        exp = make_experiment(load_experiment(args.config))
+        name, scen, params = make_experiment(load_experiment(args.config))
     else:
-        exp = make_experiment({"scenario": args.cmd, **_collect(args, args.cmd)})
+        name, scen, params = make_experiment({"scenario": args.cmd, **_collect(args, args.cmd)})
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    status, kv = RUNNERS[exp.scenario](exp.params, outdir)
-    _result(exp.name, status, kv)
+    status, kv = SCENARIOS[scen].run(params, outdir)
+    _result(name, status, kv)
     return 0 if status in ("done", "pass") else 3
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return _dispatch(args)
-    except (ConfigInvalid, NegativeInput, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except _INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _dispatch(_parser().parse_args(argv))
+    except SegsymError as e:
+        err, code = e, e.exit_code
+    except ValueError as e:
+        err, code = e, 1
+    except FileNotFoundError as e:
+        err, code = e, 2
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,8 +33,10 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3, got ({self.nx}, {self.ny})")
-        if not (self.h > 0.0):
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
+        if not all(map(math.isfinite, self.extent)):
+            raise ValueError(f"grid origin and extent must be finite, got {self.extent}")
 
     @property
     def x(self) -> np.ndarray:
@@ -467,10 +469,10 @@ def field_from_csv(text: str) -> Field:
 
 
 def read_field(path) -> Field:
-    """Read a snapshot; a malformed or non-finite one raises InputInvalid."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read a snapshot; an unreadable, malformed or non-finite one raises
+    InputInvalid."""
     try:
-        return field_from_csv(text)
-    except ValueError as e:
+        with open(path) as fh:
+            return field_from_csv(fh.read())
+    except (OSError, ValueError) as e:
         raise InputInvalid(path, str(e)) from e

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from segsym import acceptance, cli
+from segsym import acceptance, cli, errors
 from segsym.acceptance import Check, CriterionResult
 from segsym.cli import main
 from segsym.grid import Field, read_field, square_grid, write_field
@@ -61,7 +61,7 @@ def test_help_lists_every_scenario(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for name, text in cli.DESCRIPTIONS.items():
+    for name, (text, _, _) in cli.SCENARIOS.items():
         assert name in out and text in out
     assert "preset" not in out
 
@@ -378,3 +378,198 @@ def test_descent_breakdown_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert main(["spheremin", "--kappa", "200", "--m", "16", "--outdir", str(tmp_path)]) == 3
     assert "descent" in capsys.readouterr().err
+
+
+# every subcommand's help text and flag defaults, frozen so that no knob
+# moves unnoticed; every subcommand also takes --outdir (default ".")
+FROZEN_SCENARIOS = {
+    "profile": (
+        "entire 1D profile: residual, reflection symmetry, interface decay",
+        {"half_length": 20.0, "spacing": 0.05, "tol": 1e-10, "out": "profile.csv"},
+    ),
+    "solve2d": (
+        "planar system solve with half-plane boundary data; writes both fields",
+        {"kappa": 100.0, "n": 129, "half_width": 1.0, "tol": 1e-8,
+         "out_u": "u.csv", "out_v": "v.csv"},
+    ),
+    "diag": (
+        "Almgren frequency trace on a freshly solved pair, judged for monotonicity",
+        {"functional": "N", "kappa": 100.0, "in_u": None, "in_v": None, "n": 129,
+         "half_width": 1.0, "center_x": 0.0, "center_y": 0.0,
+         "radii": [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45], "tol": 1e-8,
+         "out": "diag.csv"},
+    ),
+    "spheremin": (
+        "constrained spherical minimization at a single kappa",
+        {"kappa": 1000.0, "lambda": 1.0, "m": 256, "n": 2, "out": "spheremin.json"},
+    ),
+    "spheresweep": (
+        "minimization sweep across kappa: value ceiling and deficit power law",
+        {"kappas": [100.0, 1000.0, 10000.0], "lambda": 1.0, "m": 256,
+         "out": "spheresweep.csv"},
+    ),
+    "blowdown": (
+        "blow-down of the 1D profile extension: direction, flatness and deficit decay",
+        {"in_u": None, "in_v": None, "half_length": 46.0, "spacing": 0.05, "n": 513,
+         "half_width": 32.0, "radii": [4.0, 6.0, 8.0], "out": "blowdown.csv"},
+    ),
+    "accept": (
+        "full acceptance suite: thirteen criteria, per-criterion CSVs and results.csv",
+        {},
+    ),
+}
+
+
+def _typed(params):
+    return {k: (type(v), v) for k, v in params.items()}
+
+
+def _flag_text(value):
+    if value is None:
+        return "given.csv"
+    if isinstance(value, list):
+        return ",".join(repr(x) for x in value)
+    return str(value)
+
+
+def test_no_knob_moved():
+    assert sum(len(d) for _, d in FROZEN_SCENARIOS.values()) == 38
+    assert list(cli.SCENARIOS) == list(FROZEN_SCENARIOS)
+    parser = cli._parser()
+    for name, (text, defaults) in FROZEN_SCENARIOS.items():
+        assert cli.SCENARIOS[name].description == text
+        assert _typed(cli.validate_params(name, {})) == _typed(defaults)
+        args = parser.parse_args([name])
+        assert set(vars(args)) == {"cmd", "outdir", *defaults}
+        assert args.outdir == "."
+        # every flag is spelled as before and parses to its default's type
+        argv = [name]
+        for key, value in defaults.items():
+            argv += ["--" + key.replace("_", "-"), _flag_text(value)]
+        given = {k: "given.csv" if v is None else v for k, v in defaults.items()}
+        parsed = cli.validate_params(name, cli._collect(parser.parse_args(argv), name))
+        assert _typed(parsed) == _typed(given)
+
+
+# the documented exit code of every concrete error class: 1 config,
+# 2 input, 3 numerical
+EXIT_CODES = {
+    "ConfigInvalid": 1,
+    "NegativeInput": 1,
+    "BallOutsideDomain": 2,
+    "PointOutsideDomain": 2,
+    "DomainTooLarge": 2,
+    "InputMissing": 2,
+    "InputInvalid": 2,
+    "NoConvergence": 3,
+    "NumericalBreakdown": 3,
+    "ZeroDenominator": 3,
+    "NoSignChange": 3,
+    "MultipleSignChanges": 3,
+    "DeficitNonpositive": 3,
+}
+
+_ERROR_ARGS = {
+    "ConfigInvalid": ("x", "bad"),
+    "InputMissing": ("x.csv",),
+    "InputInvalid": ("x.csv", "bad"),
+    "NoConvergence": (7, 1.0),
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    concrete = [
+        name for name, c in vars(errors).items()
+        if isinstance(c, type) and issubclass(c, errors.SegsymError) and not c.__subclasses__()
+    ]
+    assert sorted(concrete) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (getattr(errors, n)(*_ERROR_ARGS.get(n, ("boom",))), c)
+        for n, c in EXIT_CODES.items()
+    ]
+    + [(ValueError("boom"), 1), (FileNotFoundError("boom"), 2)],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None,
+)
+def test_error_exit_code(tmp_path, capsys, monkeypatch, exc, code):
+    def failing_runner(params, outdir):
+        raise exc
+
+    sc = cli.SCENARIOS["profile"]
+    monkeypatch.setitem(cli.SCENARIOS, "profile", sc._replace(run=failing_runner))
+    assert main(["profile", "--outdir", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _with_header(text, h, ox, oy):
+    lines = text.splitlines()
+    lines[1] = f"# 33,33,{h},{ox},{oy}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "h, ox, oy",
+    [
+        (0.0625, "nan", -1.0),
+        (0.0625, -1.0, "nan"),
+        ("inf", -1.0, -1.0),
+        (0.0625, "-inf", -1.0),
+        (0.0625, -1.0, "inf"),
+        (1e308, -1.0, -1.0),
+    ],
+)
+def test_nonfinite_grid_header_exits_2(tmp_path, capsys, h, ox, oy):
+    u, v = linear_pair(square_grid(1.0, 33))
+    paths = []
+    for name, f in (("hu.csv", u), ("hv.csv", v)):
+        write_field(f, tmp_path / name)
+        path = tmp_path / name
+        path.write_text(_with_header(path.read_text(), h, ox, oy))
+        paths.append(path)
+    outdir = tmp_path / "out"
+    rc = main(["diag", "--functional", "N", "--kappa", "1.0", "--radii", "0.3,0.5",
+               "--in-u", str(paths[0]), "--in-v", str(paths[1]), "--outdir", str(outdir)])
+    assert rc == 2
+    assert "hu.csv" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+def _non_utf8(path):
+    path.write_bytes(b"# segsym field\n# 3,3,\xff\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, flag",
+    [
+        (lambda d: d / "sub", "--in-u"),
+        (lambda d: _non_utf8(d / "latin.csv"), "--in-u"),
+        (lambda d: d / "sub", "run"),
+        (lambda d: _non_utf8(d / "latin.json"), "run"),
+    ],
+    ids=["dir-field", "non-utf8-field", "dir-config", "non-utf8-config"],
+)
+def test_unreadable_input_exits_2(linear_files, tmp_path, capsys, make, flag):
+    (tmp_path / "sub").mkdir()
+    bad = make(tmp_path)
+    outdir = tmp_path / "out"
+    if flag == "run":
+        argv = ["run", str(bad)]
+    else:
+        argv = ["diag", "--in-u", str(bad), "--in-v", str(linear_files[1])]
+    assert main(argv + ["--outdir", str(outdir)]) == 2
+    assert f"invalid input file {bad}" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_outputs_create_nested_directories(tmp_path, capsys):
+    assert main(["solve2d", "--n", "17", "--out-u", "a/b/u.csv", "--out-v", "c/v.csv",
+                 "--outdir", str(tmp_path)]) == 0
+    assert read_field(tmp_path / "a" / "b" / "u.csv").grid.nx == 17
+    assert read_field(tmp_path / "c" / "v.csv").grid.nx == 17
+    assert main(["spheremin", "--kappa", "200", "--m", "16", "--out", "d/e.json",
+                 "--outdir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "d" / "e.json").read_text())["m"] == 16
