@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+from .errors import OutputUnwritable
+
 
 def fmt_value(v) -> str:
     """CSV cell: floats at 17 significant digits, everything else str()."""
@@ -24,21 +26,26 @@ def csv_text(meta: dict, header, rows) -> str:
 
 def atomic_write_text(path, text: str) -> None:
     """Write `text` to `path` via a same-directory temp file + rename,
-    creating the directory first."""
+    creating the directory first.  This is the one place that creates
+    output directories; an OSError on the way raises OutputUnwritable
+    and leaves no file behind."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as e:
+        raise OutputUnwritable(path, e.strerror or str(e)) from e
 
 
 def write_csv(path, meta: dict, header, rows) -> None:

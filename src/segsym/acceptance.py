@@ -106,7 +106,6 @@ class SuiteContext:
 
     def __init__(self, outdir):
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.results = {}
 
     # ---------------- shared artifacts

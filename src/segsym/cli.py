@@ -9,10 +9,11 @@ machine-readable summary lines
     RESULT name=<scenario> status=<pass|fail|done> key=value ...
 
 on stdout.  Exit codes: 0 on success, 1 for configuration errors (bad
-flags, malformed or invalid JSON, out-of-range parameters), 2 for input
-errors (missing, unreadable, malformed or non-finite field files,
-geometry that does not fit the provided grids), 3 for numerical failures
-and for completed runs whose judgment is `fail`.  Each error class
+flags, malformed or invalid JSON, out-of-range parameters, an output
+path that cannot be created or replaced), 2 for input errors (missing,
+unreadable, malformed or non-finite field files, geometry that does not
+fit the provided grids), 3 for numerical failures and for completed
+runs whose judgment is `fail`.  Each error class
 carries its code (`errors.SegsymError.exit_code`).  All file output is
 atomic (temp file + rename).
 """
@@ -464,9 +465,7 @@ def _dispatch(args) -> int:
         name, scen, params = make_experiment(load_experiment(args.config))
     else:
         name, scen, params = make_experiment({"scenario": args.cmd, **_collect(args, args.cmd)})
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    status, kv = SCENARIOS[scen].run(params, outdir)
+    status, kv = SCENARIOS[scen].run(params, Path(args.outdir))
     _result(name, status, kv)
     return 0 if status in ("done", "pass") else 3
 

@@ -101,3 +101,14 @@ class InputInvalid(InputError):
     def __init__(self, path, message: str):
         self.path = str(path)
         super().__init__(f"invalid input file {self.path}: {message}")
+
+
+class OutputUnwritable(SegsymError):
+    """An output file cannot be created or replaced: its directory
+    cannot be made (a path component is a file) or written, or the
+    path names a directory.  A config error, since the flag names the
+    path."""
+
+    def __init__(self, path, message: str):
+        self.path = str(path)
+        super().__init__(f"cannot write output file {self.path}: {message}")

@@ -172,20 +172,33 @@ def asymptotic_slope(p: Profile1D) -> tuple[float, float]:
 
 
 def extend_to_2d(p: Profile1D, g: Grid2D, direction) -> tuple[Field, Field]:
-    """Planar extension u2(x) = u(x . direction), linear in between nodes."""
+    """Planar extension u2(x) = u(x . direction), linear in between nodes.
+
+    Along an x-axis direction (unit d with d[1] == 0.0) every row i holds
+    one value: x_i d[0] + y_j d[1] is x_i d[0] + y_0 d[1] for every j,
+    since each y term is +-0.0.  So that row is interpolated once and
+    repeated across the ny columns, the same floats as interpolating
+    the whole grid."""
     d = np.asarray(direction, dtype=float)
     norm = float(np.hypot(d[0], d[1]))
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
     d = d / norm
-    t = g.x[:, None] * d[0] + g.y[None, :] * d[1]
+    if d[1] == 0.0:
+        t = g.x * d[0] + g.y[0] * d[1]
+    else:
+        t = g.x[:, None] * d[0] + g.y[None, :] * d[1]
     lo, hi = float(t.min()), float(t.max())
     if lo < p.x[0] - 1e-12 or hi > p.x[-1] + 1e-12:
         raise DomainTooLarge(
             f"grid needs profile values on [{lo:.6g}, {hi:.6g}] but the "
             f"profile covers [{p.x[0]:.6g}, {p.x[-1]:.6g}]"
         )
-    return (
-        Field(g, np.interp(t, p.x, p.u)),
-        Field(g, np.interp(t, p.x, p.v)),
-    )
+
+    def extend(f):
+        vals = np.interp(t, p.x, f)
+        if vals.ndim == 1:
+            vals = np.broadcast_to(vals[:, None], (g.nx, g.ny)).copy()
+        return Field(g, vals)
+
+    return extend(p.u), extend(p.v)

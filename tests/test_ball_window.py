@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
+    _row_blocks,
     acf_J,
     almgren_D,
     almgren_H,
@@ -48,7 +49,7 @@ from segsym.grid import (
     shell_integral,
     square_grid,
 )
-from segsym.presets import linear_pair
+from segsym.presets import harmonic_pair, linear_pair
 from segsym.profile1d import extend_to_2d, solve_profile
 
 SETTINGS = settings(
@@ -553,6 +554,120 @@ def test_product_bounds_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * u.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the bounded product_bounds scan: a block whose bound is below the
+# running sup is never differenced, and both sups stay the same floats
+
+
+def _differenced_blocks(monkeypatch) -> set:
+    """Spy on Window.grad; returns the set of row ranges it differences."""
+    rows = set()
+    grad = Window.grad
+
+    def spy(self, *args, **kwargs):
+        rows.add((self.isl.start, self.isl.stop))
+        return grad(self, *args, **kwargs)
+
+    monkeypatch.setattr(Window, "grad", spy)
+    return rows
+
+
+def _row_field(g, col):
+    """The field whose row i holds col[i] in every column."""
+    return Field(g, np.repeat(np.asarray(col, dtype=float)[:, None], g.ny, axis=1))
+
+
+def _edge_pair(g):
+    """v = 1 and a u whose first rows zigzag 0, 1, 0, and whose first
+    row does so along y too: the one-sided stencils give d_x u = d_y u =
+    2/h at the corner, where |grad u| = 2 sqrt(2)/h is more than a bound
+    of 2/h or 1/h per unit range allows.  A ramp of 2.5/h in a middle
+    block sets a running sup below it."""
+    i = np.arange(g.nx)
+    col = 2.5 * np.clip(i - g.nx // 2, 0, 6).astype(float)
+    col[:3] = (0.0, 1.0, 0.0)
+    u = _row_field(g, col)
+    u.values[0, 1] = 1.0
+    return u, _row_field(g, np.ones(g.nx))
+
+
+def _pb_case(name, g, profile):
+    if name == "e1":
+        return extend_to_2d(profile, g, (1.0, 0.0))
+    if name == "oblique":
+        return extend_to_2d(profile, g, (0.6, 0.8))
+    if name == "signed":
+        u, v = extend_to_2d(profile, g, (0.96, 0.28))
+        return Field(g, u.values - 0.5 * np.max(u.values)), Field(g, -v.values)
+    if name in ("tiny", "huge"):
+        scale = 1e-8 if name == "tiny" else 1e5
+        u, v = extend_to_2d(profile, g, (1.0, 0.0))
+        return Field(g, scale * u.values), Field(g, scale * v.values)
+    if name == "edge":
+        return _edge_pair(g)
+    if name == "step":
+        # u, v step from 1, 1 to 2, 3 where the last row block starts,
+        # and u has a bump to 1.5 on row 1.  The sup, 7/(2h), sits on the
+        # last block's first row, where only its halo row sets its bound
+        # above the bump's 1/h
+        below = np.arange(g.nx) < _row_blocks(0, g.nx)[-1].start
+        col_u, col_v = np.where(below, 1.0, 2.0), np.where(below, 1.0, 3.0)
+        if below[1]:
+            col_u[1] = 1.5
+        return _row_field(g, col_u), _row_field(g, col_v)
+    return harmonic_pair(g, 2)
+
+
+PB_CASES = ["e1", "oblique", "signed", "tiny", "huge", "edge", "step", "harmonic"]
+
+
+@pytest.mark.parametrize("nx", [3, 17, 129])
+@pytest.mark.parametrize("name", PB_CASES)
+def test_bounded_product_scan_equals_full_grid(monkeypatch, profile48, name, nx):
+    # x crosses the interface at 0; the y extent keeps the oblique
+    # extension inside the profile
+    g = Grid2D(nx, 41, 0.25, (-0.125 * (nx - 1), -5.0))
+    u, v = _pb_case(name, g, profile48)
+    blocks = _differenced_blocks(monkeypatch)
+    pb = product_bounds(u, v)
+    assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
+    if name == "edge":
+        assert pb.sup_mixed == np.hypot(2.0 / g.h, 2.0 / g.h)
+    if nx == 129:
+        # 9 row blocks, and the bound skips at least one of them
+        assert 1 <= len(blocks) < 9
+
+
+def test_bounded_product_scan_sees_stencil_rounding():
+    # v = 1, and u is 0.1 on rows 0..63 and 0.1 + 1 ulp on rows
+    # 64..128.  On u's constant rows the one-sided stencil's terms cancel to
+    # 2 ulp of 0.1 where u = 0.1 and to 1 ulp where u = 0.1 + 1 ulp,
+    # against the 1 ulp of the centred difference across the step.  So
+    # the sup sits at the grid corners of the 0.1 rows, where both
+    # derivatives are one-sided: 2 sqrt(2) ulp/(2h).  The first block's
+    # rows and halo hold one value, so only the rounding allowance of its
+    # bound keeps that block in the scan.
+    g = Grid2D(129, 9, 0.125, (-8.0, -0.5))
+    high = np.nextafter(0.1, 1.0)
+    col = np.where(np.arange(129) < 64, 0.1, high)
+    u, v = _row_field(g, col), _row_field(g, np.ones(129))
+    pb = product_bounds(u, v)
+    assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
+    step = (high - 0.1) / (2.0 * g.h)
+    assert pb.sup_mixed == pytest.approx(2.0 * math.sqrt(2.0) * step, rel=1e-12)
+
+
+def test_bounded_product_scan_skips_flat_blocks(monkeypatch):
+    # the 2049^2 profile pair of criterion 11: its mixed term peaks
+    # within a block or two of the interface
+    prof = solve_profile(128.0, 0.0625)
+    u, v = extend_to_2d(prof, square_grid(128.0, 2049), (1.0, 0.0))
+    blocks = _differenced_blocks(monkeypatch)
+    pb = product_bounds(u, v)
+    assert len(blocks) <= 5
+    assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
 
 
 def test_direction_convergence_peak_memory():

@@ -320,7 +320,7 @@ def test_invalid_field_file_exits_2(linear_files, tmp_path, capsys, damage):
                "--in-u", str(bad), "--in-v", str(in_v), "--outdir", str(outdir)])
     assert rc == 2
     assert "bad_u.csv" in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 def test_spheremin_reports_iterations_and_kkt(tmp_path, capsys):
@@ -456,6 +456,7 @@ def test_no_knob_moved():
 EXIT_CODES = {
     "ConfigInvalid": 1,
     "NegativeInput": 1,
+    "OutputUnwritable": 1,
     "BallOutsideDomain": 2,
     "PointOutsideDomain": 2,
     "DomainTooLarge": 2,
@@ -473,6 +474,7 @@ _ERROR_ARGS = {
     "ConfigInvalid": ("x", "bad"),
     "InputMissing": ("x.csv",),
     "InputInvalid": ("x.csv", "bad"),
+    "OutputUnwritable": ("x.csv", "bad"),
     "NoConvergence": (7, 1.0),
 }
 
@@ -534,7 +536,7 @@ def test_nonfinite_grid_header_exits_2(tmp_path, capsys, h, ox, oy):
                "--in-u", str(paths[0]), "--in-v", str(paths[1]), "--outdir", str(outdir)])
     assert rc == 2
     assert "hu.csv" in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 def _non_utf8(path):
@@ -563,6 +565,32 @@ def test_unreadable_input_exits_2(linear_files, tmp_path, capsys, make, flag):
     assert main(argv + ["--outdir", str(outdir)]) == 2
     assert f"invalid input file {bad}" in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
+
+
+_PROFILE = ["profile", "--half-length", "10", "--spacing", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (_PROFILE + ["--outdir", "F"], "F/profile.csv"),
+        (_PROFILE + ["--out", "F/x.csv"], "F/x.csv"),
+        (_PROFILE + ["--out", "D"], "D"),
+        (["accept", "--outdir", "F"], "F/01_profile.csv"),
+    ],
+    ids=["outdir-is-file", "out-under-file", "out-is-dir", "accept-outdir-is-file"],
+)
+def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, argv, path):
+    # F is a file and D a directory, so neither can be made or replaced
+    # by an output file; the run exits 1 naming the path and writes nothing
+    (tmp_path / "F").write_text("a file\n")
+    (tmp_path / "D").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "F"]
+    assert (tmp_path / "F").read_text() == "a file\n"
+    assert not any((tmp_path / "D").iterdir())
 
 
 def test_outputs_create_nested_directories(tmp_path, capsys):

@@ -216,14 +216,17 @@ def test_extension_domain_too_large():
 
 
 def test_extension_equals_meshgrid_formula(profile):
-    # oblique direction, non-square grid, non-dyadic spacing
-    g = Grid2D(37, 53, 0.07, origin=(-1.3, -1.8))
-    d = np.array([0.6, -1.7]) / np.hypot(0.6, -1.7)
-    u2, v2 = extend_to_2d(profile, g, (0.6, -1.7))
-    X, Y = g.meshgrid()
-    t = X * d[0] + Y * d[1]
-    assert np.array_equal(u2.values, np.interp(t, profile.x, profile.u))
-    assert np.array_equal(v2.values, np.interp(t, profile.x, profile.v))
+    # oblique and x-axis directions; x and y cross 0 between nodes (a
+    # non-square grid with non-dyadic spacing) and at a node, where the
+    # x-axis rows meet t = +-0.0
+    for g in (Grid2D(37, 53, 0.07, origin=(-1.3, -1.8)), square_grid(1.0, 33)):
+        X, Y = g.meshgrid()
+        for direction in ((0.6, -1.7), (1.0, 0.0), (-2.5, 0.0)):
+            d = np.asarray(direction) / np.hypot(*direction)
+            u2, v2 = extend_to_2d(profile, g, direction)
+            t = X * d[0] + Y * d[1]
+            assert u2.values.tobytes() == np.interp(t, profile.x, profile.u).tobytes()
+            assert v2.values.tobytes() == np.interp(t, profile.x, profile.v).tobytes()
 
 
 def test_extension_peak_memory():
