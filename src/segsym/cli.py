@@ -259,6 +259,8 @@ def run_solve2d(params, outdir: Path):
         "residual": pair.residual,
         "residual_tolerance": params["tol"],
         "sweeps": pair.sweeps,
+        "newton_steps": pair.newton_steps,
+        "cg_iterations": pair.cg_iterations,
         "seconds": pair.seconds,
         "out_u": out_u,
         "out_v": out_v,

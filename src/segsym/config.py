@@ -14,9 +14,10 @@ class SolveConfig:
     tol       sup-norm residual target of the 1D and 2D solves (not an
               energy delta); the spherical minimizer does not read it,
               it stops on its own KKT tolerance (sphere._KKT_TOL)
-    max_iter  sweep / outer-step cap of the 2D solve and the spherical
-              descent before NoConvergence; the 1D Newton solve has its
-              own cap (profile1d._NEWTON_MAX)
+    max_iter  cap before NoConvergence: of the 2D solve's SOR sweeps on
+              its coarsest grid and of its Newton steps on each finer
+              grid, and of the spherical descent's outer steps; the 1D
+              Newton solve has its own cap (profile1d._NEWTON_MAX)
 
     No solver or minimizer draws random numbers; acceptance criterion 7
     seeds its own rearrangement trials (acceptance._REARRANGE_SEED).

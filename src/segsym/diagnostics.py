@@ -367,15 +367,20 @@ def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
     return amp, (4.0 * spread + 32.0 * np.finfo(float).eps * amp) / h
 
 
-def _bounded_max(bounds: np.ndarray, blocks: list[slice], block_max) -> float:
+def _bounded_max(bounds: np.ndarray, blocks: list[slice], block_max, name: str) -> float:
     """max over the blocks of block_max(rows), visiting the blocks in
     decreasing bound and skipping a block whose bound is below the
-    running max.  A NaN bound never skips."""
+    running max.  A NaN bound never skips, and a NaN block max raises
+    NumericalBreakdown naming the scan."""
     best = -math.inf
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] < best:
             continue
-        best = max(best, block_max(blocks[b]))
+        m = block_max(blocks[b])
+        # max(best, nan) would keep best and read as a clean pass
+        if math.isnan(m):
+            raise NumericalBreakdown(f"product_bounds: the {name} scan hit a NaN")
+        best = max(best, m)
     return best
 
 
@@ -397,7 +402,9 @@ def product_bounds(u: Field, v: Field) -> ProductBounds:
     as a scan of every block.  The interaction-mass exponent is fitted
     over the balls R_max * {1/4, 1/2, 1} around the grid center, R_max
     the inscribed radius, with u^2 v^2 built once on the largest ball's
-    window; identically segregated pairs (zero product) report 0.0."""
+    window; identically segregated pairs (zero product) report 0.0.
+    A NaN in either scan (say, from an overflowing gradient) raises
+    NumericalBreakdown."""
     _check_pair(u, v)
     g = u.grid
     blocks = _row_blocks(0, g.nx)
@@ -415,8 +422,10 @@ def product_bounds(u: Field, v: Field) -> ProductBounds:
         mixed = u.values[rows] * np.hypot(vx, vy) + v.values[rows] * np.hypot(ux, uy)
         return float(np.max(mixed))
 
-    sup_uv = _bounded_max(amp_u * amp_v * pad, blocks, block_uv)
-    sup_mixed = _bounded_max((amp_u * grad_v + amp_v * grad_u) * pad, blocks, block_mixed)
+    sup_uv = _bounded_max(amp_u * amp_v * pad, blocks, block_uv, "sup uv")
+    sup_mixed = _bounded_max(
+        (amp_u * grad_v + amp_v * grad_u) * pad, blocks, block_mixed, "sup mixed"
+    )
     xmin, xmax, ymin, ymax = g.extent
     r_max = 0.5 * min(xmax - xmin, ymax - ymin)
     center = g.center
@@ -464,7 +473,8 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     g/|g| when g points into the arc (along >= 0 and
     s along >= a across) and otherwise at the arc edge nearer g, where
     it is a along + s across.  The interior is scanned in blocks of
-    rows, so the temporaries stay cache-sized on large grids."""
+    rows, so the temporaries stay cache-sized on large grids.  A NaN
+    (say, from an overflowing gradient) raises NumericalBreakdown."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
@@ -486,7 +496,11 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
             excess = a * along + s * across
             inside = (along >= 0.0) & (s * along >= a * across)
             excess[inside] = np.hypot(along[inside], across[inside])
-            worst = max(worst, float(np.max(excess)))
+            block = float(np.max(excess))
+            # max(worst, nan) would keep worst and read as a clean pass
+            if math.isnan(block):
+                raise NumericalBreakdown("cone_monotonicity: the cone scan hit a NaN")
+            worst = max(worst, block)
     return worst
 
 

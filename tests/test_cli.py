@@ -97,12 +97,25 @@ def test_solve2d_roundtrip(tmp_path, capsys):
     kv = last_result(capsys)
     assert float(kv["residual"]) <= 1e-7
     assert int(kv["sweeps"]) > 0
+    # 65² is the largest grid SOR solves alone
+    assert int(kv["newton_steps"]) == 0
+    assert int(kv["cg_iterations"]) == 0
     assert float(kv["seconds"]) > 0.0
     u = read_field(tmp_path / "u.csv")
     v = read_field(tmp_path / "v.csv")
     assert u.grid == v.grid
     assert u.grid.nx == 65
     assert float(np.min(u.values)) >= 0.0
+
+
+def test_solve2d_reports_newton_work(tmp_path, capsys):
+    # 129² is solved on 65² by SOR, then by Newton steps on 129²
+    assert main(["solve2d", "--n", "129", "--outdir", str(tmp_path)]) == 0
+    kv = last_result(capsys)
+    assert float(kv["residual"]) <= 1e-8
+    assert int(kv["sweeps"]) > 0
+    assert 1 <= int(kv["newton_steps"]) <= 5
+    assert int(kv["newton_steps"]) <= int(kv["cg_iterations"])
 
 
 def test_diag_frequency_passes_on_linear_pair(linear_files, tmp_path, capsys):

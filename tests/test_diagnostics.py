@@ -531,3 +531,44 @@ def test_flatness_fit_validation():
         FlatnessFit(np.array([2.0, 0.0]), 0.1, 1.0)
     with pytest.raises(ValueError):
         FlatnessFit(np.array([1.0, 0.0]), -0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# a NaN in a sup scan must not read as a clean pass
+
+
+def overflowing_pair(axis):
+    """A 17² pair whose u has a line of 1e308 next to one of -1e308, so
+    its differences overflow to ±inf and their products to NaN."""
+    g = square_grid(1.0, 17)
+    a = np.zeros((17, 17))
+    if axis == 0:
+        a[8, :], a[9, :] = 1e308, -1e308
+    else:
+        a[:, 8], a[:, 9] = 1e308, -1e308
+    return Field(g, a), Field(g, np.zeros((17, 17)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_nan_in_sup_scans_raises(axis):
+    # Python's max(best, nan) keeps best: cone_monotonicity read 0.0 and
+    # product_bounds sup_mixed -inf on this pair
+    u, v = overflowing_pair(axis)
+    with pytest.raises(NumericalBreakdown, match="cone scan") as exc:
+        dg.cone_monotonicity(u, v, (1.0, 0.0), 0.5)
+    assert exc.value.exit_code == 3
+    for first, second in ((u, v), (v, u)):
+        with pytest.raises(NumericalBreakdown, match="sup mixed scan"):
+            dg.product_bounds(first, second)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_product_is_not_nan():
+    # an infinite sup is a value, not a NaN: it comes back as inf
+    g = square_grid(1.0, 17)
+    u = Field(g, np.full((17, 17), 1e200))
+    pb = dg.product_bounds(u, u)
+    assert pb.sup_uv == math.inf
+    assert pb.sup_mixed == 0.0
+    assert dg.cone_monotonicity(u, u, (1.0, 0.0), 0.5) == 0.0

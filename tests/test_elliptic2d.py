@@ -144,12 +144,14 @@ def test_over_relaxation_sweep_count(solved_k100):
 
 
 def test_one_stage_sweep_count():
-    # relaxing at the target kappa from the border data takes 550 sweeps
-    g = square_grid(1.0, 129)
+    # relaxing at the target kappa from the border data takes 300 sweeps
+    # on 65², the largest grid SOR solves alone
+    g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
     pair = solve_system(g, fu, fv, 1e3)
     assert pair.residual <= SolveConfig().tol
-    assert pair.sweeps <= 600
+    assert pair.sweeps <= 300
+    assert pair.newton_steps == 0 and pair.cg_iterations == 0
 
 
 def border_only(g, bdata):
@@ -162,6 +164,8 @@ def border_only(g, bdata):
 
 
 def test_pair_solve_runs_no_linear_solve(monkeypatch):
+    """Grids of at most _NEST_MIN nodes per axis are relaxed by SOR
+    alone; only the Newton steps of larger grids solve linear systems."""
     monkeypatch.setattr(e2d, "_mg_pcg", lambda *args: pytest.fail("a linear solve ran"))
     g = square_grid(1.0, 33)
     fu, fv = linear_pair_bdata()
@@ -303,22 +307,53 @@ def test_product_sup_exponent():
 
 
 def test_converged_at_max_iter_returns():
-    # 129^2, kappa = 1e2 meets tol after exactly 550 sweeps: a cap of 550
+    # 65^2, kappa = 1e2 meets tol after exactly 300 sweeps: a cap of 300
     # is reached and met together, and convergence wins
-    g = square_grid(1.0, 129)
+    g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=550))
-    assert pair.sweeps == 550
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=300))
+    assert pair.sweeps == 300
     assert pair.residual <= SolveConfig().tol
 
 
 def test_max_iter_is_exact():
     # a cap that is not a multiple of the check interval stops there
-    g = square_grid(1.0, 129)
+    g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence) as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=480))
-    assert exc.value.iterations == 480
+        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=255))
+    assert exc.value.iterations == 255
+    assert exc.value.residual > SolveConfig().tol
+
+
+def uncapped_relax(monkeypatch):
+    """Let the coarsest grid's SOR ignore cfg.max_iter, so that a cap
+    bites on the Newton steps alone."""
+    relax = e2d._relax
+    monkeypatch.setattr(
+        e2d, "_relax", lambda u, v, kappa, h, cfg: relax(u, v, kappa, h, SolveConfig(tol=cfg.tol))
+    )
+
+
+def test_newton_converged_at_max_iter_returns(monkeypatch):
+    # 129^2, kappa = 1e2 needs exactly 4 Newton steps: a cap of 4 is
+    # reached and met together, and convergence wins
+    uncapped_relax(monkeypatch)
+    g = square_grid(1.0, 129)
+    fu, fv = linear_pair_bdata()
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=4))
+    assert pair.newton_steps == 4
+    assert pair.residual <= SolveConfig().tol
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_newton_max_iter_is_exact(monkeypatch, cap):
+    uncapped_relax(monkeypatch)
+    g = square_grid(1.0, 129)
+    fu, fv = linear_pair_bdata()
+    with pytest.raises(NoConvergence, match="Newton") as exc:
+        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=cap))
+    assert exc.value.iterations == cap
     assert exc.value.residual > SolveConfig().tol
 
 
@@ -432,13 +467,14 @@ def test_energy_linear_pair_ball():
 
 def spsolve_reference(x, free, shift, h):
     """Assemble (4 + shift h²) x − Σ neighbours = 0 on the mask, frozen
-    neighbours moved to the right-hand side, and solve it directly."""
+    neighbours moved to the right-hand side, and solve it directly;
+    shift is a float or an array of x's shape."""
     ii, jj = np.nonzero(free)
     n = ii.size
     num = -np.ones(free.shape, dtype=np.int64)
     num[ii, jj] = np.arange(n)
     rows, cols = [np.arange(n)], [np.arange(n)]
-    vals = [np.full(n, 4.0 + shift * h * h)]
+    vals = [4.0 + np.broadcast_to(shift, free.shape)[ii, jj] * (h * h)]
     rhs = np.zeros(n)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         nb = num[ii + di, jj + dj]
@@ -481,12 +517,14 @@ def masked_problems(draw):
 @given(problem=masked_problems())
 def test_mg_pcg_matches_direct_solve(problem):
     x, free, shift, h = problem
-    got = e2d._mg_pcg(x, free, shift, h)
+    got, iterations, rel = e2d._mg_pcg(x, free, shift, h)
     ref = spsolve_reference(x, free, shift, h)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert np.max(np.abs(got - ref)) <= 1e-10 * scale
     # frozen nodes come back unchanged, and the input is not written to
     assert np.array_equal(got[~free], x[~free])
+    assert 0 <= iterations <= e2d._MG_MAX_ITER
+    assert rel <= e2d._MG_RTOL
 
 
 def test_mg_pcg_on_the_bench_decay_problem():
@@ -496,7 +534,7 @@ def test_mg_pcg_on_the_bench_decay_problem():
     x = np.ones((g.nx, g.ny))
     for M in (10.0, 1000.0):
         ref = spsolve_reference(x, free, M, g.h)
-        assert np.max(np.abs(e2d._mg_pcg(x, free, M, g.h) - ref)) <= 1e-10
+        assert np.max(np.abs(e2d._mg_pcg(x, free, M, g.h)[0] - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -526,3 +564,156 @@ def test_mg_pcg_zero_data_returns_without_iterating(monkeypatch):
     g = square_grid(1.0, 33)
     w = solve_linear_decay(5.0, 0.0, 0.9, g)
     assert np.array_equal(w.values, np.zeros((g.nx, g.ny)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=masked_problems(), data=st.data())
+def test_mg_pcg_variable_shift_matches_direct_solve(problem, data):
+    # a per-node shift up to 1e6 h^-2, zero on a random half-plane (which
+    # may hold all of the mask, or none of it)
+    x, free, _, h = problem
+    nx, ny = x.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    top = 10.0 ** data.draw(st.integers(-3, 6)) / (h * h)
+    shift = rng.uniform(0.0, top, (nx, ny))
+    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    a, b = rng.normal(size=2)
+    shift[a * (I - nx / 2) + b * (J - ny / 2) > rng.normal() * nx / 4] = 0.0
+    got, iterations, rel = e2d._mg_pcg(x, free, shift, h)
+    ref = spsolve_reference(x, free, shift, h)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+    assert np.array_equal(got[~free], x[~free])
+    assert iterations <= e2d._MG_MAX_ITER and rel <= e2d._MG_RTOL
+
+
+def test_mg_pcg_constant_array_shift_matches_scalar():
+    # an array shift restricts c = shift h² by full weighting; a scalar
+    # one is rediscretized per level, so the two agree to solver
+    # tolerance, not bit for bit
+    g = square_grid(1.0, 65)
+    X, Y = g.meshgrid()
+    free = np.hypot(X, Y) < 0.9
+    x = np.ones((g.nx, g.ny))
+    scalar, _, _ = e2d._mg_pcg(x, free, 50.0, g.h)
+    array, _, _ = e2d._mg_pcg(x, free, np.full(x.shape, 50.0), g.h)
+    assert np.max(np.abs(scalar - array)) <= 1e-12
+
+
+def test_truncated_cg_stops_on_nonpositive_curvature():
+    # diag(1, -1) from r = (1, 1): the first direction has curvature 0
+    # and comes back as the step; diag(1, -3) from r = (1, 0.1) meets
+    # negative curvature on the second direction and returns the first
+    # CG iterate, a multiple of r and so still a descent direction
+    identity = lambda r: r.copy()
+    r = np.array([1.0, 1.0])
+    step, it, _ = e2d._pcg(lambda p: np.array([1.0, -1.0]) * p, identity, r.copy(), 0.0, True)
+    assert it == 1 and np.array_equal(step, r)
+    d, r = np.array([1.0, -3.0]), np.array([1.0, 0.1])
+    step, it, _ = e2d._pcg(lambda p: d * p, identity, r.copy(), 0.0, True)
+    assert it == 2
+    assert step == pytest.approx(r * (1.01 / 0.97), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the nested Newton solve above 65²
+
+HALF = linear_pair_bdata()
+SADDLE = (
+    lambda X, Y: np.maximum(X * X - Y * Y, 0.0),
+    lambda X, Y: np.maximum(Y * Y - X * X, 0.0),
+)
+
+
+def sor_only(monkeypatch, g, bdata, kappa):
+    """The same solve by SOR on the fine grid itself."""
+    with monkeypatch.context() as m:
+        m.setattr(e2d, "_NEST_MIN", 10**9)
+        return solve_system(g, *bdata, kappa)
+
+
+@pytest.mark.parametrize(
+    "bdata, kappa, bound",
+    [(HALF, 1e2, 1e-10), (HALF, 1e3, 1e-10), (HALF, 1e4, 1e-10),
+     (SADDLE, 1e2, 5e-10), (SADDLE, 1e3, 5e-10)],
+    ids=["half-1e2", "half-1e3", "half-1e4", "saddle-1e2", "saddle-1e3"],
+)
+def test_newton_agrees_with_sor(monkeypatch, bdata, kappa, bound):
+    g = square_grid(1.0, 129)
+    pair = solve_system(g, *bdata, kappa)
+    ref = sor_only(monkeypatch, g, bdata, kappa)
+    assert [s.nx for s in pair.stages] == [65, 129]
+    assert ref.newton_steps == 0 and ref.sweeps > 0
+    assert np.max(np.abs(pair.u.values - ref.u.values)) <= bound
+    assert np.max(np.abs(pair.v.values - ref.v.values)) <= bound
+
+
+@pytest.mark.parametrize(
+    "bdata, kappa",
+    [(HALF, 1e2), (HALF, 1e5), (SADDLE, 1e3), (SADDLE, 1e5)],
+    ids=["half-1e2", "half-1e5", "saddle-1e3", "saddle-1e5"],
+)
+def test_newton_invariants(bdata, kappa):
+    # (Re z^2)^± at kappa = 1e5 is the Berestycki-Terracini-Wang-Wei
+    # saddle, where Newton from the border data alone stalls
+    g = square_grid(1.0, 129)
+    pair = solve_system(g, *bdata, kappa)
+    tol = SolveConfig().tol
+    assert pair.residual <= tol
+    assert _sup_residual(pair.u.values, pair.v.values, kappa, g.h) == pair.residual
+    assert pair.u.values.min() >= 0.0
+    assert pair.v.values.min() >= 0.0
+    assert pair.energy_trace.size == pair.newton_steps
+    assert np.all(np.diff(pair.energy_trace) <= 1e-12)
+    assert pair.energy_trace[-1] == e2d.discrete_energy(pair.u.values, pair.v.values, kappa, g.h)
+    assert pair.sweeps == pair.stages[0].sweeps > 0
+    assert pair.newton_steps == sum(s.newton_steps for s in pair.stages)
+    assert pair.cg_iterations == sum(s.cg_iterations for s in pair.stages)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("bdata", [HALF, SADDLE], ids=["half", "saddle"])
+def test_newton_steps_per_level(n, bdata):
+    g = square_grid(1.0, n)
+    pair = solve_system(g, *bdata, 1e3)
+    assert [(s.nx, s.ny) for s in pair.stages][1:] == [(m, m) for m in (129, 257) if m <= n]
+    for stage in pair.stages[1:]:
+        assert 1 <= stage.newton_steps <= 5
+        assert stage.cg_iterations <= 30 * stage.newton_steps
+        assert stage.sweeps == 0
+
+
+def test_nesting_needs_odd_node_counts():
+    # an even axis cannot be halved onto the even nodes: SOR alone
+    g = Grid2D(130, 67, 2.0 / 129, origin=(-1.0, -0.5))
+    pair = solve_system(g, *HALF, 100.0)
+    assert [(s.nx, s.ny) for s in pair.stages] == [(130, 67)]
+    assert pair.newton_steps == 0 and pair.residual <= SolveConfig().tol
+
+
+def test_newton_non_finite_residual_raises(monkeypatch):
+    # NaN fails every comparison; on the fine grid it must raise, not pass
+    residual = e2d._sup_residual
+    monkeypatch.setattr(
+        e2d, "_sup_residual",
+        lambda u, *a: float("nan") if u.shape[0] == 129 else residual(u, *a),
+    )
+    g = square_grid(1.0, 129)
+    with pytest.raises(NoConvergence, match="non-finite") as exc:
+        solve_system(g, *HALF, 100.0)
+    assert exc.value.iterations == 0
+
+
+def test_newton_stall_raises(monkeypatch):
+    # an energy that rises on every trial step halves the step below
+    # _MIN_STEP: a stall is not convergence
+    energy = e2d.discrete_energy
+    calls = iter(range(10**6))
+    monkeypatch.setattr(
+        e2d, "discrete_energy",
+        lambda u, *a: energy(u, *a) + (next(calls) if u.shape[0] == 129 else 0.0),
+    )
+    g = square_grid(1.0, 129)
+    with pytest.raises(NoConvergence, match="stalled") as exc:
+        solve_system(g, *HALF, 100.0)
+    assert exc.value.iterations == 0
