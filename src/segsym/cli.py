@@ -338,6 +338,7 @@ def run_spheremin(params, outdir: Path):
         "seg": rep.seg,
         "xi": rep.xi,
         "iterations": rep.iterations,
+        "eigen_steps": rep.eigen_steps,
         "kkt": rep.kkt,
     }
     atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -347,6 +348,7 @@ def run_spheremin(params, outdir: Path):
         "mult2": rep.mult2,
         "seg": rep.seg,
         "iterations": rep.iterations,
+        "eigen_steps": rep.eigen_steps,
         "kkt": rep.kkt,
         "out": out,
     }
@@ -376,6 +378,7 @@ def run_spheresweep(params, outdir: Path):
         "C": fit.C,
         "exponent": fit.exponent,
         "max_iterations": max(r.iterations for r in fit.reports),
+        "max_eigen_steps": max(r.eigen_steps for r in fit.reports),
         "max_kkt": max(r.kkt for r in fit.reports),
         "out": out,
     }

@@ -13,9 +13,23 @@ tangent gamma'(x) x + gamma'(y) y at the current pair majorizes the value
 up to a constant.  With v fixed it is a quadratic form in u, minimized
 over unit-mass u by the lowest eigenvector of gamma'(x) S + kappa
 (gamma'(x) lambda^2 + gamma'(y)) diag(w v^2) against diag(w), S the
-stiffness matrix; after W^{-1/2} scaling that is one O(m) tridiagonal
-eigen solve.  v follows, with the tangent taken at the new u.  No half
-step can raise the value, and since S has negative off-diagonals each
+stiffness matrix; after W^{-1/2} scaling that is the ground state of a
+tridiagonal T with nonpositive off-diagonals.  v follows, with the
+tangent taken at the new u.
+
+Consecutive majorizers barely differ, so each ground state is found by
+shifted inverse iteration started from the current iterate: a step
+factors T - sigma with LAPACK ?pttrf and solves with ?pttrs, O(m) each,
+and one or two steps usually reach a residual |T y - rho y| at the
+rounding level of |T|.  The shift sits below the Rayleigh quotient rho,
+and the factorization itself certifies it: ?pttrf succeeds exactly when
+T - sigma is positive definite, i.e. sigma < lambda_1; on failure sigma
+moves 16 times further down.  T - sigma is then an M-matrix whose LDL^T
+factors have positive pivots and nonpositive multipliers, so the solve
+only adds nonnegative terms and a nonnegative iterate stays nonnegative,
+in floating point too, converging to the Perron vector.  With sigma
+below the spectrum the Rayleigh quotient cannot increase, so no half
+step can raise the value; since S has negative off-diagonals each
 ground state is simple and strictly positive (Perron-Frobenius): no
 clipping, projection or line search.  The stop rule is a relative KKT
 residual at most _KKT_TOL.
@@ -27,13 +41,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .config import SolveConfig
 from .errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalBreakdown
 
 _FIBER = {2: 2.0, 3: 2.0 * math.pi}  # measure of the azimuthal fiber
 _KKT_TOL = 1e-6  # relative KKT residual at which the minimizer stops
+_EPS = float(np.finfo(float).eps)
+_RESIDUAL_ULPS = 16.0  # eigen residual, in rounding units of |T|, at which a ground state stops
+_EIGEN_MAX_STEPS = 100  # inverse-iteration steps per ground state
+_SHIFT_TRIES = 16  # delta >= tol grows past rho + |T| >= rho - lambda_1 within 14 tries
 
 
 def surface_measure(n: int) -> float:
@@ -209,6 +227,7 @@ class MinimizerReport:
     iterations: int
     pair: SphericalPair
     kkt: float = math.nan  # relative KKT residual; NaN when not measured
+    eigen_steps: int = 0  # inverse-iteration steps over all ground-state solves
 
     def __post_init__(self):
         if self.value < 0.0 or self.x_kappa < 0.0 or self.y_kappa < 0.0:
@@ -249,15 +268,62 @@ def _normalize(f, w):
     return f / mass
 
 
-def _ground_state(diag, off, rs, w):
+def _tridiagonal_apply(diag, off, y):
+    t = diag * y
+    t[:-1] += off * y[1:]
+    t[1:] += off * y[:-1]
+    return t
+
+
+def _ground_state(diag, off, f, rs, w):
     """Positive unit-w-mass lowest eigenvector of the W^{-1/2}-scaled
-    tridiagonal matrix (diag, off); rs = w^{-1/2}."""
-    try:
-        _, q = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    except LinAlgError as e:
-        raise NumericalBreakdown(f"spherical descent eigen solve failed: {e}") from e
-    # off <= 0 makes the ground state one-signed (Perron-Frobenius)
-    return _normalize(np.abs(q[:, 0]) * rs, w)
+    tridiagonal matrix T = (diag, off), off <= 0, rs = w^{-1/2}, and the
+    number of inverse-iteration steps taken from y = W^{1/2} f.
+
+    Each step solves (T - sigma) x = y for sigma = rho - delta.  Since
+    rho - lambda_1 >= res^2 / (lambda_max - lambda_1) for res = |T y -
+    rho y|, delta starts at res^2 / (2 |T|) (|T| = max |diag| + 2 max
+    |off| bounds the spectrum), but no closer than the stop tolerance, the
+    rounding level of rho; it grows 16-fold until ?pttrf certifies
+    sigma < lambda_1.  Stops once res <= _RESIDUAL_ULPS eps |T|; raises
+    NumericalBreakdown when no shift is certified, a solve is not finite,
+    or _EIGEN_MAX_STEPS steps do not reach that residual.
+    """
+    norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
+    tol = _RESIDUAL_ULPS * _EPS * norm
+    y = f / rs
+    y /= math.sqrt(float(np.dot(y, y)))
+    steps = 0
+    while True:
+        t = _tridiagonal_apply(diag, off, y)
+        rho = float(np.dot(y, t))
+        t -= rho * y
+        res = math.sqrt(float(np.dot(t, t)))
+        if res <= tol:
+            return _normalize(np.abs(y) * rs, w), steps
+        if steps == _EIGEN_MAX_STEPS:
+            raise NumericalBreakdown(
+                f"spherical descent inverse iteration left residual {res:.3g} > {tol:.3g}"
+                f" after {steps} steps"
+            )
+        delta = max(res * res / (2.0 * norm), tol)
+        for _ in range(_SHIFT_TRIES):
+            d, e, info = dpttrf(diag - (rho - delta), off)
+            if info == 0:
+                break
+            delta *= 16.0
+        else:
+            raise NumericalBreakdown(
+                f"spherical descent found no shift below the spectrum in {_SHIFT_TRIES} tries"
+            )
+        x, _ = dpttrs(d, e, y)
+        steps += 1
+        scale = math.sqrt(float(np.dot(x, x)))
+        if not 0.0 < scale < math.inf:
+            raise NumericalBreakdown(
+                f"spherical descent inverse iteration went non-finite at step {steps}"
+            )
+        y = x / scale
 
 
 def _tangent(state, n, kappa, lam2):
@@ -293,7 +359,8 @@ def _checked_value(prev, it, u, v, *args):
 
 def _descent(u, v, pair0, kappa, lam2, cfg):
     """Alternating ground-state iteration; returns the pair, its value,
-    quotients and product mass, the outer steps and the KKT residual."""
+    quotients and product mass, the outer steps, the KKT residual and the
+    inverse-iteration steps."""
     n, w = pair0.n, pair0.w
     w_edge, dalpha = _edge_data(pair0)
     stiff = w_edge / dalpha**2
@@ -304,16 +371,19 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
     s_off = -stiff * rs[:-1] * rs[1:]
     u, v = _normalize(u, w), _normalize(v, w)
     state = _checked_value(math.inf, 0, u, v, *args)
+    eigen_steps = 0
     for it in range(1, cfg.max_iter + 1):
         gpx, _, mix = _tangent(state, n, kappa, lam2)
-        u = _ground_state(gpx * s_diag + mix * v * v, gpx * s_off, rs, w)
+        u, steps = _ground_state(gpx * s_diag + mix * v * v, gpx * s_off, u, rs, w)
+        eigen_steps += steps
         state = _checked_value(state[0], it, u, v, *args)
         _, gpy, mix = _tangent(state, n, kappa, lam2)
-        v = _ground_state(gpy * s_diag + mix * u * u, gpy * s_off, rs, w)
+        v, steps = _ground_state(gpy * s_diag + mix * u * u, gpy * s_off, v, rs, w)
+        eigen_steps += steps
         state = _checked_value(state[0], it, u, v, *args)
         kkt = _kkt_residual(u, v, w, stiff, *_tangent(state, n, kappa, lam2))
         if kkt <= _KKT_TOL:
-            return u, v, *state, it, kkt
+            return u, v, *state, it, kkt, eigen_steps
     raise NoConvergence(cfg.max_iter, kkt, "spherical descent")
 
 
@@ -338,10 +408,13 @@ def minimize_spherical(
     in x).  Alternating ground-state solves (see the module docstring)
     from one start, the cap pair u ~ (cos alpha)^+, v ~ (cos alpha)^-,
     each lifted by 0.02, until the relative KKT residual is at most
-    _KKT_TOL = 1e-6; the report carries that residual as `kkt` and the
-    outer steps (one u and one v solve each) as `iterations`.  Raises
+    _KKT_TOL = 1e-6; the report carries that residual as `kkt`, the
+    outer steps (one u and one v ground state each) as `iterations` and
+    the inverse-iteration steps of all ground states as `eigen_steps`.
+    Each ground state starts from the current iterate.  Raises
     NoConvergence after cfg.max_iter outer steps (cfg.tol is not read)
-    and NumericalBreakdown if the value rises or goes non-finite.
+    and NumericalBreakdown if the value rises or goes non-finite or a
+    ground state breaks down (see _ground_state).
     Multipliers are evaluated from the stationarity identities.
     """
     cfg = cfg or SolveConfig()
@@ -352,7 +425,7 @@ def minimize_spherical(
     lam2 = lambda_kappa**2
     t = np.cos(pair0.alpha)
     u0, v0 = np.maximum(t, 0.0) + 0.02, np.maximum(-t, 0.0) + 0.02
-    u, v, val, x, y, pm, its, kkt = _descent(u0, v0, pair0, kappa, lam2, cfg)
+    u, v, val, x, y, pm, its, kkt, eigen_steps = _descent(u0, v0, pair0, kappa, lam2, cfg)
     gpx = _gamma_prime(x, n)
     gpy = _gamma_prime(y, n)
     coupling = kappa * pm
@@ -369,6 +442,7 @@ def minimize_spherical(
         iterations=its,
         pair=SphericalPair(n, m, pair0.alpha, pair0.w, u, v),
         kkt=kkt,
+        eigen_steps=eigen_steps,
     )
 
 

@@ -11,7 +11,7 @@ from segsym.acceptance import Check, CriterionResult
 from segsym.cli import main
 from segsym.grid import Field, read_field, square_grid, write_field
 from segsym.presets import linear_pair
-from segsym.sphere import kappa_sweep
+from segsym.sphere import kappa_sweep, minimize_spherical
 
 
 def last_result(capsys):
@@ -341,6 +341,9 @@ def test_spheremin_reports_iterations_and_kkt(tmp_path, capsys):
     kv = last_result(capsys)
     doc = json.loads((tmp_path / "spheremin.json").read_text())
     assert int(kv["iterations"]) == doc["iterations"] >= 1
+    # the cap start is no ground state, so the first solve takes a step
+    assert int(kv["eigen_steps"]) == doc["eigen_steps"] >= 1
+    assert doc["eigen_steps"] == minimize_spherical(200.0, 1.0, 64).eigen_steps
     assert float(kv["kkt"]) == pytest.approx(doc["kkt"], rel=1e-9)
     assert doc["kkt"] <= 1e-6
 
@@ -352,6 +355,7 @@ def test_spheresweep_reports_iterations_and_kkt(tmp_path, capsys):
     kv = last_result(capsys)
     reports = kappa_sweep(kappas, 1.0, 32).reports
     assert int(kv["max_iterations"]) == max(r.iterations for r in reports) >= 1
+    assert int(kv["max_eigen_steps"]) == max(r.eigen_steps for r in reports) >= 1
     assert float(kv["max_kkt"]) == pytest.approx(max(r.kkt for r in reports), rel=1e-9)
     assert float(kv["max_kkt"]) <= 1e-6
 

@@ -7,9 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 
 from segsym import sphere
 from segsym.config import SolveConfig
@@ -323,7 +322,7 @@ def test_minimize_n3_is_stationary_and_monotone():
     assert np.all(np.diff(rep.pair.vbar) >= -1e-12)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     n=st.sampled_from([2, 3]),
     m=st.integers(16, 96),
@@ -361,12 +360,68 @@ def test_minimize_stall_is_not_convergence():
 
 
 def test_eigen_solve_failure_raises_numerical_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise LinAlgError("no convergence in stebz")
+    # a factorization that never certifies a shift below the spectrum,
+    # a solve that returns non-finite values, and a ground state that is
+    # not reached within the step cap: each ends the descent with
+    # NumericalBreakdown after a bounded number of LAPACK calls
+    calls = []
 
-    monkeypatch.setattr(sphere, "eigh_tridiagonal", fail)
-    with pytest.raises(NumericalBreakdown, match="descent"):
-        minimize_spherical(10.0, 1.0, 16)
+    def never_definite(d, e):
+        calls.append(d)
+        return d, e, 1
+
+    def nan_solve(d, e, b):
+        calls.append(b)
+        return np.full_like(b, math.nan), 0
+
+    for patch in ({"dpttrf": never_definite}, {"dpttrs": nan_solve}, {"_EIGEN_MAX_STEPS": 0}):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(sphere, name, value)
+            with pytest.raises(NumericalBreakdown, match="descent"):
+                minimize_spherical(10.0, 1.0, 16)
+        assert len(calls) <= sphere._SHIFT_TRIES
+
+
+@st.composite
+def tridiagonals(draw):
+    """Tridiagonal (diag, off) with off <= 0, m <= 300, a diagonal spread up
+    to 1e6 and, through one weakened coupling between mirrored halves, a
+    lowest pair that can be nearly degenerate."""
+    m = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    diag = scale * (1.0 + 10.0 ** draw(st.floats(0.0, 6.0)) * rng.uniform(0.0, 1.0, m))
+    off = -scale * rng.uniform(0.1, 1.0, m - 1)
+    if draw(st.booleans()):
+        diag[m - m // 2 :] = diag[: m // 2][::-1]
+    off[m // 2 - 1] *= 10.0 ** -draw(st.floats(0.0, 5.0))
+    return diag, off, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tridiagonals(), warm=st.booleans())
+def test_ground_state_matches_dense_eigh(case, warm):
+    diag, off, rng = case
+    m = diag.size
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam, vecs = np.linalg.eigh(t)
+    norm = float(np.max(np.abs(t).sum(axis=1)))
+    # both solvers resolve the vector only to about eps |T| / gap
+    assume(lam[1] - lam[0] >= 1e-4 * norm)
+    q = np.abs(vecs[:, 0])
+    w = rng.uniform(0.5, 2.0, m)
+    rs = 1.0 / np.sqrt(w)
+    start = q * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, m)) + 1e-3 if warm else np.ones(m)
+    f, steps = sphere._ground_state(diag, off, start * rs, rs, w)
+    y = f / rs
+    assert 0 <= steps <= sphere._EIGEN_MAX_STEPS
+    assert abs(float(y @ t @ y) - lam[0]) <= 1e-10 * norm
+    assert np.max(np.abs(y - q)) <= 1e-10
+    assert abs(float(np.dot(w, f * f)) - 1.0) <= 1e-12
+    # no cancellation in the M-matrix solve: entries are zero only by underflow
+    assert np.all(f >= 0.0) and np.all(f[q > 1e-200] > 0.0)
 
 
 def test_minimizer_does_not_load_scipy_optimize():
