@@ -26,9 +26,11 @@ g = square_grid(1.0, 129)
 fu, fv = linear_pair_bdata()
 print(f"solving on {g.nx}x{g.ny}, kappa = {KAPPA:g} ...")
 pair = solve_system(g, fu, fv, KAPPA)
+start, fine = pair.stages
 print(
-    f"residual {pair.residual:.3e} after {pair.sweeps} SOR sweeps on 65² and"
-    f" {pair.newton_steps} Newton steps ({pair.cg_iterations} CG iterations) on 129²"
+    f"residual {pair.residual:.3e} after {start.newton_steps} Newton steps on 65²"
+    f" (certified q = {start.q:.3f}) and {fine.newton_steps} on 129²"
+    f" ({pair.cg_iterations} CG iterations in all)"
 )
 print()
 

@@ -258,9 +258,10 @@ def run_solve2d(params, outdir: Path):
         "kappa": pair.kappa,
         "residual": pair.residual,
         "residual_tolerance": params["tol"],
-        "sweeps": pair.sweeps,
         "newton_steps": pair.newton_steps,
         "cg_iterations": pair.cg_iterations,
+        "escapes": pair.stages[0].escapes,
+        "q": pair.stages[0].q,
         "seconds": pair.seconds,
         "out_u": out_u,
         "out_v": out_v,

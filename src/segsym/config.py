@@ -14,17 +14,19 @@ class SolveConfig:
     tol       sup-norm residual target of the 1D and 2D solves (not an
               energy delta); the spherical minimizer does not read it,
               it stops on its own KKT tolerance (sphere._KKT_TOL)
-    max_iter  cap before NoConvergence: of the 2D solve's SOR sweeps on
-              its coarsest grid and of its Newton steps on each finer
-              grid, and of the spherical descent's outer steps; the 1D
-              Newton solve has its own cap (profile1d._NEWTON_MAX)
+    max_iter  cap before NoConvergence: of the 2D solve's Newton steps
+              on each grid and of its negative-curvature escapes on the
+              start grid, and of the spherical descent's outer steps; the
+              1D Newton solve has its own cap (profile1d._NEWTON_MAX).
+              The default is 5x the most outer steps measured (3989, at
+              kappa < 10 in the descent's property-test domain)
 
     No solver or minimizer draws random numbers; acceptance criterion 7
     seeds its own rearrangement trials (acceptance._REARRANGE_SEED).
     """
 
     tol: float = 1e-8
-    max_iter: int = 200_000
+    max_iter: int = 20_000
 
     def __post_init__(self):
         if not (self.tol > 0.0):

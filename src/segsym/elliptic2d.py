@@ -9,36 +9,11 @@ solve is nested.  While both node counts are odd and above _NEST_MIN,
 the grid of the even nodes (spacing 2h, its border sampled from the
 fine border) is solved first, its solution is interpolated bilinearly
 into the fine interior, and damped inexact Newton takes it from there.
-The coarsest grid, and every grid of at most _NEST_MIN nodes on an axis
-or with an even node count, is solved by projected red-black SOR alone.
-The Newton steps do not grow with the grid (3 or 4 per level on
-half-plane and (Re z²)^± data at κ = 1e2 … 1e5, 129² to 513²), whereas
-SOR's sweeps double with every halving of h.
-
-Projected red-black SOR is over-relaxed coordinate descent on E.  Each
-point update computes the exact scalar minimizer
-a* = (sum of the four neighbours) / (4 + κ h² b²) and moves to
-max(a + ω (a* − a), 0), with ω = 2 / (1 + √(1 − ρ²)) and
-ρ = (cos(π/(nx−1)) + cos(π/(ny−1))) / 2 the Jacobi spectral radius of
-the 5-point Laplacian on the grid (Young's optimal factor).  It starts
-from the boundary data with a zero interior.  Its energy trace is
-nonincreasing: restricted to one node, E is a convex quadratic with
-minimizer a* ≥ 0; nodes of one colour are not neighbours, so a colour
-update is a set of independent 1D moves.  For ω in (0, 2) the move
-a + ω (a* − a) does not raise that quadratic, and the projection onto
-[0, ∞) does not raise it either, because 0 lies between a negative
-candidate and a* ≥ 0.
-
-While it relaxes, u and v are held as their four parity planes
-a[p::2, q::2], each a contiguous array, so a colour block and its four
-neighbours are plain slices of planes.  Each block's views and two
-scratch buffers are built once, before the first sweep; a sweep then
-runs the update's eleven ufunc calls per block, each with out=, adding
-the neighbours in the order up + down, left, right.  These are the
-operations, in the order, of the same update on strided views of the
-full arrays, so every float is bit-identical to it.  Every _CHECK_EVERY
-sweeps (and at max_iter) the planes are copied back into u and v, and
-the sup residual and the energy are taken on the full arrays.
+The start grid (the coarsest of the nest, or the only grid when its
+node counts are even or at most _NEST_MIN) is solved by the same Newton
+iteration from the border data with a zero interior.  The Newton steps
+do not grow with the grid (3 or 4 per level above the start grid on
+half-plane and (Re z²)^± data at κ = 1e2 … 1e5, 129² to 513²).
 
 A Newton step solves H δ = −∇E, where, with A the 5-point matrix
 (4 on the diagonal) on the interior and c = κ h²,
@@ -54,9 +29,25 @@ term, res the sup residual) or at a direction of nonpositive
 curvature.  The new iterate is max(u + t δ, 0), with t halved until E
 does not rise; a full step is also taken if it lowers the sup residual
 and raises E by at most _NEAR_FLAT |E|, since near convergence the
-energy test is at the level of rounding.  The solve stops when the sup
+energy test is at the level of rounding.  Newton stops when the sup
 residual is ≤ cfg.tol and raises NoConvergence when t falls below
 _MIN_STEP: a stall is not convergence.
+
+A critical point of E need not be a local minimizer, and energy descent
+from symmetric data keeps the data's symmetry: on (Re z³)^± data at
+κ ≥ 1e4 Newton from the border data converges to a swap-symmetric
+saddle point.  So on the start grid a converged pair must also pass a
+second-variation check, q = λ_min(H/2) / λ_min(A) ≥ −_Q_TOL, with
+λ_min(A) = 4 − 2 cos(π/(nx−1)) − 2 cos(π/(ny−1)).  λ_min(H/2) comes
+from block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)),
+preconditioned by the Newton step's V-cycle and started from a fixed
+vector that no symmetry of the square or of the data maps to ± itself.
+A Rayleigh quotient below −_Q_TOL λ_min(A) proves negative curvature;
+the pair then steps along the mode, with the sign that does not raise
+E to first order and the same halving line search from a step as large
+as the pair (the second-order step of Moré and Sorensen, SIAM J. Sci.
+Stat. Comput. 4 (1983)), and Newton resumes.  The finer grids start
+from the prolonged, certified coarse solution and only lower E.
 
 Every linear problem, the Newton steps' diagonal blocks and the two
 disk solves (harmonic replacement on a disk, Δw = M w on a disk), goes
@@ -79,57 +70,49 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .config import SolveConfig
 from .errors import NoConvergence
 from .grid import Field, Grid2D, _require_ball_inside
 
-_CHECK_EVERY = 50  # sweeps between residual/energy checks
 _NEST_MIN = 65  # grids with more nodes than this on both axes, both odd, are nested
 _NEAR_FLAT = 1e-14  # relative energy rise a full, residual-lowering step may make
 _MIN_STEP = 1e-8  # Newton step length below which the solve has stalled
+# q below -_Q_TOL is escaped; the eigen-solve stops once its residual
+# puts q within _Q_TOL of an eigenvalue of H/2 / λ_min(A)
+_Q_TOL = 1e-3
 # cells per axis of the Newton blocks' coarsest level: its dense inverses
 # are rebuilt at every step, and at _MG_COARSEST they took about 15% of
 # the Newton time on 129²
 _NEWTON_COARSEST = 8
 
-# red = (i+j) even, black = odd; each colour splits into two strided blocks
-_RED = ((1, 1), (2, 2))
-_BLACK = ((1, 2), (2, 1))
-
-
-def _blocks(a: np.ndarray, i0: int, j0: int):
-    """The strided colour block of a's interior that starts at (i0, j0),
-    as an index, and the sum of its four neighbours.  The grid is a's
-    last two axes; leading axes stack independent grids."""
-    nb = np.add(a[..., i0 - 1 : -2 : 2, j0:-1:2], a[..., i0 + 1 :: 2, j0:-1:2])
-    nb += a[..., i0:-1:2, j0 - 1 : -2 : 2]
-    nb += a[..., i0:-1:2, j0 + 1 :: 2]
-    return (..., slice(i0, -1, 2), slice(j0, -1, 2)), nb
+_RED, _BLACK = 0, 1  # the parity of i + j
 
 
 @dataclass(frozen=True)
 class Stage:
     """One grid of a nested pair solve, coarsest first: its node counts,
-    the SOR sweeps (coarsest grid) or the Newton steps and CG iterations
-    (finer grids) run on it, and its wall seconds."""
+    the Newton steps and CG iterations run on it, the negative-curvature
+    escapes and the certified q = λ_min(H/2) / λ_min(A) (the start grid
+    only; None on the finer grids), and its wall seconds."""
 
     nx: int
     ny: int
-    sweeps: int
     newton_steps: int
     cg_iterations: int
+    escapes: int
+    q: float | None
     seconds: float
 
 
 @dataclass
 class SolutionPair:
-    """Converged pair plus the solve's bookkeeping: `sweeps` are the
-    coarsest grid's SOR sweeps, `newton_steps` and `cg_iterations` the
-    totals over the finer grids, `stages` the same per grid, and
-    `energy_trace` the finest grid's energy after each SOR check or
-    accepted Newton step."""
+    """Converged pair plus the solve's bookkeeping: `newton_steps` and
+    `cg_iterations` are the totals over the grids, `stages` the same per
+    grid, and `energy_trace` the finest grid's energy after each
+    accepted Newton step or escape.  `sweeps` is always 0; it stays
+    only because the benchmark harness still reads it."""
 
     u: Field
     v: Field
@@ -177,51 +160,6 @@ def _sup_residual(u, v, kappa, h) -> float:
     return float(np.max((np.max(np.abs(ru)), np.max(np.abs(rv)))))
 
 
-def _parity_planes(a: np.ndarray) -> list[list[np.ndarray]]:
-    """a's four parity planes a[p::2, q::2] as contiguous copies, [p][q]."""
-    return [[np.ascontiguousarray(a[p::2, q::2]) for q in (0, 1)] for p in (0, 1)]
-
-
-def _join_planes(a: np.ndarray, planes) -> None:
-    """Write the parity planes back into a."""
-    for p in (0, 1):
-        for q in (0, 1):
-            a[p::2, q::2] = planes[p][q]
-
-
-def _sweep_plan(pa, pb, nx: int, ny: int) -> list[tuple]:
-    """The colour blocks of a's interior in sweep order (red, then
-    black), as views into the parity planes pa of a and pb of b: the
-    block, its neighbours above, below, left and right, b on the block,
-    and two scratch buffers of the block's size.  The block at row
-    or column 2 is empty, and left out, on a grid with 3 nodes along
-    that axis."""
-    plan = []
-    for i0, j0 in _RED + _BLACK:
-        ni = len(range(i0, nx - 1, 2))
-        nj = len(range(j0, ny - 1, 2))
-        if ni == 0 or nj == 0:
-            continue
-
-        def at(planes, i, j):
-            # the nodes (i + 2k, j + 2l) of the block's shape
-            return planes[i % 2][j % 2][i // 2 : i // 2 + ni, j // 2 : j // 2 + nj]
-
-        plan.append(
-            (
-                at(pa, i0, j0),
-                at(pa, i0 - 1, j0),
-                at(pa, i0 + 1, j0),
-                at(pa, i0, j0 - 1),
-                at(pa, i0, j0 + 1),
-                at(pb, i0, j0),
-                np.empty((ni, nj)),
-                np.empty((ni, nj)),
-            )
-        )
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # the linear core: multigrid-preconditioned conjugate gradients
 
@@ -258,11 +196,25 @@ class _Level:
         return q
 
     def smooth(self, e: np.ndarray, r: np.ndarray, colours) -> None:
+        """One Gauss-Seidel half-sweep on e, in place, per colour.  Rows
+        have odd length (every level above the coarsest has m 2^k + 1
+        nodes per axis, k >= 1), so on the flattened grid a node's index
+        has the parity of i + j and a colour is one stride-2 slice; it
+        also passes the border nodes at the row ends, where the weight
+        is 0.  Each node becomes ((((up + down) + left) + right) + r)
+        weight.  e is C-contiguous, so its flat reshape is a view."""
+        rows, n = e.shape[-2:]
+        fe = e.reshape(e.shape[:-2] + (rows * n,))
+        fr = r.reshape(r.shape[:-2] + (rows * n,))
+        fw = self.weight.reshape(self.weight.shape[:-2] + (rows * n,))
+        stop = (rows - 1) * n - 1
         for colour in colours:
-            for i0, j0 in colour:
-                blk, nb = _blocks(e, i0, j0)
-                nb += r[blk]
-                np.multiply(nb, self.weight[blk], out=e[blk])
+            at = lambda d: (..., slice(n + 1 + colour + d, stop + d, 2))
+            nb = np.add(fe[at(-n)], fe[at(n)])
+            nb += fe[at(-1)]
+            nb += fe[at(1)]
+            nb += fr[at(0)]
+            np.multiply(nb, fw[at(0)], out=fe[at(0)])
 
 
 class _Coarsest(_Level):
@@ -479,121 +431,160 @@ def _mg_pcg(x: np.ndarray, free: np.ndarray, shift, h: float):
 
 
 # ---------------------------------------------------------------------------
-# the pair solve: SOR on the coarsest grid, damped inexact Newton above it
+# the pair solve: damped inexact Newton on every grid, certified on the first
 
 
-def _relax(u: np.ndarray, v: np.ndarray, kappa: float, h: float, cfg: SolveConfig):
-    """Projected red-black SOR on u and v, in place, until the sup
-    residual is <= cfg.tol.  Returns (residual, sweeps, energies)."""
-    nx, ny = u.shape
-    kh2 = kappa * (h * h)
-    # Young's optimal over-relaxation factor from the Jacobi spectral
-    # radius of the 5-point Laplacian on this grid
-    rho = 0.5 * (math.cos(math.pi / (nx - 1)) + math.cos(math.pi / (ny - 1)))
-    omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
-    pu, pv = _parity_planes(u), _parity_planes(v)
-    plan = _sweep_plan(pu, pv, nx, ny) + _sweep_plan(pv, pu, nx, ny)
-    sweeps = 0
-    energies: list[float] = []
-    res = _sup_residual(u, v, kappa, h)
-    # NaN fails every comparison, so it must never reach `res <= cfg.tol`
-    while not res <= cfg.tol:
+def _hessian(hier: _Hierarchy, u: np.ndarray, v: np.ndarray, kappa: float, h: float):
+    """H/2 at (u, v) on hier's grid: the levels of its diagonal blocks
+    A + κh²v² and A + κh²u², as one stack, and its apply."""
+    levels = hier.levels(kappa * np.stack((v * v, u * u)), h)
+    fine = levels[0]
+    coupling = hier.pad(u * v)
+    coupling *= 2.0 * kappa * (h * h)
+    coupling *= fine.mask
+
+    def apply(p):
+        q = fine.apply(p)
+        q[0] += coupling * p[1]
+        q[1] += coupling * p[0]
+        return q
+
+    return levels, apply
+
+
+def _lowest_mode(levels: list[_Level], apply, lam_a: float):
+    """The lowest eigenpair of H/2 by block-size-1 LOBPCG (Knyazev 2001),
+    preconditioned by one V-cycle of `levels`, from a fixed start that no
+    reflection of the grid and no u <-> v swap maps to ± itself; its u
+    and v parts have opposite signs, like the interface-moving
+    perturbations that are the softest on a segregated pair.  Returns
+    (q, mode): q = ρ / lam_a for the last Rayleigh quotient ρ, and the
+    mode with unit 2-norm.  Stops at the first ρ < −_Q_TOL lam_a (a proof
+    of negative curvature) or once ||H x / 2 − ρ x||_2 <= _Q_TOL lam_a,
+    which puts ρ within _Q_TOL lam_a of an eigenvalue; raises
+    NoConvergence after _MG_MAX_ITER iterations.  One H-apply and one
+    V-cycle per iteration: the images H x / 2 and H p / 2 are carried
+    along."""
+    mask = levels[0].mask
+    s = np.linspace(0.0, 1.0, mask.shape[0])[:, None]
+    t = np.linspace(0.0, 1.0, mask.shape[1])[None, :]
+    bump = np.sin(np.pi * s) * np.sin(np.pi * t) * mask
+    x = np.stack((bump * (1.0 + s / 3.0 + t * t / 5.0), -bump * (1.0 + t / 7.0 + s * s / 4.0)))
+    x /= math.sqrt(np.sum(x * x))
+    ax = apply(x)
+    p = ap = None
+    for it in range(_MG_MAX_ITER):
+        rho = float(np.sum(x * ax))
+        r = ax - rho * x
+        res = math.sqrt(np.sum(r * r))
         if not math.isfinite(res):
-            raise NoConvergence(
-                sweeps, res, "red-black relaxation hit a non-finite residual"
-            )
-        if sweeps >= cfg.max_iter:
-            raise NoConvergence(sweeps, res, "red-black relaxation")
-        chunk = min(_CHECK_EVERY, cfg.max_iter - sweeps)
-        for _ in range(chunk):
-            for cur, up, down, left, right, b, nb, d in plan:
-                # max(cur + omega (nb / (4 + kappa h² b²) - cur), 0),
-                # the same operations in the same order, in place
-                np.add(up, down, out=nb)
-                nb += left
-                nb += right
-                np.square(b, out=d)
-                d *= kh2
-                d += 4.0
-                nb /= d
-                nb -= cur
-                nb *= omega
-                nb += cur
-                np.maximum(nb, 0.0, out=cur)
-        sweeps += chunk
-        _join_planes(u, pu)
-        _join_planes(v, pv)
-        res = _sup_residual(u, v, kappa, h)
-        energies.append(discrete_energy(u, v, kappa, h))
-    return res, sweeps, energies
+            raise NoConvergence(it, res, "second-variation eigen-solve hit a non-finite residual")
+        if rho < -_Q_TOL * lam_a or res <= _Q_TOL * lam_a:
+            return rho / lam_a, x
+        w = _vcycle(levels, r)
+        w /= math.sqrt(np.sum(w * w))
+        basis, images = [x, w], [ax, apply(w)]
+        if p is not None:
+            basis.append(p)
+            images.append(ap)
+        # Rayleigh-Ritz on span{x, w, p}: the Gram matrices' 3x3 pencil
+        ga = np.array([[np.sum(a * b) for b in images] for a in basis])
+        gb = np.array([[np.sum(a * b) for b in basis] for a in basis])
+        try:
+            c = eigh(0.5 * (ga + ga.T), 0.5 * (gb + gb.T))[1][:, 0]
+        except LinAlgError:
+            # p has fallen into span{x, w}: restart without it
+            p = ap = None
+            continue
+        p = sum(ci * b for ci, b in zip(c[1:], basis[1:]))
+        ap = sum(ci * b for ci, b in zip(c[1:], images[1:]))
+        x = c[0] * x + p
+        ax = c[0] * ax + ap
+        scale = math.sqrt(np.sum(x * x))
+        x /= scale
+        ax /= scale
+        scale = math.sqrt(np.sum(p * p))
+        p /= scale
+        ap /= scale
+    raise NoConvergence(_MG_MAX_ITER, res, "second-variation eigen-solve")
 
 
-def _newton(u: np.ndarray, v: np.ndarray, kappa: float, h: float, cfg: SolveConfig):
+def _line_search(u, v, step, energy: float, res: float, kappa: float, h: float, steps: int):
+    """Move u, v in place to max(u + t step, 0) with t halved from 1 until
+    E does not rise (see the module docstring); returns the new energy."""
+    t = 1.0
+    while True:
+        un, vn = t * step
+        un += u
+        vn += v
+        np.maximum(un, 0.0, out=un)
+        np.maximum(vn, 0.0, out=vn)
+        en = discrete_energy(un, vn, kappa, h)
+        if en <= energy:
+            break
+        if t == 1.0 and en - energy <= _NEAR_FLAT * abs(energy):
+            if _sup_residual(un, vn, kappa, h) < res:
+                break
+        t *= 0.5
+        if t < _MIN_STEP:
+            raise NoConvergence(steps, res, "Newton step stalled in the line search")
+    u[...], v[...] = un, vn
+    return en
+
+
+def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = False):
     """Damped inexact Newton on the interior of u and v, in place,
     until the sup residual is <= cfg.tol (see the module docstring).
-    Returns (residual, steps, CG iterations, energies)."""
+    With `certify`, a converged pair must also have q >= −_Q_TOL, and
+    each q below that is escaped along its mode.  Returns (residual,
+    steps, CG iterations, escapes, q or None, energies)."""
     nx, ny = u.shape
     interior = np.zeros((nx, ny), dtype=bool)
     interior[1:-1, 1:-1] = True
     # the masks are the same for every step; only the diagonals change
     hier = _Hierarchy(interior, _NEWTON_COARSEST)
     box = (slice(None), slice(0, nx), slice(0, ny))
-    steps = iterations = 0
+    lam_a = 4.0 - 2.0 * math.cos(math.pi / (nx - 1)) - 2.0 * math.cos(math.pi / (ny - 1))
+    steps = iterations = escapes = 0
+    q = None
     energies: list[float] = []
     energy = discrete_energy(u, v, kappa, h)
     res = _sup_residual(u, v, kappa, h)
-    # NaN fails every comparison, so it must never reach `res <= cfg.tol`
-    while not res <= cfg.tol:
+    while True:
+        # NaN fails every comparison, so it must never reach `res <= cfg.tol`
         if not math.isfinite(res):
             raise NoConvergence(steps, res, "Newton iteration hit a non-finite residual")
-        if steps >= cfg.max_iter:
-            raise NoConvergence(steps, res, "Newton iteration")
-        # H/2's diagonal blocks A + κh²v² and A + κh²u², as one stack
-        levels = hier.levels(kappa * np.stack((v * v, u * u)), h)
-        fine = levels[0]
-        uv = hier.pad(np.stack((u, v)))
+        if res <= cfg.tol and not certify:
+            break
+        levels, apply = _hessian(hier, u, v, kappa, h)
         # -grad E / 2 = h² (Δ_h u - κ u v², Δ_h v - κ v u²) on the interior
-        b = fine.apply(uv)
+        b = levels[0].apply(hier.pad(np.stack((u, v))))
         b *= -1.0
-        coupling = uv[0] * uv[1]
-        coupling *= 2.0 * kappa * (h * h)
-        coupling *= fine.mask
-        del uv
-
-        def apply(p):
-            q = fine.apply(p)
-            q[0] += coupling * p[1]
-            q[1] += coupling * p[0]
-            return q
-
-        eta = min(0.1, math.sqrt(res * h * h))
-        stop = eta * math.sqrt(np.sum(b * b))
-        step, it, _ = _pcg(apply, lambda r: _vcycle(levels, r), b, stop, True)
-        iterations += it
-        step = step[box]
-        t = 1.0
-        while True:
-            un, vn = t * step
-            un += u
-            vn += v
-            np.maximum(un, 0.0, out=un)
-            np.maximum(vn, 0.0, out=vn)
-            en = discrete_energy(un, vn, kappa, h)
-            if en <= energy:
+        if res <= cfg.tol:
+            q, mode = _lowest_mode(levels, apply, lam_a)
+            if q >= -_Q_TOL:
                 break
-            if t == 1.0 and en - energy <= _NEAR_FLAT * abs(energy):
-                if _sup_residual(un, vn, kappa, h) < res:
-                    break
-            t *= 0.5
-            if t < _MIN_STEP:
-                raise NoConvergence(steps, res, "Newton step stalled in the line search")
-        u[...], v[...] = un, vn
-        del un, vn, step
-        energy = en
+            if escapes >= cfg.max_iter:
+                raise NoConvergence(escapes, res, "negative-curvature escape")
+            # the sign that does not raise E to first order, and a
+            # first trial step as large as the pair
+            scale = max(np.max(u), np.max(v)) / np.max(np.abs(mode))
+            mode *= math.copysign(scale, np.sum(b * mode))
+            energy = _line_search(u, v, mode[box], energy, res, kappa, h, steps)
+            escapes += 1
+        else:
+            if steps >= cfg.max_iter:
+                raise NoConvergence(steps, res, "Newton iteration")
+            eta = min(0.1, math.sqrt(res * h * h))
+            stop = eta * math.sqrt(np.sum(b * b))
+            step, it, _ = _pcg(apply, lambda r: _vcycle(levels, r), b, stop, True)
+            iterations += it
+            energy = _line_search(u, v, step[box], energy, res, kappa, h, steps)
+            steps += 1
+        del levels, apply, b
         res = _sup_residual(u, v, kappa, h)
-        steps += 1
         energies.append(energy)
-    return res, steps, iterations, energies
+    return res, steps, iterations, escapes, q, energies
 
 
 def _solve_nested(u, v, kappa: float, h: float, cfg: SolveConfig, stages: list):
@@ -601,18 +592,16 @@ def _solve_nested(u, v, kappa: float, h: float, cfg: SolveConfig, stages: list):
     even nodes while both node counts are odd and above _NEST_MIN;
     appends a Stage per grid.  Returns (residual, finest energies)."""
     nx, ny = u.shape
-    if nx % 2 and ny % 2 and min(nx, ny) > _NEST_MIN:
+    nest = nx % 2 and ny % 2 and min(nx, ny) > _NEST_MIN
+    if nest:
         uc, vc = u[::2, ::2].copy(), v[::2, ::2].copy()
         _solve_nested(uc, vc, kappa, 2.0 * h, cfg, stages)
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()
+    if nest:
         u[1:-1, 1:-1] = _interpolate(uc)[1:-1, 1:-1]
         v[1:-1, 1:-1] = _interpolate(vc)[1:-1, 1:-1]
-        res, steps, iterations, energies = _newton(u, v, kappa, h, cfg)
-        stages.append(Stage(nx, ny, 0, steps, iterations, time.perf_counter() - t0))
-    else:
-        t0 = time.perf_counter()
-        res, sweeps, energies = _relax(u, v, kappa, h, cfg)
-        stages.append(Stage(nx, ny, sweeps, 0, 0, time.perf_counter() - t0))
+    res, steps, iterations, escapes, q, energies = _newton(u, v, kappa, h, cfg, not nest)
+    stages.append(Stage(nx, ny, steps, iterations, escapes, q, time.perf_counter() - t0))
     return res, energies
 
 
@@ -650,8 +639,7 @@ def solve_system(
         Field(g, v),
         kappa,
         res,
-        stages[0].sweeps,
-        np.asarray(energies),
+        energy_trace=np.asarray(energies),
         seconds=time.perf_counter() - t0,
         newton_steps=sum(s.newton_steps for s in stages),
         cg_iterations=sum(s.cg_iterations for s in stages),

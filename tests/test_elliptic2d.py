@@ -20,16 +20,12 @@ from segsym.elliptic2d import (
 )
 from segsym.errors import BallOutsideDomain, NoConvergence
 from segsym.grid import Field, Grid2D, square_grid
-from segsym.presets import linear_pair, linear_pair_bdata
+from segsym.presets import harmonic_pair, linear_pair, linear_pair_bdata
 
 # 1 / I0(5): center value of the radial solution of w'' + w'/r = 25 w
 # on [0, 1] with w(1) = 1.  Agrees with scipy.special.i0 and with the
 # finite-difference oracle below to 5e-10.
 DECAY_CENTER_ORACLE = 0.036710892271286676
-
-# Sweeps plain red-black Gauss-Seidel needed for the solved_k100 fixture
-# (65^2, kappa = 100, tol = 1e-9); over-relaxation needs 300.
-GAUSS_SEIDEL_SWEEPS_K100 = 10_100
 
 # u(0) of the 1D interface profile, from the profile solver at
 # half_length 20, spacing 0.05 (test_profile1d pins that run).
@@ -72,7 +68,7 @@ def solved_k100():
 def test_kappa_zero_gives_harmonic_pair():
     g = square_grid(1.0, 33)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 0.0)
+    pair = solve_system(g, fu, fv, 0.0, SolveConfig(tol=1e-9))
     assert pair.residual <= 1e-9
     # u - v is then the harmonic extension of the linear data, i.e. x itself
     X = g.meshgrid()[0]
@@ -97,9 +93,9 @@ def test_non_finite_kappa_rejected(kappa):
 @pytest.mark.parametrize("name, bad_value", [("bdata_u", np.nan), ("bdata_v", np.inf)])
 def test_non_finite_boundary_rejected_before_solving(name, bad_value, monkeypatch):
     def no_solve(*args):
-        raise AssertionError("the relaxation started on non-finite data")
+        raise AssertionError("Newton started on non-finite data")
 
-    monkeypatch.setattr(e2d, "_parity_planes", no_solve)
+    monkeypatch.setattr(e2d, "_newton", no_solve)
     g = square_grid(1.0, 17)
     fu, fv = linear_pair_bdata()
     bad = lambda x, y: np.where(x > 0.9, bad_value, 0.0)
@@ -130,58 +126,22 @@ def test_solution_invariants(solved_k100):
     assert pair.u.values.min() >= 0.0
     assert pair.v.values.min() >= 0.0
     assert pair.u.values.max() <= 1.0 + 1e-12
-    assert pair.sweeps > 0
     assert 0.0 < pair.seconds < 60.0
-    # every pointwise update is an over-relaxed, projected move that does
-    # not raise the energy in its coordinate, so the recorded energies can
-    # only go down
+    # the line search accepts no step that raises the energy (beyond
+    # _NEAR_FLAT |E| for a full, residual-lowering step), so the recorded
+    # energies can only go down
     assert np.all(np.diff(pair.energy_trace) <= 1e-12)
 
 
-def test_over_relaxation_sweep_count(solved_k100):
-    _, pair = solved_k100
-    assert pair.sweeps <= GAUSS_SEIDEL_SWEEPS_K100 // 10
-
-
-def test_one_stage_sweep_count():
-    # relaxing at the target kappa from the border data takes 300 sweeps
-    # on 65², the largest grid SOR solves alone
-    g = square_grid(1.0, 65)
-    fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 1e3)
-    assert pair.residual <= SolveConfig().tol
-    assert pair.sweeps <= 300
-    assert pair.newton_steps == 0 and pair.cg_iterations == 0
-
-
-def border_only(g, bdata):
-    """The boundary data on the lattice's outer ring, zero inside."""
-    X, Y = g.meshgrid()
-    a = np.zeros((g.nx, g.ny))
-    b = bdata(X, Y)
-    a[0, :], a[-1, :], a[:, 0], a[:, -1] = b[0, :], b[-1, :], b[:, 0], b[:, -1]
-    return a
-
-
 def test_pair_solve_runs_no_linear_solve(monkeypatch):
-    """Grids of at most _NEST_MIN nodes per axis are relaxed by SOR
-    alone; only the Newton steps of larger grids solve linear systems."""
+    """No linear solve of the _mg_pcg kind, the disk solves' entry: the
+    pair solve's Newton steps and second-variation check build their own
+    hierarchy on the interior."""
     monkeypatch.setattr(e2d, "_mg_pcg", lambda *args: pytest.fail("a linear solve ran"))
     g = square_grid(1.0, 33)
     fu, fv = linear_pair_bdata()
     pair = solve_system(g, fu, fv, 100.0)
     assert pair.residual <= SolveConfig().tol
-
-
-def test_non_1d_data_sweep_count():
-    # (Re z^2)^+ and (Re z^2)^- on 65^2 at kappa = 1e3: 700 sweeps from
-    # the border data (750 from the harmonic extension of that data)
-    g = square_grid(1.0, 65)
-    fu = lambda X, Y: np.maximum(X * X - Y * Y, 0.0)
-    fv = lambda X, Y: np.maximum(Y * Y - X * X, 0.0)
-    pair = solve_system(g, fu, fv, 1e3)
-    assert pair.residual <= SolveConfig().tol
-    assert pair.sweeps <= 700
 
 
 def test_callable_array_not_mutated_or_aliased():
@@ -198,36 +158,6 @@ def test_callable_array_not_mutated_or_aliased():
         assert not np.shares_memory(a, data)
     fresh = solve_system(g, lambda x, y: np.maximum(X, 0.0), lambda x, y: kept[::-1], 10.0)
     assert np.array_equal(pair.u.values, fresh.u.values)
-
-
-@pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
-@pytest.mark.parametrize("nx, ny", [(33, 33), (4, 5), (34, 35), (35, 34), (65, 97)])
-def test_in_place_update_equals_expression(nx, ny, kappa):
-    # the sweep on parity planes against the plain expression
-    # max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0) on strided blocks
-    # of the full arrays, run from the same border-only start for as many
-    # sweeps: the same floats, bit for bit.  Even and odd nx, ny give
-    # parity planes and colour blocks of ragged sizes.
-    h = 2.6 / (max(nx, ny) - 1)  # 0.08125 at 33: not dyadic, so h^2 rounds
-    g = Grid2D(nx, ny, h, origin=(-(nx - 1) * h / 2, -(ny - 1) * h / 2))
-    bu = lambda X, Y: np.maximum(0.8 * X + 0.6 * Y + 0.1, 0.0)
-    bv = lambda X, Y: np.maximum(-(0.8 * X + 0.6 * Y + 0.1), 0.0)
-    pair = solve_system(g, bu, bv, kappa)
-    u, v = border_only(g, bu), border_only(g, bv)
-    h2 = g.h * g.h
-    rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
-    omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
-    for _ in range(pair.sweeps):
-        for a, b in ((u, v), (v, u)):
-            for color in (e2d._RED, e2d._BLACK):
-                for i0, j0 in color:
-                    blk, nb = e2d._blocks(a, i0, j0)
-                    cur = a[blk]
-                    star = nb / (4.0 + kappa * h2 * b[blk] ** 2)
-                    a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
-    assert pair.sweeps > 0
-    assert np.array_equal(pair.u.values, u)
-    assert np.array_equal(pair.v.values, v)
 
 
 @settings(max_examples=12, deadline=None)
@@ -249,7 +179,7 @@ def test_solve_converges_monotonically(n, log_kappa, theta):
 
 
 def test_non_square_grid():
-    # nx != ny gives a different optimal relaxation factor per axis
+    # nx != ny: λ_min(A) takes a different cos(π/(n-1)) term per axis
     g = Grid2D(65, 97, 2.0 / 64, origin=(-1.0, -1.5))
     fu, fv = linear_pair_bdata(direction=(1.0, 2.0))
     pair = solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-9))
@@ -307,48 +237,51 @@ def test_product_sup_exponent():
 
 
 def test_converged_at_max_iter_returns():
-    # 65^2, kappa = 1e2 meets tol after exactly 300 sweeps: a cap of 300
-    # is reached and met together, and convergence wins
+    # 65^2, kappa = 1e2 meets tol after exactly 6 Newton steps from the
+    # border data: a cap of 6 is reached and met together, and
+    # convergence wins
     g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=300))
-    assert pair.sweeps == 300
+    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=6))
+    assert pair.newton_steps == 6
     assert pair.residual <= SolveConfig().tol
 
 
 def test_max_iter_is_exact():
-    # a cap that is not a multiple of the check interval stops there
+    # a cap below the steps needed stops there
     g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
-    with pytest.raises(NoConvergence) as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=255))
-    assert exc.value.iterations == 255
+    with pytest.raises(NoConvergence, match="Newton") as exc:
+        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=5))
+    assert exc.value.iterations == 5
     assert exc.value.residual > SolveConfig().tol
 
 
-def uncapped_relax(monkeypatch):
-    """Let the coarsest grid's SOR ignore cfg.max_iter, so that a cap
-    bites on the Newton steps alone."""
-    relax = e2d._relax
-    monkeypatch.setattr(
-        e2d, "_relax", lambda u, v, kappa, h, cfg: relax(u, v, kappa, h, SolveConfig(tol=cfg.tol))
-    )
+def uncapped_start(monkeypatch):
+    """Let the start grid's Newton ignore cfg.max_iter, so that a cap
+    bites on the finer grid's steps alone."""
+    newton = e2d._newton
+
+    def start_uncapped(u, v, kappa, h, cfg, certify):
+        return newton(u, v, kappa, h, SolveConfig(tol=cfg.tol) if certify else cfg, certify)
+
+    monkeypatch.setattr(e2d, "_newton", start_uncapped)
 
 
 def test_newton_converged_at_max_iter_returns(monkeypatch):
-    # 129^2, kappa = 1e2 needs exactly 4 Newton steps: a cap of 4 is
-    # reached and met together, and convergence wins
-    uncapped_relax(monkeypatch)
+    # 129^2, kappa = 1e2 needs exactly 4 Newton steps above the start
+    # grid: a cap of 4 is reached and met together, and convergence wins
+    uncapped_start(monkeypatch)
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
     pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=4))
-    assert pair.newton_steps == 4
+    assert pair.stages[-1].newton_steps == 4
     assert pair.residual <= SolveConfig().tol
 
 
 @pytest.mark.parametrize("cap", [1, 3])
 def test_newton_max_iter_is_exact(monkeypatch, cap):
-    uncapped_relax(monkeypatch)
+    uncapped_start(monkeypatch)
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence, match="Newton") as exc:
@@ -600,6 +533,43 @@ def test_mg_pcg_constant_array_shift_matches_scalar():
     assert np.max(np.abs(scalar - array)) <= 1e-12
 
 
+def blockwise_smooth(level, e, r, colours):
+    """Red-black Gauss-Seidel half-sweeps on the strided 2D blocks of the
+    interior: each block moves to ((((up + down) + left) + right) + r) w."""
+    for colour in colours:
+        for i0, j0 in (((1, 1), (2, 2)), ((1, 2), (2, 1)))[colour]:
+            blk = (..., slice(i0, -1, 2), slice(j0, -1, 2))
+            nb = np.add(e[..., i0 - 1 : -2 : 2, j0:-1:2], e[..., i0 + 1 :: 2, j0:-1:2])
+            nb += e[..., i0:-1:2, j0 - 1 : -2 : 2]
+            nb += e[..., i0:-1:2, j0 + 1 :: 2]
+            nb += r[blk]
+            np.multiply(nb, level.weight[blk], out=e[blk])
+
+
+def test_flat_smoother_equals_strided_blocks():
+    # the smoother runs each colour as one stride-2 slice of the flattened
+    # grid; on the interior it must give the blockwise floats bit for bit,
+    # signed zeros included, stacked or not, with a scalar or array shift
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        m, n = rng.choice([3, 5, 9, 17, 33, 65], size=2)
+        free = rng.uniform(size=(m, n)) < 0.8
+        free[0, :] = free[-1, :] = free[:, 0] = free[:, -1] = False
+        shape = ((2,) if rng.uniform() < 0.5 else ()) + (m, n)
+        diag = 4.0 + (rng.uniform(0.0, 100.0, shape) if rng.uniform() < 0.7 else rng.uniform())
+        level = e2d._Level(free, diag)
+        r = rng.normal(size=shape) * level.mask
+        r[rng.uniform(size=shape) < 0.05] = -0.0
+        start = rng.normal(size=shape) * level.mask * (rng.uniform() < 0.5)
+        e_flat, e_blocks = start.copy(), start.copy()
+        colours = tuple(int(c) for c in rng.integers(0, 2, 5))
+        level.smooth(e_flat, r, colours)
+        blockwise_smooth(level, e_blocks, r, colours)
+        inner = (..., slice(1, -1), slice(1, -1))
+        assert np.array_equal(e_flat[inner], e_blocks[inner])
+        assert np.array_equal(np.signbit(e_flat[inner]), np.signbit(e_blocks[inner]))
+
+
 def test_truncated_cg_stops_on_nonpositive_curvature():
     # diag(1, -1) from r = (1, 1): the first direction has curvature 0
     # and comes back as the step; diag(1, -3) from r = (1, 0.1) meets
@@ -625,11 +595,42 @@ SADDLE = (
 )
 
 
-def sor_only(monkeypatch, g, bdata, kappa):
-    """The same solve by SOR on the fine grid itself."""
-    with monkeypatch.context() as m:
-        m.setattr(e2d, "_NEST_MIN", 10**9)
-        return solve_system(g, *bdata, kappa)
+def border_only(g, bdata):
+    """The boundary data on the lattice's outer ring, zero inside."""
+    X, Y = g.meshgrid()
+    a = np.zeros((g.nx, g.ny))
+    b = bdata(X, Y)
+    a[0, :], a[-1, :], a[:, 0], a[:, -1] = b[0, :], b[-1, :], b[:, 0], b[:, -1]
+    return a
+
+
+def sor_reference(g, bdata, kappa, tol=1e-8, check_every=50, max_checks=400):
+    """Projected red-black SOR on the grid itself, from the border data,
+    as plain expressions on strided blocks: each colour block moves to
+    max(a + omega (nb / (4 + kappa h^2 b^2) - a), 0), omega Young's
+    optimal factor, until the sup residual, taken every check_every
+    sweeps, is <= tol.  Returns (u, v)."""
+    u, v = border_only(g, bdata[0]), border_only(g, bdata[1])
+    h2 = g.h * g.h
+    rho = 0.5 * (math.cos(math.pi / (g.nx - 1)) + math.cos(math.pi / (g.ny - 1)))
+    omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+    # red = (i + j) even, black = odd, each as two strided blocks
+    colours = (((1, 1), (2, 2)), ((1, 2), (2, 1)))
+    for _ in range(max_checks):
+        if _sup_residual(u, v, kappa, g.h) <= tol:
+            return u, v
+        for _ in range(check_every):
+            for a, b in ((u, v), (v, u)):
+                for colour in colours:
+                    for i0, j0 in colour:
+                        blk = (slice(i0, -1, 2), slice(j0, -1, 2))
+                        nb = a[i0 - 1 : -2 : 2, j0:-1:2] + a[i0 + 1 :: 2, j0:-1:2]
+                        nb += a[i0:-1:2, j0 - 1 : -2 : 2]
+                        nb += a[i0:-1:2, j0 + 1 :: 2]
+                        cur = a[blk]
+                        star = nb / (4.0 + kappa * h2 * b[blk] ** 2)
+                        a[blk] = np.maximum(cur + omega * (star - cur), 0.0)
+    pytest.fail("the SOR reference did not converge")
 
 
 @pytest.mark.parametrize(
@@ -638,14 +639,13 @@ def sor_only(monkeypatch, g, bdata, kappa):
      (SADDLE, 1e2, 5e-10), (SADDLE, 1e3, 5e-10)],
     ids=["half-1e2", "half-1e3", "half-1e4", "saddle-1e2", "saddle-1e3"],
 )
-def test_newton_agrees_with_sor(monkeypatch, bdata, kappa, bound):
+def test_newton_agrees_with_sor(bdata, kappa, bound):
     g = square_grid(1.0, 129)
     pair = solve_system(g, *bdata, kappa)
-    ref = sor_only(monkeypatch, g, bdata, kappa)
+    u, v = sor_reference(g, bdata, kappa)
     assert [s.nx for s in pair.stages] == [65, 129]
-    assert ref.newton_steps == 0 and ref.sweeps > 0
-    assert np.max(np.abs(pair.u.values - ref.u.values)) <= bound
-    assert np.max(np.abs(pair.v.values - ref.v.values)) <= bound
+    assert np.max(np.abs(pair.u.values - u)) <= bound
+    assert np.max(np.abs(pair.v.values - v)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -655,7 +655,7 @@ def test_newton_agrees_with_sor(monkeypatch, bdata, kappa, bound):
 )
 def test_newton_invariants(bdata, kappa):
     # (Re z^2)^± at kappa = 1e5 is the Berestycki-Terracini-Wang-Wei
-    # saddle, where Newton from the border data alone stalls
+    # saddle; Newton from the border data converges there too
     g = square_grid(1.0, 129)
     pair = solve_system(g, *bdata, kappa)
     tol = SolveConfig().tol
@@ -663,12 +663,12 @@ def test_newton_invariants(bdata, kappa):
     assert _sup_residual(pair.u.values, pair.v.values, kappa, g.h) == pair.residual
     assert pair.u.values.min() >= 0.0
     assert pair.v.values.min() >= 0.0
-    assert pair.energy_trace.size == pair.newton_steps
+    assert pair.energy_trace.size == pair.stages[-1].newton_steps
     assert np.all(np.diff(pair.energy_trace) <= 1e-12)
     assert pair.energy_trace[-1] == e2d.discrete_energy(pair.u.values, pair.v.values, kappa, g.h)
-    assert pair.sweeps == pair.stages[0].sweeps > 0
     assert pair.newton_steps == sum(s.newton_steps for s in pair.stages)
     assert pair.cg_iterations == sum(s.cg_iterations for s in pair.stages)
+    assert pair.sweeps == 0
 
 
 @pytest.mark.parametrize("n", [129, 257])
@@ -680,15 +680,42 @@ def test_newton_steps_per_level(n, bdata):
     for stage in pair.stages[1:]:
         assert 1 <= stage.newton_steps <= 5
         assert stage.cg_iterations <= 30 * stage.newton_steps
-        assert stage.sweeps == 0
+        # only the start grid is certified
+        assert stage.escapes == 0 and stage.q is None
 
 
 def test_nesting_needs_odd_node_counts():
-    # an even axis cannot be halved onto the even nodes: SOR alone
+    # an even axis cannot be halved onto the even nodes: Newton from the
+    # border data on the grid itself, certified there
     g = Grid2D(130, 67, 2.0 / 129, origin=(-1.0, -0.5))
     pair = solve_system(g, *HALF, 100.0)
     assert [(s.nx, s.ny) for s in pair.stages] == [(130, 67)]
-    assert pair.newton_steps == 0 and pair.residual <= SolveConfig().tol
+    assert pair.newton_steps >= 1 and pair.residual <= SolveConfig().tol
+    assert pair.energy_trace.size == pair.newton_steps
+    assert pair.stages[0].escapes == 0 and pair.stages[0].q > 0.9
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
+@pytest.mark.parametrize("nx, ny", [(33, 33), (4, 5), (34, 35), (35, 34), (65, 97)])
+def test_start_grid_agrees_with_sor(nx, ny, kappa):
+    # grids that are not nested, even and odd, against the plain-expression
+    # SOR from the same border data.  At kappa = 1e6, kappa h^2 >= 500 and
+    # the lattice problem can have several local minimizers: on 4x5 the
+    # two land on different ones (E = 5.6027 and 5.8144), so there only
+    # the energies are compared
+    h = 2.6 / (max(nx, ny) - 1)  # 0.08125 at 33: not dyadic, so h^2 rounds
+    g = Grid2D(nx, ny, h, origin=(-(nx - 1) * h / 2, -(ny - 1) * h / 2))
+    bu = lambda X, Y: np.maximum(0.8 * X + 0.6 * Y + 0.1, 0.0)
+    bv = lambda X, Y: np.maximum(-(0.8 * X + 0.6 * Y + 0.1), 0.0)
+    pair = solve_system(g, bu, bv, kappa)
+    u, v = sor_reference(g, (bu, bv), kappa)
+    assert [(s.nx, s.ny) for s in pair.stages] == [(nx, ny)]
+    assert pair.stages[0].q > 0.0
+    energy = e2d.discrete_energy(pair.u.values, pair.v.values, kappa, g.h)
+    assert energy <= e2d.discrete_energy(u, v, kappa, g.h) * (1.0 + 1e-12)
+    if kappa <= 1e3:
+        assert np.max(np.abs(pair.u.values - u)) <= 1e-9
+        assert np.max(np.abs(pair.v.values - v)) <= 1e-9
 
 
 def test_newton_non_finite_residual_raises(monkeypatch):
@@ -717,3 +744,114 @@ def test_newton_stall_raises(monkeypatch):
     with pytest.raises(NoConvergence, match="stalled") as exc:
         solve_system(g, *HALF, 100.0)
     assert exc.value.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# the second-variation certificate on the start grid
+
+# discrete_energy of the (Re z^3)^± pairs returned by the solve before the
+# start grid was solved by Newton (projected SOR on 65², Newton above):
+# the branch that breaks the swap symmetry u(-x, y) = v(x, y)
+D3_ENERGY = {
+    (65, 1e4): 21.86174837343547,
+    (65, 1e5): 22.454528854944616,
+    (129, 1e4): 21.35167024173347,
+    (129, 1e5): 21.95040613358947,
+}
+
+
+def dense_half_hessian(u, v, kappa, h):
+    """H/2 and A on the interior unknowns as dense matrices, u's first."""
+    nx, ny = u.shape
+
+    def second_difference(m):
+        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+
+    A = np.kron(second_difference(nx - 2), np.eye(ny - 2)) + np.kron(
+        np.eye(nx - 2), second_difference(ny - 2)
+    )
+    c = kappa * h * h
+    ui, vi = u[1:-1, 1:-1].ravel(), v[1:-1, 1:-1].ravel()
+    coupling = np.diag(2.0 * c * ui * vi)
+    H = np.block([[A + np.diag(c * vi * vi), coupling], [coupling, A + np.diag(c * ui * ui)]])
+    return H, A
+
+
+def kernel_q(u, v, kappa, h):
+    """q on (u, v) by the solve's own certificate kernel."""
+    nx, ny = u.shape
+    interior = np.zeros((nx, ny), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    hier = e2d._Hierarchy(interior, e2d._NEWTON_COARSEST)
+    levels, apply = e2d._hessian(hier, u, v, kappa, h)
+    lam_a = 4.0 - 2.0 * math.cos(math.pi / (nx - 1)) - 2.0 * math.cos(math.pi / (ny - 1))
+    return e2d._lowest_mode(levels, apply, lam_a)[0]
+
+
+def swap_asymmetry(pair):
+    """sup |u(-x, y) - v(x, y)|, zero on a swap-symmetric pair."""
+    return float(np.max(np.abs(pair.u.values[::-1, :] - pair.v.values)))
+
+
+@pytest.mark.parametrize(
+    "n, d, kappa",
+    [(17, 1, 1e2), (17, 2, 1e3), (17, 3, 1e4), (25, 1, 1e4), (25, 2, 1e4), (25, 3, 1e3),
+     (33, 1, 1e2), (33, 3, 1e4)],
+)
+def test_certificate_matches_dense_eigenvalue(n, d, kappa):
+    # the stop ||H x / 2 - rho x|| <= _Q_TOL lam_min(A) puts rho within
+    # _Q_TOL lam_min(A) of an eigenvalue of H/2, and rho >= lam_min(H/2),
+    # so q is within _Q_TOL of the dense value
+    g = square_grid(1.0, n)
+    pair = solve_system(g, *harmonic_pair(g, d), kappa)
+    H, A = dense_half_hessian(pair.u.values, pair.v.values, kappa, g.h)
+    q_dense = np.linalg.eigvalsh(H)[0] / np.linalg.eigvalsh(A)[0]
+    assert pair.stages[0].q == pytest.approx(q_dense, abs=e2d._Q_TOL)
+    assert pair.stages[0].q >= q_dense
+
+
+def test_symmetric_saddle_has_negative_curvature():
+    # Newton alone from (Re z^3)^± border data keeps the swap symmetry and
+    # stops on a saddle point; the kernel and a dense solve both see q < 0
+    g = square_grid(1.0, 25)
+    u, v = (f.values.copy() for f in harmonic_pair(g, 3))
+    u[1:-1, 1:-1] = v[1:-1, 1:-1] = 0.0
+    e2d._newton(u, v, 1e4, g.h, SolveConfig())
+    assert np.max(np.abs(u[::-1, :] - v)) <= 1e-12
+    H, A = dense_half_hessian(u, v, 1e4, g.h)
+    q_dense = np.linalg.eigvalsh(H)[0] / np.linalg.eigvalsh(A)[0]
+    assert q_dense < -0.1
+    assert q_dense <= kernel_q(u, v, 1e4, g.h) < -e2d._Q_TOL
+
+
+@pytest.mark.parametrize("kappa", [1e1, 1e2, 1e3, 1e4, 1e5])
+def test_half_plane_pair_is_stiff(kappa):
+    g = square_grid(1.0, 65)
+    pair = solve_system(g, *HALF, kappa)
+    assert pair.stages[0].escapes == 0
+    assert pair.stages[0].q >= 0.95
+
+
+@pytest.mark.parametrize("n", [65, 129])
+@pytest.mark.parametrize("kappa", [1e4, 1e5])
+def test_escape_reaches_the_asymmetric_minimizer(n, kappa):
+    g = square_grid(1.0, n)
+    pair = solve_system(g, *harmonic_pair(g, 3), kappa)
+    assert pair.residual <= SolveConfig().tol
+    assert pair.stages[0].escapes >= 1
+    assert pair.stages[0].q > 0.0
+    assert kernel_q(pair.u.values, pair.v.values, kappa, g.h) > 0.0
+    assert swap_asymmetry(pair) >= 0.03
+    energy = e2d.discrete_energy(pair.u.values, pair.v.values, kappa, g.h)
+    assert energy == pytest.approx(D3_ENERGY[(n, kappa)], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "d, kappa", [(1, 1e3), (2, 1e3), (3, 1e3), (1, 1e5), (2, 1e5)]
+)
+def test_no_escape_below_the_bifurcation(d, kappa):
+    # only (Re z^3)^± past kappa = 1e3 leaves the symmetric branch
+    g = square_grid(1.0, 65)
+    pair = solve_system(g, *harmonic_pair(g, d), kappa)
+    assert pair.stages[0].escapes == 0
+    assert pair.stages[0].q > e2d._Q_TOL

@@ -426,7 +426,8 @@ def test_ground_state_matches_dense_eigh(case, warm):
 
 def test_minimizer_does_not_load_scipy_optimize():
     # scipy.optimize costs ~0.3 s of import time and ~16 MB of memory;
-    # scipy.sparse is not needed either: the profile Newton solve is banded
+    # scipy.sparse is not needed either: the profile Newton solve is
+    # banded, and the pair solve's eigen-solve is hand-written LOBPCG
     code = (
         "import sys, segsym\n"
         "def loaded(): print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
@@ -435,9 +436,11 @@ def test_minimizer_does_not_load_scipy_optimize():
         "loaded()\n"
         "segsym.solve_profile(10.0, 0.1)\n"
         "loaded()\n"
+        "segsym.solve_system(segsym.square_grid(1.0, 65), *segsym.linear_pair_bdata(), 1e2)\n"
+        "loaded()\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False"] * 6
+    assert out.stdout.split() == ["False"] * 8
 
 
 @pytest.fixture(scope="module")
