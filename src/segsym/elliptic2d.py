@@ -56,11 +56,12 @@ through one multigrid hierarchy: the 5-point operator
 mask frozen as Dirichlet data and the shift s a scalar or an array on
 the grid.  _mg_pcg solves it by conjugate gradients preconditioned by
 one symmetric geometric V-cycle (red-black Gauss-Seidel smoothing,
-bilinear transfer, coarse masks taken at even nodes, an exact solve on
-the coarsest level), so its cost is O(N) in the nodes of the mask's
-bounding box.  It stops when the residual's 2-norm falls to 1e-13
-times the right-hand side's, and raises NoConvergence on a non-finite
-residual or after 100 iterations.
+bilinear transfer, coarse masks taken at even nodes, s h² restricted
+by full weighting, and on the coarsest level, at most 8 cells per
+axis, a dense inverse built from that level's own operator), so its
+cost is O(N) in the nodes of the mask's bounding box.  It stops when
+the residual's 2-norm falls to 1e-13 times the right-hand side's, and
+raises NoConvergence on a non-finite residual or after 100 iterations.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import LinAlgError, eigh
 
 from .config import SolveConfig
 from .errors import NoConvergence
@@ -82,10 +83,6 @@ _MIN_STEP = 1e-8  # Newton step length below which the solve has stalled
 # q below -_Q_TOL is escaped; the eigen-solve stops once its residual
 # puts q within _Q_TOL of an eigenvalue of H/2 / λ_min(A)
 _Q_TOL = 1e-3
-# cells per axis of the Newton blocks' coarsest level: its dense inverses
-# are rebuilt at every step, and at _MG_COARSEST they took about 15% of
-# the Newton time on 129²
-_NEWTON_COARSEST = 8
 
 _RED, _BLACK = 0, 1  # the parity of i + j
 
@@ -147,13 +144,18 @@ def discrete_energy(u: np.ndarray, v: np.ndarray, kappa: float, h: float) -> flo
     return float(e + kappa * h * h * np.sum(u * u * v * v))
 
 
+def _neighbours(x: np.ndarray) -> np.ndarray:
+    """((up + down) + left) + right at the interior nodes of x (the grid
+    is x's last two axes)."""
+    nb = np.add(x[..., :-2, 1:-1], x[..., 2:, 1:-1])
+    nb += x[..., 1:-1, :-2]
+    nb += x[..., 1:-1, 2:]
+    return nb
+
+
 def _sup_residual(u, v, kappa, h) -> float:
-    lap_u = (
-        u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:] - 4 * u[1:-1, 1:-1]
-    ) / (h * h)
-    lap_v = (
-        v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:] - 4 * v[1:-1, 1:-1]
-    ) / (h * h)
+    lap_u = (_neighbours(u) - 4 * u[1:-1, 1:-1]) / (h * h)
+    lap_v = (_neighbours(v) - 4 * v[1:-1, 1:-1]) / (h * h)
     ru = lap_u - kappa * u[1:-1, 1:-1] * v[1:-1, 1:-1] ** 2
     rv = lap_v - kappa * v[1:-1, 1:-1] * u[1:-1, 1:-1] ** 2
     # np.max, not max: a NaN in either half must come through
@@ -166,32 +168,28 @@ def _sup_residual(u, v, kappa, h) -> float:
 _MG_RTOL = 1e-13  # stop when ||r||_2 <= _MG_RTOL ||b||_2
 _MG_MAX_ITER = 100  # CG iterations before NoConvergence
 _MG_SMOOTH = 2  # red-black Gauss-Seidel sweeps before and after each coarsening
-_MG_COARSEST = 16  # coarsest level has at most this many cells per axis
+_MG_COARSEST = 8  # coarsest level has at most this many cells per axis
 
 
 class _Level:
-    """One grid of the hierarchy: the node mask, the operator
-    diag * x - (sum of neighbours) on it, and its smoother.
+    """One grid of the hierarchy: the node mask `free` (and `mask`, the
+    same as floats), the operator diag * x - (sum of neighbours) on it,
+    and its smoother.
 
-    diag is a float or an array on the level's grid; an array with a
-    leading axis stacks operators that share the mask, and they act on
-    the same stack of vectors (the grid is always the last two axes).
-    mask, free as floats, may be passed in to share it."""
+    diag is an array on the level's grid; one with a leading axis
+    stacks operators that share the mask, and they act on the same
+    stack of vectors (the grid is always the last two axes)."""
 
-    def __init__(self, free: np.ndarray, diag, mask: np.ndarray | None = None):
+    def __init__(self, free: np.ndarray, mask: np.ndarray, diag: np.ndarray):
         self.free = free
-        self.mask = free.astype(float) if mask is None else mask
-        self.inner = diag[..., 1:-1, 1:-1] if np.ndim(diag) else diag
-        self.weight = self.mask / diag  # Gauss-Seidel step, 0 off the mask
+        self.mask = mask
+        self.inner = diag[..., 1:-1, 1:-1]
+        self.weight = mask / diag  # Gauss-Seidel step, 0 off the mask
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        # inner x - (((up + down) + left) + right), in place
-        nb = np.add(x[..., :-2, 1:-1], x[..., 2:, 1:-1])
-        nb += x[..., 1:-1, :-2]
-        nb += x[..., 1:-1, 2:]
         q = np.zeros_like(x)
         inner = np.multiply(self.inner, x[..., 1:-1, 1:-1], out=q[..., 1:-1, 1:-1])
-        inner -= nb
+        inner -= _neighbours(x)
         q *= self.mask
         return q
 
@@ -220,32 +218,18 @@ class _Level:
 class _Coarsest(_Level):
     """The last level, solved exactly through its dense inverse.
 
-    The inverse comes from a banded Cholesky factor: unknowns are
-    numbered row by row, so the bandwidth is at most the row length,
-    and the narrow band keeps LAPACK on one thread.  A stacked diag
-    gives a stack of inverses."""
+    The matrix is the level's own apply on the unit vectors of its free
+    nodes (at most (_MG_COARSEST - 1)² of them, so LAPACK stays on one
+    thread).  A stacked diag gives a stack of inverses."""
 
-    def __init__(self, free: np.ndarray, diag, mask: np.ndarray | None = None):
-        super().__init__(free, diag, mask)
+    def __init__(self, free: np.ndarray, mask: np.ndarray, diag: np.ndarray):
+        super().__init__(free, mask, diag)
         ii, jj = np.nonzero(free)
         n = ii.size
-        num = -np.ones(free.shape, dtype=np.intp)
-        num[ii, jj] = np.arange(n)
-        right, down = num[ii, jj + 1], num[ii + 1, jj]
-        bw = int(np.max(down - np.arange(n), initial=1))
-        # upper banded storage: ab[bw + i - j, j] = A[i, j] for i <= j
-        ab = np.zeros((bw + 1, n))
-        for nb in (right, down):
-            on = nb >= 0
-            ab[bw + np.arange(n)[on] - nb[on], nb[on]] = -1.0
-        eye = np.eye(n)
-        lead = np.shape(diag)[:-2]
-        inverses = []
-        stack = np.broadcast_to(diag, lead + free.shape)[..., ii, jj]
-        for d in stack.reshape(math.prod(lead), n):
-            ab[bw] = d
-            inverses.append(cho_solve_banded((cholesky_banded(ab), False), eye) if n else eye)
-        self.inverse = np.stack(inverses) if lead else inverses[0]
+        units = np.zeros((n,) + diag.shape)
+        units[np.arange(n), ..., ii, jj] = 1.0
+        # apply(units)[k, ..., m] = A[m, k]: move k to the last axis
+        self.inverse = np.linalg.inv(np.moveaxis(self.apply(units)[..., ii, jj], 0, -1))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         e = np.zeros_like(r)
@@ -307,13 +291,13 @@ class _Hierarchy:
     m 2^k + 1 nodes per axis (`size`), m <= _MG_COARSEST; the coarse
     masks are the fine mask at even nodes."""
 
-    def __init__(self, free: np.ndarray, coarsest: int = _MG_COARSEST):
+    def __init__(self, free: np.ndarray):
         ii, jj = np.nonzero(free)
         self.crop = (slice(ii.min() - 1, ii.max() + 2), slice(jj.min() - 1, jj.max() + 2))
         self.cfree = free[self.crop]
         n = self.n = self.cfree.shape
         k = 0
-        while max(n) - 1 > coarsest * 2**k:
+        while max(n) - 1 > _MG_COARSEST * 2**k:
             k += 1
         self.size = tuple(-(-(a - 1) // 2**k) * 2**k + 1 for a in n)
         pfree = np.zeros(self.size, dtype=bool)
@@ -328,25 +312,21 @@ class _Hierarchy:
         out[..., : self.n[0], : self.n[1]] = a[(..., *self.crop)]
         return out
 
-    def levels(self, shift, h: float) -> list[_Level]:
-        """The levels of (4 + shift h²) x − Σ neighbours.  A float shift
-        is rediscretized on level l as shift (2^l h)²; an array shift (on
-        the mask's grid, or a stack of them) enters as c = shift h² per
-        node, and c is restricted to each coarser level by full
-        weighting, times 4 for the doubled spacing."""
+    def levels(self, shift: np.ndarray, h: float) -> list[_Level]:
+        """The levels of (4 + shift h²) x − Σ neighbours, shift an array
+        on the mask's grid (or a stack of them).  It enters as c = shift
+        h² per node, and c is restricted to each coarser level by full
+        weighting, times 4 for the doubled spacing: a constant c becomes
+        the rediscretized 4c at every interior node of the coarse grid."""
         k = len(self.free) - 1
-        if np.ndim(shift) == 0:
-            diags = [4.0 + shift * (2**lev * h) ** 2 for lev in range(k + 1)]
-        else:
-            c = self.pad(shift) * (h * h)
-            diags = [4.0 + c]
-            for _ in range(k):
+        c = self.pad(shift) * (h * h)
+        levels = []
+        for lev in range(k + 1):
+            if lev:
                 c = _restrict(c)
-                diags.append(4.0 + c)
-        return [
-            (_Coarsest if lev == k else _Level)(self.free[lev], diags[lev], self.masks[lev])
-            for lev in range(k + 1)
-        ]
+            kind = _Coarsest if lev == k else _Level
+            levels.append(kind(self.free[lev], self.masks[lev], 4.0 + c))
+        return levels
 
 
 def _pcg(apply, precond, r: np.ndarray, stop: float, truncate: bool = False):
@@ -407,14 +387,12 @@ def _mg_pcg(x: np.ndarray, free: np.ndarray, shift, h: float):
     if not free.any():
         return out, 0, 0.0
     hier = _Hierarchy(free)
-    levels = hier.levels(shift, h)
+    levels = hier.levels(np.broadcast_to(shift, x.shape), h)
     fine = levels[0]
     crop, cfree, n = hier.crop, hier.cfree, hier.n
     frozen = np.where(cfree, 0.0, x[crop])
     r = np.zeros(hier.size)
-    r[1 : n[0] - 1, 1 : n[1] - 1] = (
-        frozen[:-2, 1:-1] + frozen[2:, 1:-1] + frozen[1:-1, :-2] + frozen[1:-1, 2:]
-    )
+    r[1 : n[0] - 1, 1 : n[1] - 1] = _neighbours(frozen)
     # where, not a product with the mask: frozen data the mask never
     # reads may be non-finite
     r = np.where(fine.free, r, 0.0)
@@ -542,7 +520,7 @@ def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = Fals
     interior = np.zeros((nx, ny), dtype=bool)
     interior[1:-1, 1:-1] = True
     # the masks are the same for every step; only the diagonals change
-    hier = _Hierarchy(interior, _NEWTON_COARSEST)
+    hier = _Hierarchy(interior)
     box = (slice(None), slice(0, nx), slice(0, ny))
     lam_a = 4.0 - 2.0 * math.cos(math.pi / (nx - 1)) - 2.0 * math.cos(math.pi / (ny - 1))
     steps = iterations = escapes = 0

@@ -17,6 +17,7 @@ accepts the full step every time, in 6–8 steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,19 @@ def solve_profile(
     """Solve the two-point boundary value problem on [-L, L] to a sup
     residual of cfg.tol (default 1e-10).
 
-    Requires half_length >= 10 (so the linear regime is visible) and
-    0 < spacing <= 0.1 dividing the interval evenly.  Raises
+    Requires a finite half_length >= 10 (so the linear regime is
+    visible) and 0 < spacing <= 0.1 dividing the interval evenly.  Raises
     NoConvergence on a non-finite residual, a singular Jacobian, a step
     that does not lower the residual, or after _NEWTON_MAX steps.
     """
     cfg = cfg or SolveConfig(tol=1e-10)
     L, h = float(half_length), float(spacing)
-    if L < 10.0:
-        raise ValueError(f"half_length must be >= 10, got {L}")
+    if not (math.isfinite(L) and L >= 10.0):
+        raise ValueError(f"half_length must be finite and >= 10, got {L}")
     if not (0.0 < h <= 0.1):
         raise ValueError(f"spacing must be in (0, 0.1], got {h}")
+    if not math.isfinite(2.0 * L / h):
+        raise ValueError(f"half_length {L} over spacing {h} gives a non-finite node count")
     n = int(round(2.0 * L / h))
     if abs(n * h - 2.0 * L) > 1e-8:
         raise ValueError(f"spacing {h} does not divide [-{L}, {L}] evenly")

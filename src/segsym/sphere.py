@@ -461,10 +461,16 @@ class SweepFit:
 
 def fit_deficit(kappas, values) -> SweepFit:
     """Least-squares log-log fit of 2 - value; deficits that are not
-    positive are clipped to 1e-15 and flagged.  Raises only when every
-    value sits at or above 2, leaving nothing to fit."""
+    positive are clipped to 1e-15 and flagged.  Raises ValueError on a
+    non-finite value or a non-finite or nonpositive kappa, and
+    DeficitNonpositive when every value sits at or above 2, leaving
+    nothing to fit."""
     kappas = np.asarray(kappas, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0.0)):
+        raise ValueError("kappas must be finite and positive")
     deficits = 2.0 - values
     clipped = bool(np.any(deficits <= 0.0))
     if np.all(deficits <= 0.0):

@@ -289,6 +289,16 @@ def test_bad_number_list_names_its_flag(tmp_path, capsys, argv, field):
     assert not any(tmp_path.iterdir())
 
 
+def test_overflowing_profile_node_count_exits_1(tmp_path, capsys):
+    # 2L/h overflows to inf: a config error, not an OverflowError
+    argv = ["profile", "--half-length", "1e308", "--spacing", "0.1", "--outdir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "half_length" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_functional_exits_1_before_any_solve(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a pair was solved for a rejected functional")

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
+from scipy.special import i0e
 
 import segsym.elliptic2d as e2d
 from segsym.config import SolveConfig
@@ -356,6 +357,32 @@ def test_decay_2d_matches_radial_oracle():
     assert w.values[c, c] == pytest.approx(DECAY_CENTER_ORACLE, rel=0.03)
 
 
+def bessel_decay(M, A, R, r):
+    """A I0(sqrt(M) r) / I0(sqrt(M) R), the radial solution of Δw = M w
+    with w = A on the circle of radius R, through the scaled i0e."""
+    k = math.sqrt(M)
+    return A * i0e(k * r) / i0e(k * R) * np.exp(k * (r - R))
+
+
+@pytest.mark.parametrize("M", [10.0, 100.0, 1000.0])
+def test_decay_converges_to_bessel_oracle_on_unit_ball(M):
+    # criterion 5's solve, on criterion 5's domain, against the closed
+    # form: the relative sup error on B_1 is below sqrt(M) h on 81², 161²
+    # and 321², and the first-order rim makes it fall at an order near 1
+    errors = []
+    for n in (81, 161, 321):
+        g = square_grid(1.6, n)
+        X, Y = g.meshgrid()
+        r = np.hypot(X, Y)
+        inside = r <= 1.0
+        exact = bessel_decay(M, 1.0, 1.5, r[inside])
+        w = solve_linear_decay(M, 1.0, 1.5, g).values[inside]
+        errors.append(np.max(np.abs(w - exact)) / np.max(exact))
+        assert errors[-1] <= math.sqrt(M) * g.h
+    if M <= 100.0:
+        assert math.log2(errors[1] / errors[2]) >= 0.75
+
+
 def test_decay_tiny_M_is_constant():
     g = square_grid(1.0, 65)
     w = solve_linear_decay(1e-12, 2.0, 1.0, g)
@@ -521,16 +548,14 @@ def test_mg_pcg_variable_shift_matches_direct_solve(problem, data):
 
 
 def test_mg_pcg_constant_array_shift_matches_scalar():
-    # an array shift restricts c = shift h² by full weighting; a scalar
-    # one is rediscretized per level, so the two agree to solver
-    # tolerance, not bit for bit
+    # a scalar shift is broadcast to the grid and takes the array's path
     g = square_grid(1.0, 65)
     X, Y = g.meshgrid()
     free = np.hypot(X, Y) < 0.9
     x = np.ones((g.nx, g.ny))
     scalar, _, _ = e2d._mg_pcg(x, free, 50.0, g.h)
     array, _, _ = e2d._mg_pcg(x, free, np.full(x.shape, 50.0), g.h)
-    assert np.max(np.abs(scalar - array)) <= 1e-12
+    assert np.array_equal(scalar, array)
 
 
 def blockwise_smooth(level, e, r, colours):
@@ -549,15 +574,18 @@ def blockwise_smooth(level, e, r, colours):
 def test_flat_smoother_equals_strided_blocks():
     # the smoother runs each colour as one stride-2 slice of the flattened
     # grid; on the interior it must give the blockwise floats bit for bit,
-    # signed zeros included, stacked or not, with a scalar or array shift
+    # signed zeros included, stacked or not, with a constant or varying
+    # shift
     rng = np.random.default_rng(3)
     for _ in range(60):
         m, n = rng.choice([3, 5, 9, 17, 33, 65], size=2)
         free = rng.uniform(size=(m, n)) < 0.8
         free[0, :] = free[-1, :] = free[:, 0] = free[:, -1] = False
         shape = ((2,) if rng.uniform() < 0.5 else ()) + (m, n)
-        diag = 4.0 + (rng.uniform(0.0, 100.0, shape) if rng.uniform() < 0.7 else rng.uniform())
-        level = e2d._Level(free, diag)
+        diag = 4.0 + (
+            rng.uniform(0.0, 100.0, shape) if rng.uniform() < 0.7 else np.full(shape, rng.uniform())
+        )
+        level = e2d._Level(free, free.astype(float), diag)
         r = rng.normal(size=shape) * level.mask
         r[rng.uniform(size=shape) < 0.05] = -0.0
         start = rng.normal(size=shape) * level.mask * (rng.uniform() < 0.5)
@@ -568,6 +596,28 @@ def test_flat_smoother_equals_strided_blocks():
         inner = (..., slice(1, -1), slice(1, -1))
         assert np.array_equal(e_flat[inner], e_blocks[inner])
         assert np.array_equal(np.signbit(e_flat[inner]), np.signbit(e_blocks[inner]))
+
+
+def test_coarsest_solve_is_exact():
+    # the coarsest level of random disk masks' hierarchies, with a random
+    # shift, stacked or not: its solve inverts its own apply on the mask
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        nx, ny = rng.integers(5, 200, size=2)
+        I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        centre = rng.uniform(0.0, 1.0, 2) * (nx, ny)
+        free = np.hypot(I - centre[0], J - centre[1]) < rng.uniform(1.0, max(nx, ny))
+        free[0, :] = free[-1, :] = free[:, 0] = free[:, -1] = False
+        if not free.any():
+            continue
+        lead = (2,) if rng.uniform() < 0.5 else ()
+        shift = rng.uniform(0.0, 10.0 ** rng.integers(-2, 6), lead + (nx, ny))
+        level = e2d._Hierarchy(free).levels(shift, 1.0 / max(nx, ny))[-1]
+        assert isinstance(level, e2d._Coarsest)
+        assert max(level.free.shape) - 1 <= e2d._MG_COARSEST
+        r = rng.normal(size=lead + level.free.shape) * level.mask
+        back = level.apply(level.solve(r))
+        assert np.max(np.abs(back - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_truncated_cg_stops_on_nonpositive_curvature():
@@ -782,7 +832,7 @@ def kernel_q(u, v, kappa, h):
     nx, ny = u.shape
     interior = np.zeros((nx, ny), dtype=bool)
     interior[1:-1, 1:-1] = True
-    hier = e2d._Hierarchy(interior, e2d._NEWTON_COARSEST)
+    hier = e2d._Hierarchy(interior)
     levels, apply = e2d._hessian(hier, u, v, kappa, h)
     lam_a = 4.0 - 2.0 * math.cos(math.pi / (nx - 1)) - 2.0 * math.cos(math.pi / (ny - 1))
     return e2d._lowest_mode(levels, apply, lam_a)[0]

@@ -1,5 +1,6 @@
 """1D profile: convergence, symmetry, monotonicity, growth, extension."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,9 @@ def test_preconditions():
         solve_profile(20.0, 0.2)
     with pytest.raises(ValueError):
         solve_profile(20.0, -0.1)
+    for length in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="half_length"):
+            solve_profile(length, 0.05)
 
 
 def test_non_finite_residual_raises(monkeypatch):

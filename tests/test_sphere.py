@@ -535,3 +535,23 @@ def test_fit_deficit_clipping_and_error():
     fit = fit_deficit([1e2, 1e3, 1e4], [1.9, 1.99, 2.05])
     assert fit.clipped
     assert np.all(fit.deficits > 0.0)
+
+
+@pytest.mark.parametrize(
+    "kappas, values, word",
+    [
+        ([1e2, 1e3, 1e4], [1.9, 1.95, math.nan], "values"),
+        ([1e2, 1e3, 1e4], [1.9, 1.95, math.inf], "values"),
+        ([1e2, 1e3, 1e4], [1.9, 1.95, -math.inf], "values"),
+        ([1e2, 0.0, 1e4], [1.9, 1.95, 1.99], "kappas"),
+        ([1e2, -1e3, 1e4], [1.9, 1.95, 1.99], "kappas"),
+        ([1e2, math.nan, 1e4], [1.9, 1.95, 1.99], "kappas"),
+        ([1e2, 1e3, math.inf], [1.9, 1.95, 1.99], "kappas"),
+    ],
+)
+def test_fit_deficit_rejects_nonfinite_input(kappas, values, word):
+    # a NaN must not come out as a fitted C and exponent, an infinite
+    # value must not be clipped into the fit, and a bad kappa must not
+    # reach LAPACK
+    with pytest.raises(ValueError, match=word):
+        fit_deficit(kappas, values)
