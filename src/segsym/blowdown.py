@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import _ZERO_SHELL, _check_pair, _check_radii, _flatness_fit
 from .errors import DomainTooLarge, NumericalBreakdown, ZeroDenominator
-from .grid import Field, Grid2D, Window, ball_weights, interpolate, shell_sq_integral
+from .grid import Field, Grid2D, Window, _box_inside, ball_weights, interpolate, shell_sq_integral
 
 _ORIGIN = (0.0, 0.0)
 
@@ -85,13 +85,7 @@ def rescale(
     g = u.grid
     txmin, txmax, tymin, tymax = target.extent
     sxmin, sxmax, symin, symax = g.extent
-    eps = 1e-9 * g.h
-    if (
-        R * txmin < sxmin - eps
-        or R * txmax > sxmax + eps
-        or R * tymin < symin - eps
-        or R * tymax > symax + eps
-    ):
+    if not _box_inside(g, R * txmin, R * txmax, R * tymin, R * tymax):
         raise DomainTooLarge(
             f"scaled target [{R * txmin:.6g}, {R * txmax:.6g}] x "
             f"[{R * tymin:.6g}, {R * tymax:.6g}] exceeds source extent "

@@ -139,14 +139,8 @@ def _stencil(g: Grid2D, pts: np.ndarray):
     """Bilinear stencil of the points (N, 2): the lower-left corner nodes
     (i, j) and the offsets (tx, ty) in [0, 1] inside their cells."""
     xmin, xmax, ymin, ymax = g.extent
-    eps = _EDGE_EPS * g.h
     px, py = pts[:, 0], pts[:, 1]
-    if (
-        px.min() < xmin - eps
-        or px.max() > xmax + eps
-        or py.min() < ymin - eps
-        or py.max() > ymax + eps
-    ):
+    if not _box_inside(g, px.min(), px.max(), py.min(), py.max()):
         k = int(
             np.argmax(
                 np.maximum.reduce(
@@ -252,13 +246,20 @@ def disk_rect_area(r: float, ax: float, bx: float, ay: float, by: float) -> floa
     return float(_disk_rect_areas(r, *np.array([[ax], [bx], [ay], [by]], dtype=float))[0])
 
 
-def _require_ball_inside(g: Grid2D, center, r: float) -> None:
+def _box_inside(g: Grid2D, xlo, xhi, ylo, yhi) -> bool:
+    """Whether [xlo, xhi] x [ylo, yhi] lies inside the grid extent, up to
+    a slack of _EDGE_EPS h; a NaN bound compares as inside."""
     xmin, xmax, ymin, ymax = g.extent
     eps = _EDGE_EPS * g.h
+    return not (xlo < xmin - eps or xhi > xmax + eps or ylo < ymin - eps or yhi > ymax + eps)
+
+
+def _require_ball_inside(g: Grid2D, center, r: float) -> None:
+    xmin, xmax, ymin, ymax = g.extent
     cx, cy = float(center[0]), float(center[1])
     if not (r > 0.0):
         raise ValueError(f"ball radius must be positive, got {r}")
-    if cx - r < xmin - eps or cx + r > xmax + eps or cy - r < ymin - eps or cy + r > ymax + eps:
+    if not _box_inside(g, cx - r, cx + r, cy - r, cy + r):
         raise BallOutsideDomain(
             f"ball B_{r:.6g}(({cx:.6g}, {cy:.6g})) exceeds grid extent "
             f"[{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]"

@@ -36,6 +36,10 @@ _BOUNDARY_FLOOR = 1e-12
 
 _NEWTON_MAX = 60
 
+# bound on the interval count 2L/h: at 10^6 the banded Jacobian takes
+# 80 MB; the largest solve measured (L = 400, h = 0.01) has 8e4
+_MAX_INTERVALS = 10**6
+
 
 @dataclass
 class Profile1D:
@@ -90,9 +94,10 @@ def solve_profile(
     residual of cfg.tol (default 1e-10).
 
     Requires a finite half_length >= 10 (so the linear regime is
-    visible) and 0 < spacing <= 0.1 dividing the interval evenly.  Raises
-    NoConvergence on a non-finite residual, a singular Jacobian, a step
-    that does not lower the residual, or after _NEWTON_MAX steps.
+    visible) and 0 < spacing <= 0.1 dividing the interval evenly into at
+    most _MAX_INTERVALS = 10^6 intervals.  Raises NoConvergence on a
+    non-finite residual, a singular Jacobian, a step that does not lower
+    the residual, or after _NEWTON_MAX steps.
     """
     cfg = cfg or SolveConfig(tol=1e-10)
     L, h = float(half_length), float(spacing)
@@ -100,8 +105,11 @@ def solve_profile(
         raise ValueError(f"half_length must be finite and >= 10, got {L}")
     if not (0.0 < h <= 0.1):
         raise ValueError(f"spacing must be in (0, 0.1], got {h}")
-    if not math.isfinite(2.0 * L / h):
-        raise ValueError(f"half_length {L} over spacing {h} gives a non-finite node count")
+    if not 2.0 * L / h <= _MAX_INTERVALS:
+        raise ValueError(
+            f"half_length {L} over spacing {h} gives {2.0 * L / h:.6g} intervals,"
+            f" more than {_MAX_INTERVALS}"
+        )
     n = int(round(2.0 * L / h))
     if abs(n * h - 2.0 * L) > 1e-8:
         raise ValueError(f"spacing {h} does not divide [-{L}, {L}] evenly")

@@ -32,7 +32,9 @@ below the spectrum the Rayleigh quotient cannot increase, so no half
 step can raise the value; since S has negative off-diagonals each
 ground state is simple and strictly positive (Perron-Frobenius): no
 clipping, projection or line search.  The stop rule is a relative KKT
-residual at most _KKT_TOL.
+residual at most _KKT_TOL, read off the same ground-state matrices T at
+the final tangent: for f = W^{-1/2} y the gradient residual is
+W^{-1/2} (T y - rho y), the Rayleigh residual the half steps drive down.
 """
 
 from __future__ import annotations
@@ -180,18 +182,18 @@ def rearrange_pair(p: SphericalPair) -> SphericalPair:
 
 
 def dirichlet_energy(p: SphericalPair, which: str) -> float:
-    """Sum over interior cell boundaries of w_edge ((f_{i+1}-f_i)/dalpha)^2,
-    with the sin^{n-2} surface factor evaluated at the shared boundary."""
+    """The Dirichlet form sum_i k_i (f_{i+1} - f_i)^2 of f = ubar or vbar
+    (which = "u" or "v"), k the edge stiffness of _stiffness."""
+    if which not in ("u", "v"):
+        raise ValueError(f"which must be 'u' or 'v', got {which!r}")
     if p.m < 8:
         raise ValueError(f"need at least 8 cells, got {p.m}")
-    f = p.ubar if which == "u" else p.vbar
-    w_edge, dalpha = _edge_data(p)
-    return float(np.sum(w_edge * (np.diff(f) / dalpha) ** 2))
+    return _form(_stiffness(p), p.ubar if which == "u" else p.vbar)
 
 
 def product_mass(p: SphericalPair) -> float:
     """Integral of ubar^2 vbar^2 over the sphere."""
-    return float(np.sum(p.w * (p.ubar * p.vbar) ** 2))
+    return _product_mass(p.w, p.ubar, p.vbar)
 
 
 def quotient_pair(p: SphericalPair, kappa: float, lambda_kappa: float):
@@ -205,10 +207,27 @@ def quotient_pair(p: SphericalPair, kappa: float, lambda_kappa: float):
     mass_v = float(np.sum(p.w * p.vbar**2))
     if mass_u <= 0.0 or mass_v <= 0.0:
         raise NumericalBreakdown("both functions need positive mass")
+    k = _stiffness(p)
     pm = product_mass(p)
-    x = (dirichlet_energy(p, "u") + kappa * lambda_kappa**2 * pm) / mass_u
-    y = (dirichlet_energy(p, "v") + kappa * pm) / mass_v
+    x = (_form(k, p.ubar) + kappa * lambda_kappa**2 * pm) / mass_u
+    y = (_form(k, p.vbar) + kappa * pm) / mass_v
     return x, y, gamma(x, p.n) + gamma(y, p.n)
+
+
+def _stiffness(p: SphericalPair) -> np.ndarray:
+    """Edge stiffness k_i = fiber sin^{n-2}(boundary_i) / (alpha_{i+1} - alpha_i)
+    of the Dirichlet form sum_i k_i (f_{i+1} - f_i)^2."""
+    return _FIBER[p.n] * np.sin(_cell_edges(p)[1:-1]) ** (p.n - 2) / np.diff(p.alpha)
+
+
+def _form(k, f) -> float:
+    d = f[1:] - f[:-1]
+    return float(np.dot(k, d * d))
+
+
+def _product_mass(w, u, v) -> float:
+    t = u * v
+    return float(np.dot(w, t * t))
 
 
 @dataclass
@@ -234,31 +253,13 @@ class MinimizerReport:
             raise ValueError("report quantities must be nonnegative")
 
 
-def _edge_data(p: SphericalPair):
-    edges = _cell_edges(p)[1:-1]
-    dalpha = np.diff(p.alpha)
-    w_edge = _FIBER[p.n] * np.sin(edges) ** (p.n - 2) * dalpha
-    return w_edge, dalpha
-
-
 def _value_and_quotients(u, v, w, stiff, kappa, lam2, c):
-    # stiff = w_edge / dalpha^2; c = (n-2)/2 so gamma(x) = sqrt(c^2+x) - c
-    t = u * v
-    pm = float(np.dot(w, t * t))
-    du = u[1:] - u[:-1]
-    dv = v[1:] - v[:-1]
-    x = float(np.dot(stiff, du * du)) + kappa * lam2 * pm
-    y = float(np.dot(stiff, dv * dv)) + kappa * pm
+    # c = (n-2)/2 so gamma(x) = sqrt(c^2+x) - c
+    pm = _product_mass(w, u, v)
+    x = _form(stiff, u) + kappa * lam2 * pm
+    y = _form(stiff, v) + kappa * pm
     val = math.sqrt(c * c + x) + math.sqrt(c * c + y) - 2.0 * c
     return val, x, y, pm
-
-
-def _laplacian(f, stiff):
-    flux = stiff * (f[1:] - f[:-1])
-    out = np.zeros_like(f)
-    out[:-1] -= flux
-    out[1:] += flux
-    return out
 
 
 def _normalize(f, w):
@@ -268,11 +269,14 @@ def _normalize(f, w):
     return f / mass
 
 
-def _tridiagonal_apply(diag, off, y):
+def _rayleigh_residual(diag, off, y):
+    """rho = y . T y and T y - rho y for the tridiagonal T = (diag, off)."""
     t = diag * y
     t[:-1] += off * y[1:]
     t[1:] += off * y[:-1]
-    return t
+    rho = float(np.dot(y, t))
+    t -= rho * y
+    return rho, t
 
 
 def _ground_state(diag, off, f, rs, w):
@@ -295,9 +299,7 @@ def _ground_state(diag, off, f, rs, w):
     y /= math.sqrt(float(np.dot(y, y)))
     steps = 0
     while True:
-        t = _tridiagonal_apply(diag, off, y)
-        rho = float(np.dot(y, t))
-        t -= rho * y
+        rho, t = _rayleigh_residual(diag, off, y)
         res = math.sqrt(float(np.dot(t, t)))
         if res <= tol:
             return _normalize(np.abs(y) * rs, w), steps
@@ -333,17 +335,16 @@ def _tangent(state, n, kappa, lam2):
     return gpx, gpy, kappa * (gpx * lam2 + gpy)
 
 
-def _kkt_residual(u, v, w, stiff, gpx, gpy, mix):
+def _kkt_residual(u, v, s_diag, s_off, rs, gpx, gpy, mix):
     """max over f = u, v of sup_i |g_i / w_i - mu f_i| / mu, mu = g . f,
     g half the value's gradient in f; iterates are positive, so there is
-    no off-support term."""
+    no off-support term.  With y = W^{1/2} f and T the ground-state
+    matrix of f's half step at this tangent, g = W^{1/2} T y, so mu = rho
+    and g / w - mu f = W^{-1/2} (T y - rho y): the Rayleigh residual."""
     worst = 0.0
-    for f, g in (
-        (u, gpx * _laplacian(u, stiff) + mix * w * v * v * u),
-        (v, gpy * _laplacian(v, stiff) + mix * w * u * u * v),
-    ):
-        mu = float(np.dot(g, f))
-        worst = max(worst, float(np.max(np.abs(g / w - mu * f))) / mu)
+    for f, gp, other in ((u, gpx, v), (v, gpy, u)):
+        rho, t = _rayleigh_residual(gp * s_diag + mix * other * other, gp * s_off, f / rs)
+        worst = max(worst, float(np.max(np.abs(t * rs))) / rho)
     return worst
 
 
@@ -362,8 +363,7 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
     quotients and product mass, the outer steps, the KKT residual and the
     inverse-iteration steps."""
     n, w = pair0.n, pair0.w
-    w_edge, dalpha = _edge_data(pair0)
-    stiff = w_edge / dalpha**2
+    stiff = _stiffness(pair0)
     args = (w, stiff, kappa, lam2, 0.5 * (n - 2))
     # W^{-1/2} S W^{-1/2} for the stiffness matrix S: diagonal, off-diagonal
     rs = 1.0 / np.sqrt(w)
@@ -381,7 +381,7 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
         v, steps = _ground_state(gpy * s_diag + mix * u * u, gpy * s_off, v, rs, w)
         eigen_steps += steps
         state = _checked_value(state[0], it, u, v, *args)
-        kkt = _kkt_residual(u, v, w, stiff, *_tangent(state, n, kappa, lam2))
+        kkt = _kkt_residual(u, v, s_diag, s_off, rs, *_tangent(state, n, kappa, lam2))
         if kkt <= _KKT_TOL:
             return u, v, *state, it, kkt, eigen_steps
     raise NoConvergence(cfg.max_iter, kkt, "spherical descent")
@@ -392,6 +392,9 @@ def _check_coupling(kappa: float, lambda_kappa: float) -> None:
         raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     if not (math.isfinite(lambda_kappa) and lambda_kappa > 0.0):
         raise ValueError(f"lambda_kappa must be finite and positive, got {lambda_kappa}")
+    # kappa >= 1, so this also keeps lambda^2 finite
+    if not math.isfinite(kappa * lambda_kappa * lambda_kappa):
+        raise ValueError(f"kappa lambda_kappa^2 overflows at lambda_kappa {lambda_kappa}")
 
 
 def minimize_spherical(

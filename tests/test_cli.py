@@ -290,13 +290,24 @@ def test_bad_number_list_names_its_flag(tmp_path, capsys, argv, field):
 
 
 def test_overflowing_profile_node_count_exits_1(tmp_path, capsys):
-    # 2L/h overflows to inf: a config error, not an OverflowError
-    argv = ["profile", "--half-length", "1e308", "--spacing", "0.1", "--outdir", str(tmp_path)]
-    assert main(argv) == 1
+    # 2L/h overflows to inf (not an OverflowError), and 3.2e10 intervals
+    # divide evenly (not a 238 GiB allocation): both are config errors
+    for half_length, spacing in (("1e308", "0.1"), ("1e9", "0.0625")):
+        argv = ["profile", "--half-length", half_length, "--spacing", spacing]
+        assert main(argv + ["--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "half_length" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["spheremin", "spheresweep"])
+def test_overflowing_lambda_squared_exits_1(tmp_path, capsys, cmd):
+    # lambda is finite, lambda^2 is not: a config error, not an OverflowError
+    assert main([cmd, "--lambda", "1e200", "--m", "16", "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "half_length" in err
+    assert err.startswith("error: ") and "lambda_kappa" in err
     assert "Traceback" not in err
-    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_functional_exits_1_before_any_solve(tmp_path, capsys, monkeypatch):

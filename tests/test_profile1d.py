@@ -41,6 +41,16 @@ def test_preconditions():
             solve_profile(length, 0.05)
 
 
+def test_node_count_bounded_before_any_allocation(monkeypatch):
+    # 3.2e10 intervals divide evenly: the bound, not numpy, must refuse them
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was allocated for a rejected node count")
+
+    monkeypatch.setattr(p1d.np, "arange", no_lattice)
+    with pytest.raises(ValueError, match="half_length .* spacing"):
+        solve_profile(1e9, 0.0625)
+
+
 def test_non_finite_residual_raises(monkeypatch):
     monkeypatch.setattr(p1d, "_sup_residual", lambda *args: float("nan"))
     with pytest.raises(NoConvergence) as exc:

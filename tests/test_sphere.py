@@ -48,6 +48,13 @@ def total_energy(p):
     return dirichlet_energy(p, "u") + dirichlet_energy(p, "v")
 
 
+def assert_public_evaluation_agrees(rep):
+    # the minimizer's value and quotients are the public functional's
+    x, y, val = quotient_pair(rep.pair, rep.kappa, rep.lambda_kappa)
+    for got, want in ((x, rep.x_kappa), (y, rep.y_kappa), (val, rep.value)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def mutual_product(p):
     return float(np.sum(p.w * p.ubar * p.vbar))
 
@@ -231,6 +238,13 @@ def test_dirichlet_energy_constant_zero_and_min_cells():
         dirichlet_energy(small, "u")
 
 
+def test_dirichlet_energy_rejects_unknown_function():
+    p = uniform_pair(2, 16, np.full(16, 0.7), np.full(16, 0.2))
+    for which in ("x", "U", ""):
+        with pytest.raises(ValueError, match="which"):
+            dirichlet_energy(p, which)
+
+
 def test_test_function_value_at_most_two():
     # (phi+, phi-) for phi = c cos(alpha) caps the minimum at 2
     for n in (2, 3):
@@ -287,6 +301,7 @@ def test_minimize_converged_report():
     # converged iterate is stable under one more rearrangement
     x, y, val = quotient_pair(rearrange_pair(p), 1e3, 1.0)
     assert val <= rep.value + 1e-9
+    assert_public_evaluation_agrees(rep)
 
 
 def test_minimize_deterministic():
@@ -302,6 +317,7 @@ def test_minimize_asymmetric_lambda():
     # asymmetric coupling splits the multipliers
     assert rep.mult1 != rep.mult2
     assert abs(rep.value - 1.840459) <= 5e-3
+    assert_public_evaluation_agrees(rep)
 
 
 def test_minimize_n3_value_below_two():
@@ -309,6 +325,7 @@ def test_minimize_n3_value_below_two():
     assert abs(rep.value - MIN_VALUE_K1E3_N3) <= 5e-3
     assert abs(rep.mult1 - MIN_MULT_K1E3_N3) <= 2e-2
     assert 0.0 < rep.value < 2.0
+    assert_public_evaluation_agrees(rep)
 
 
 def test_minimize_n3_is_stationary_and_monotone():
@@ -481,7 +498,16 @@ def _no_descent(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "kappa, lam", [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)]
+    "kappa, lam",
+    [
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (10.0, math.nan),
+        (10.0, math.inf),
+        # lambda^2 overflows, then kappa lambda^2
+        (10.0, 1e200),
+        (1e10, 1e150),
+    ],
 )
 def test_minimize_rejects_nonfinite_coupling(monkeypatch, kappa, lam):
     monkeypatch.setattr(sphere, "_descent", _no_descent)
@@ -497,6 +523,11 @@ def test_sweep_rejects_nonfinite_coupling_before_any_descent(monkeypatch):
         kappa_sweep([1e2, math.inf, 1e4], 1.0, 16)
     with pytest.raises(ValueError):
         kappa_sweep([1e2, 1e3, 1e4], math.nan, 16)
+    with pytest.raises(ValueError):
+        kappa_sweep([1e2, 1e3, 1e4], 1e200, 16)
+    # kappa lambda^2 is finite at 1e8 and overflows from 1e9 on
+    with pytest.raises(ValueError):
+        kappa_sweep([1e8, 1e9, 1e10], 1e150, 16)
 
 
 def test_descent_breakdown_raises_numerical_error(monkeypatch):
