@@ -210,7 +210,7 @@ def criterion_01(ctx: SuiteContext) -> list:
 def criterion_02(ctx: SuiteContext) -> list:
     """Closed-form oracle suite on the half-plane pair at h = 1/256."""
     g, u, v = ctx.lin513
-    tol = 5.0 * g.h
+    tol = dg.eps_mono(g)
     checks = []
     rows = []
     for r in (0.3, 0.5, 0.7, 0.9):
@@ -505,7 +505,7 @@ def criterion_12(ctx: SuiteContext) -> list:
     """Cone of monotone directions around e1 and flatness of the
     transverse derivative."""
     g, u, v = ctx.extension
-    tol = 5.0 * g.h
+    tol = dg.eps_mono(g)
     viol = dg.cone_monotonicity(u, v, (1.0, 0.0), 0.75)
     gu = gradient(u)
     gv = gradient(v)

@@ -138,6 +138,9 @@ def gradient(f: Field) -> VectorField:
 def _stencil(g: Grid2D, pts: np.ndarray):
     """Bilinear stencil of the points (N, 2): the lower-left corner nodes
     (i, j) and the offsets (tx, ty) in [0, 1] inside their cells."""
+    # a NaN passes every extent comparison, so it is rejected here
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     xmin, xmax, ymin, ymax = g.extent
     px, py = pts[:, 0], pts[:, 1]
     if not _box_inside(g, px.min(), px.max(), py.min(), py.max()):

@@ -50,6 +50,7 @@ from .errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalB
 
 _FIBER = {2: 2.0, 3: 2.0 * math.pi}  # measure of the azimuthal fiber
 _KKT_TOL = 1e-6  # relative KKT residual at which the minimizer stops
+_OUTER_MAX = 20_000  # outer steps before NoConvergence: 5x the most measured (3989, kappa < 10)
 _EPS = float(np.finfo(float).eps)
 _RESIDUAL_ULPS = 16.0  # eigen residual, in rounding units of |T|, at which a ground state stops
 _EIGEN_MAX_STEPS = 100  # inverse-iteration steps per ground state
@@ -201,8 +202,10 @@ def quotient_pair(p: SphericalPair, kappa: float, lambda_kappa: float):
 
     Uses the normalized convention: vbar is the unit-mass variable and
     the coupling in x carries lambda_kappa^2.  Masses are divided out,
-    so constraint-normalized pairs give the plain quotients.
+    so constraint-normalized pairs give the plain quotients.  The
+    coupling is checked as the minimizer checks it (_check_coupling).
     """
+    _check_coupling(kappa, lambda_kappa)
     mass_u = float(np.sum(p.w * p.ubar**2))
     mass_v = float(np.sum(p.w * p.vbar**2))
     if mass_u <= 0.0 or mass_v <= 0.0:
@@ -358,7 +361,7 @@ def _checked_value(prev, it, u, v, *args):
     return state
 
 
-def _descent(u, v, pair0, kappa, lam2, cfg):
+def _descent(u, v, pair0, kappa, lam2):
     """Alternating ground-state iteration; returns the pair, its value,
     quotients and product mass, the outer steps, the KKT residual and the
     inverse-iteration steps."""
@@ -372,7 +375,7 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
     u, v = _normalize(u, w), _normalize(v, w)
     state = _checked_value(math.inf, 0, u, v, *args)
     eigen_steps = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _OUTER_MAX + 1):
         gpx, _, mix = _tangent(state, n, kappa, lam2)
         u, steps = _ground_state(gpx * s_diag + mix * v * v, gpx * s_off, u, rs, w)
         eigen_steps += steps
@@ -384,7 +387,7 @@ def _descent(u, v, pair0, kappa, lam2, cfg):
         kkt = _kkt_residual(u, v, s_diag, s_off, rs, *_tangent(state, n, kappa, lam2))
         if kkt <= _KKT_TOL:
             return u, v, *state, it, kkt, eigen_steps
-    raise NoConvergence(cfg.max_iter, kkt, "spherical descent")
+    raise NoConvergence(_OUTER_MAX, kkt, "spherical descent")
 
 
 def _check_coupling(kappa: float, lambda_kappa: float) -> None:
@@ -415,12 +418,11 @@ def minimize_spherical(
     outer steps (one u and one v ground state each) as `iterations` and
     the inverse-iteration steps of all ground states as `eigen_steps`.
     Each ground state starts from the current iterate.  Raises
-    NoConvergence after cfg.max_iter outer steps (cfg.tol is not read)
-    and NumericalBreakdown if the value rises or goes non-finite or a
-    ground state breaks down (see _ground_state).
-    Multipliers are evaluated from the stationarity identities.
+    NoConvergence after _OUTER_MAX outer steps and NumericalBreakdown
+    if the value rises or goes non-finite or a ground state breaks down
+    (see _ground_state).  Multipliers are evaluated from the
+    stationarity identities.  cfg is accepted and unread.
     """
-    cfg = cfg or SolveConfig()
     _check_coupling(kappa, lambda_kappa)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
@@ -428,7 +430,7 @@ def minimize_spherical(
     lam2 = lambda_kappa**2
     t = np.cos(pair0.alpha)
     u0, v0 = np.maximum(t, 0.0) + 0.02, np.maximum(-t, 0.0) + 0.02
-    u, v, val, x, y, pm, its, kkt, eigen_steps = _descent(u0, v0, pair0, kappa, lam2, cfg)
+    u, v, val, x, y, pm, its, kkt, eigen_steps = _descent(u0, v0, pair0, kappa, lam2)
     gpx = _gamma_prime(x, n)
     gpy = _gamma_prime(y, n)
     coupling = kappa * pm
@@ -495,7 +497,8 @@ def kappa_sweep(kappas, lambda_kappa, m, cfg: SolveConfig | None = None) -> Swee
     """Run minimize_spherical across kappas and fit 2 - value ~ C kappa^p.
 
     Needs at least 3 kappas spanning two decades; every kappa and
-    lambda_kappa is checked before the first minimization runs.
+    lambda_kappa is checked before the first minimization runs.  cfg is
+    accepted and unread.
     """
     kappas = [float(k) for k in kappas]
     if len(kappas) < 3:
@@ -504,7 +507,7 @@ def kappa_sweep(kappas, lambda_kappa, m, cfg: SolveConfig | None = None) -> Swee
         _check_coupling(k, lambda_kappa)
     if max(kappas) < 100.0 * min(kappas):
         raise ValueError("kappa values must span at least two decades")
-    reports = [minimize_spherical(k, lambda_kappa, m, cfg) for k in kappas]
+    reports = [minimize_spherical(k, lambda_kappa, m) for k in kappas]
     fit = fit_deficit(kappas, [r.value for r in reports])
     fit.reports = reports
     return fit

@@ -563,6 +563,12 @@ def test_nan_in_sup_scans_raises(axis):
             dg.product_bounds(first, second)
 
 
+def test_nan_center_is_rejected_before_the_shell_stencil():
+    u, v = linear_pair(square_grid(1.0, 17))
+    with pytest.raises(ValueError, match="finite"):
+        dg.almgren_H(u, v, (math.nan, 0.0), 0.5)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_product_is_not_nan():
     # an infinite sup is a value, not a NaN: it comes back as inf

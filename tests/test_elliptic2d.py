@@ -237,34 +237,38 @@ def test_product_sup_exponent():
     assert -0.65 <= slope <= -0.35
 
 
-def test_converged_at_max_iter_returns():
+def test_converged_at_max_iter_returns(monkeypatch):
     # 65^2, kappa = 1e2 meets tol after exactly 6 Newton steps from the
     # border data: a cap of 6 is reached and met together, and
     # convergence wins
+    monkeypatch.setattr(e2d, "_NEWTON_MAX", 6)
     g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=6))
+    pair = solve_system(g, fu, fv, 100.0)
     assert pair.newton_steps == 6
     assert pair.residual <= SolveConfig().tol
 
 
-def test_max_iter_is_exact():
+def test_max_iter_is_exact(monkeypatch):
     # a cap below the steps needed stops there
+    monkeypatch.setattr(e2d, "_NEWTON_MAX", 5)
     g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence, match="Newton") as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=5))
+        solve_system(g, fu, fv, 100.0)
     assert exc.value.iterations == 5
     assert exc.value.residual > SolveConfig().tol
 
 
-def uncapped_start(monkeypatch):
-    """Let the start grid's Newton ignore cfg.max_iter, so that a cap
-    bites on the finer grid's steps alone."""
-    newton = e2d._newton
+def uncapped_start(monkeypatch, cap):
+    """Cap the Newton budget at `cap` on the finer grids and leave the
+    start grid's at its default, so that the cap bites on the finer
+    grid's steps alone."""
+    newton, default = e2d._newton, e2d._NEWTON_MAX
 
     def start_uncapped(u, v, kappa, h, cfg, certify):
-        return newton(u, v, kappa, h, SolveConfig(tol=cfg.tol) if certify else cfg, certify)
+        monkeypatch.setattr(e2d, "_NEWTON_MAX", default if certify else cap)
+        return newton(u, v, kappa, h, cfg, certify)
 
     monkeypatch.setattr(e2d, "_newton", start_uncapped)
 
@@ -272,32 +276,58 @@ def uncapped_start(monkeypatch):
 def test_newton_converged_at_max_iter_returns(monkeypatch):
     # 129^2, kappa = 1e2 needs exactly 4 Newton steps above the start
     # grid: a cap of 4 is reached and met together, and convergence wins
-    uncapped_start(monkeypatch)
+    uncapped_start(monkeypatch, 4)
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
-    pair = solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=4))
+    pair = solve_system(g, fu, fv, 100.0)
     assert pair.stages[-1].newton_steps == 4
     assert pair.residual <= SolveConfig().tol
 
 
 @pytest.mark.parametrize("cap", [1, 3])
 def test_newton_max_iter_is_exact(monkeypatch, cap):
-    uncapped_start(monkeypatch)
+    uncapped_start(monkeypatch, cap)
     g = square_grid(1.0, 129)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence, match="Newton") as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(max_iter=cap))
+        solve_system(g, fu, fv, 100.0)
     assert exc.value.iterations == cap
     assert exc.value.residual > SolveConfig().tol
 
 
-def test_no_convergence_raises():
+def test_no_convergence_raises(monkeypatch):
+    monkeypatch.setattr(e2d, "_NEWTON_MAX", 100)
     g = square_grid(1.0, 65)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence) as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-12, max_iter=100))
+        solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-12))
     assert exc.value.iterations >= 100
     assert exc.value.residual > 0.0
+
+
+def test_escapes_share_the_newton_budget(monkeypatch):
+    # 33^2, (Re z^3)^± at kappa = 1e4 takes 15 Newton steps and 1 escape
+    # on its only grid: a budget of 16 covers both, one of 15 does not
+    g = square_grid(1.0, 33)
+    u, v = harmonic_pair(g, 3)
+    monkeypatch.setattr(e2d, "_NEWTON_MAX", 16)
+    (stage,) = solve_system(g, u, v, 1e4).stages
+    assert (stage.newton_steps, stage.escapes) == (15, 1)
+    monkeypatch.setattr(e2d, "_NEWTON_MAX", 15)
+    with pytest.raises(NoConvergence, match="Newton") as exc:
+        solve_system(g, u, v, 1e4)
+    assert exc.value.iterations == 15
+
+
+def test_unreachable_tol_stops_at_the_newton_budget():
+    # on 33^2 the sup residual stays at its round-off floor, ~2.6e-13,
+    # above tol = 1e-13: the solve ends after the module's own budget
+    g = square_grid(1.0, 33)
+    fu, fv = linear_pair_bdata()
+    with pytest.raises(NoConvergence, match="Newton") as exc:
+        solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-13))
+    assert exc.value.iterations == e2d._NEWTON_MAX
+    assert exc.value.residual > 1e-13
 
 
 def test_harmonic_reproduces_discrete_harmonics():

@@ -269,6 +269,14 @@ def test_interpolate_outside():
         interpolate(f, (1.2, 0.0))
 
 
+def test_interpolate_rejects_nonfinite_points():
+    # a NaN passes every extent comparison; it must not reach the index cast
+    f = Field.zeros(square_grid(1.0, 17))
+    for p in ([[math.nan, 0.0]], (0.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            interpolate(f, p)
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segsym import sphere
-from segsym.config import SolveConfig
 from segsym.errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalBreakdown
 from segsym.sphere import (
     SphericalPair,
@@ -277,6 +276,15 @@ def test_quotient_rejects_zero_mass():
         quotient_pair(p, 10.0, 1.0)
 
 
+@pytest.mark.parametrize("kappa, lam", [(1.0, 1e200), (math.nan, 1.0)])
+def test_quotient_rejects_bad_coupling(kappa, lam):
+    # the minimizer's coupling check: lambda^2 must not overflow and a
+    # NaN kappa must not come back as NaN quotients
+    p = uniform_pair(2, 16, np.ones(16), np.ones(16))
+    with pytest.raises(ValueError):
+        quotient_pair(p, kappa, lam)
+
+
 def test_minimize_preconditions():
     with pytest.raises(ValueError):
         minimize_spherical(0.5, 1.0, 128)
@@ -369,9 +377,10 @@ def test_minimizer_iterates_and_stop_rule(n, m, log_kappa, lam):
     assert abs(rep.kkt - kkt_residual(rep)) <= 1e-9
 
 
-def test_minimize_stall_is_not_convergence():
+def test_minimize_stall_is_not_convergence(monkeypatch):
+    monkeypatch.setattr(sphere, "_OUTER_MAX", 1)
     with pytest.raises(NoConvergence) as exc:
-        minimize_spherical(1e3, 1.0, 128, SolveConfig(max_iter=1))
+        minimize_spherical(1e3, 1.0, 128)
     assert exc.value.iterations == 1
     assert exc.value.residual > sphere._KKT_TOL
 
