@@ -31,7 +31,9 @@ does not rise; a full step is also taken if it lowers the sup residual
 and raises E by at most _NEAR_FLAT |E|, since near convergence the
 energy test is at the level of rounding.  Newton stops when the sup
 residual is ≤ cfg.tol and raises NoConvergence when t falls below
-_MIN_STEP (a stall is not convergence) or at the per-grid _NEWTON_MAX.
+_MIN_STEP (a stall is not convergence) or at the per-grid _NEWTON_MAX;
+the latter names tol next to the sup residual's round-off floor,
+about 5 ε max(u, v)/h², since a tol below it is never met.
 
 A critical point of E need not be a local minimizer, and energy descent
 from symmetric data keeps the data's symmetry: on (Re z³)^± data at
@@ -553,7 +555,15 @@ def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = Fals
             if q >= -_Q_TOL:
                 break
         if steps + escapes >= _NEWTON_MAX:
-            raise NoConvergence(steps + escapes, res, "Newton iteration")
+            # second differences of values up to max(u, v), over h², carry
+            # a rounding error near 5 ε max(u, v)/h² that no step removes
+            floor = 5.0 * np.finfo(float).eps * max(np.max(u), np.max(v)) / (h * h)
+            raise NoConvergence(
+                steps + escapes,
+                res,
+                f"Newton iteration (tol {cfg.tol:.3e}, "
+                f"round-off floor 5ε·max(u, v)/h² ≈ {floor:.3e})",
+            )
         if res <= cfg.tol:
             # the sign that does not raise E to first order, and a
             # first trial step as large as the pair

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from segsym import grid as grid_module
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
     _row_blocks,
@@ -408,6 +409,70 @@ def test_cone_scan_matches_sampled_arc(data, e, aperture):
     assert -1e-12 * top <= gap <= 1e-7 * top
 
 
+@st.composite
+def banded_pairs(draw, e):
+    """A 3..60-node grid and a pair laid out in bands of rows, each of u
+    and v per band random, constant, linear along e or a staircase
+    along e.  Row blocks then mix nodes inside and outside the cone,
+    lie wholly outside it (along < 0 on the linear bands), or have a
+    largest along of exactly +0.0 or -0.0 (the plateaus, whose zero
+    differences times the signed (ex, ey) give either zero).  Half the
+    pairs are scaled by 1e-6, so that a block whose along tops at a
+    small positive value must still take the mask."""
+    g, _, _, rng = draw(pairs(min_n=3, max_n=60))
+    X, Y = g.meshgrid()
+    t = (e[0] * X + e[1] * Y) / g.h
+    shapes = {
+        "random": lambda sign: rng.uniform(0.0, 2.0, t.shape),
+        "constant": lambda sign: np.full(t.shape, 1.5),
+        "linear": lambda sign: 100.0 + sign * t,
+        "stairs": lambda sign: 100.0 + sign * np.floor(t / 3.0),
+    }
+    u, v = np.empty(t.shape), np.empty(t.shape)
+    start = 0
+    while start < g.nx:
+        stop = min(g.nx, start + draw(st.integers(1, 40)))
+        for f, sign in ((u, 1.0), (v, -1.0)):
+            f[start:stop] = shapes[draw(st.sampled_from(sorted(shapes)))](sign)[start:stop]
+        start = stop
+    assume(np.ptp(u) + np.ptp(v) > 0.0)
+    scale = draw(st.sampled_from([1.0, 1e-6]))
+    return Field(g, scale * u), Field(g, scale * v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    angle=st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0),
+    aperture=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_cone_scan_equals_full_grid_on_banded_pairs(data, angle, aperture):
+    # angles in half turns; the four axis directions have a zero
+    # component, so along and across meet signed zeros
+    e = (math.cos(math.pi * angle), math.sin(math.pi * angle))
+    if angle in (0.0, 0.5, 1.0, 1.5):
+        e = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][int(2 * angle)]
+    u, v = data.draw(banded_pairs(e))
+    assert cone_monotonicity(u, v, e, aperture) == ref_cone(u, v, e, aperture)
+
+
+@pytest.mark.parametrize("aperture", [0.0, 6.964040764117498e-17, 0.25, 1.0])
+def test_cone_scan_on_blocks_whose_along_tops_at_zero(aperture):
+    # u rises along y only: along = -0.0 and across = 3.2e-308 at every
+    # node, v is zero.  At aperture 6.96e-17, a across underflows to 0,
+    # so every node is inside the cone, and s across, with s one ulp
+    # below 1, is one ulp below hypot(along, across) = across: a block
+    # whose along tops at 0 skips the mask only where across is 0 too
+    g = Grid2D(20, 9, 0.5)
+    u = Field(g, np.repeat(1.6e-308 * np.arange(9.0)[None, :], 20, axis=0))
+    v = Field(g, np.zeros((20, 9)))
+    got = cone_monotonicity(u, v, (1.0, 0.0), aperture)
+    assert got == ref_cone(u, v, (1.0, 0.0), aperture)
+    if aperture < 1e-16:
+        # inside: the sup is the gradient's length
+        assert got == float(np.max(gradient(u).vy[1:-1, 1:-1]))
+
+
 @pytest.mark.parametrize("e", [(1.0, 0.0), (0.6, -0.8)])
 @pytest.mark.parametrize("aperture", [0.0, 0.3, 0.75, 1.0])
 def test_cone_scan_on_affine_pairs(e, aperture):
@@ -524,6 +589,52 @@ def test_ball_weights_equal_per_cell_loop_large(center, r):
     g = Grid2D(421, 405, 0.01, (-2.1, -2.0))
     isl, jsl, w = ball_weights(g, center, r)
     assert min(w.shape) >= 257
+    risl, rjsl, rw = ref_ball_weights(g, center, r)
+    assert (isl, jsl) == (risl, rjsl)
+    assert np.array_equal(w, rw)
+
+
+def distinct_clipped_cuts(r, ax, bx, ay, by):
+    """The distinct abscissas, clipped to [-r, r], at which the rim
+    kernel cuts the rectangles: both clipped x-ends of every rectangle
+    and every crossing of the circle with y = ay or y = by strictly
+    between them."""
+    ax, bx = np.maximum(ax, -r), np.minimum(bx, r)
+    cuts = [ax, bx]
+    for yy in (ay, by):
+        t = r * r - yy * yy
+        s = np.sqrt(np.maximum(t, 0.0))
+        cuts += [c[(t >= 0.0) & (ax < c) & (c < bx)] for c in (-s, s)]
+    return np.unique(np.minimum(np.maximum(np.concatenate(cuts), -r), r))
+
+
+@pytest.mark.parametrize(
+    "center, r",
+    [
+        ((0.0123, -0.0071), 0.43),  # off-node
+        ((0.0, 0.0), 40.5 * 0.01),  # node-centered, tangent to cell edges
+        ((-0.005, 0.005), 0.48),  # cell corner
+    ],
+)
+def test_rim_arc_antiderivative_once_per_distinct_cut(monkeypatch, center, r):
+    seen, expected = [], []
+    atan2, areas = grid_module._atan2, grid_module._disk_rect_areas
+
+    def counting_atan2(x, s):
+        seen.append(np.array(x, dtype=float))
+        return atan2(x, s)
+
+    def recording_areas(r, ax, bx, ay, by):
+        expected.append(distinct_clipped_cuts(r, ax, bx, ay, by))
+        return areas(r, ax, bx, ay, by)
+
+    monkeypatch.setattr(grid_module, "_atan2", counting_atan2)
+    monkeypatch.setattr(grid_module, "_disk_rect_areas", recording_areas)
+    g = Grid2D(121, 101, 0.01, (-0.6, -0.5))
+    isl, jsl, w = ball_weights(g, center, r)
+    assert len(seen) == len(expected) == 1
+    # every distinct cut once, in increasing order
+    assert np.array_equal(seen[0], expected[0])
     risl, rjsl, rw = ref_ball_weights(g, center, r)
     assert (isl, jsl) == (risl, rjsl)
     assert np.array_equal(w, rw)

@@ -1,6 +1,7 @@
 """Tests for the coupled 2D solver and the linear disk solves."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,13 +322,20 @@ def test_escapes_share_the_newton_budget(monkeypatch):
 
 def test_unreachable_tol_stops_at_the_newton_budget():
     # on 33^2 the sup residual stays at its round-off floor, ~2.6e-13,
-    # above tol = 1e-13: the solve ends after the module's own budget
+    # above tol = 1e-14: the solve ends after the module's own budget,
+    # and the error names tol and the floor estimate 5 eps max(u, v)/h^2
     g = square_grid(1.0, 33)
     fu, fv = linear_pair_bdata()
     with pytest.raises(NoConvergence, match="Newton") as exc:
-        solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-13))
+        solve_system(g, fu, fv, 100.0, SolveConfig(tol=1e-14))
     assert exc.value.iterations == e2d._NEWTON_MAX
-    assert exc.value.residual > 1e-13
+    assert exc.value.residual > 1e-14
+    text = str(exc.value)
+    assert "tol 1.000e-14" in text
+    floor = float(re.search(r"round-off floor .* ≈ (\S+)\)", text).group(1))
+    # max(u, v) = 1 on the unit square's linear pair data, h = 1/16
+    assert floor == pytest.approx(5.0 * np.finfo(float).eps * 256.0, rel=1e-3)
+    assert 0.5 * floor <= exc.value.residual <= 2.0 * floor
 
 
 def test_harmonic_reproduces_discrete_harmonics():

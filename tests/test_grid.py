@@ -5,6 +5,7 @@ trig polynomials, and one adaptive-quadrature value frozen below.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,14 +108,32 @@ def ref_diff_axis(a, h, axis):
     ((2049, 2049), (slice(1000, 1018), slice(None))),   # interior row block
     ((300, 300), (slice(250, 300), slice(0, 41))),      # window at two edges
     ((300, 300), (slice(17, 120), slice(33, 290))),     # strided interior window
+    ((3, 2049), (slice(None), slice(None))),            # three long rows
+    ((2049, 3), (slice(None), slice(None))),            # many three-node rows
 ])
 def test_diff_axis_equals_moveaxis_stencil(shape, window):
+    # whole arrays and full-width row blocks are C-contiguous, so their
+    # last axis takes the flat pass
     a = np.random.default_rng(11).uniform(-1.0, 1.0, shape)[window]
     h = 2.6 / 32  # not dyadic, so the division by 2h rounds
     for axis in (0, 1):
         got = _diff_axis(a, h, axis)
         assert np.array_equal(got, ref_diff_axis(a, h, axis))
         assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 2049), (2049, 3), (65, 97)])
+def test_diff_axis_row_ends_raise_no_overflow_warning(shape):
+    # rows of ±4e307: every stencil is finite along a row, but the flat
+    # pass's entries across a row end difference +4e307 and -4e307 and
+    # overflow when divided by 2h
+    a = np.where(np.arange(shape[0]) % 2 == 0, 4e307, -4e307)[:, None] * np.ones(shape[1])
+    h = 2.6 / 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _diff_axis(a, h, 1)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, ref_diff_axis(a, h, 1))
 
 
 # ---------------------------------------------------------------------------
