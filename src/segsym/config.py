@@ -15,10 +15,11 @@ class SolveConfig:
          energy delta); the spherical minimizer does not read it, it
          stops on its own KKT tolerance (sphere._KKT_TOL)
 
-    Each iterative loop owns its cap before NoConvergence as a module
-    constant, such as elliptic2d._NEWTON_MAX or sphere._OUTER_MAX.  No
-    solver or minimizer draws random numbers; acceptance criterion 7
-    seeds its own rearrangement trials (acceptance._REARRANGE_SEED).
+    Every iterative loop stops through one guard, _util.Progress, and
+    owns its cap as a module constant, such as elliptic2d._NEWTON_MAX or
+    sphere._OUTER_MAX.  No solver or minimizer draws random numbers;
+    acceptance criterion 7 seeds its own rearrangement trials
+    (acceptance._REARRANGE_SEED).
     """
 
     tol: float = 1e-8

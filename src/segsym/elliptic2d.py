@@ -29,11 +29,11 @@ term, res the sup residual) or at a direction of nonpositive
 curvature.  The new iterate is max(u + t δ, 0), with t halved until E
 does not rise; a full step is also taken if it lowers the sup residual
 and raises E by at most _NEAR_FLAT |E|, since near convergence the
-energy test is at the level of rounding.  Newton stops when the sup
-residual is ≤ cfg.tol and raises NoConvergence when t falls below
-_MIN_STEP (a stall is not convergence) or at the per-grid _NEWTON_MAX;
-the latter names tol next to the sup residual's round-off floor,
-about 5 ε max(u, v)/h², since a tol below it is never met.
+energy test is at the level of rounding.  A t below _MIN_STEP raises
+NoConvergence (a stall is not convergence).  Newton stops at a sup
+residual ≤ cfg.tol through _util.Progress, with the per-grid cap
+_NEWTON_MAX and the residual's round-off floor 5 ε max(u, v)/h², so a
+tol below the floor fails fast (9–11 steps on 33² at tol 1e-14).
 
 A critical point of E need not be a local minimizer, and energy descent
 from symmetric data keeps the data's symmetry: on (Re z³)^± data at
@@ -68,6 +68,7 @@ raises NoConvergence on a non-finite residual or after 100 iterations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -75,6 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
+from ._util import Progress
 from .config import SolveConfig
 from .errors import NoConvergence
 from .grid import Field, Grid2D, _require_ball_inside
@@ -341,10 +343,10 @@ class _Hierarchy:
         return levels
 
 
-def _pcg(apply, precond, r: np.ndarray, stop: float, truncate: bool = False):
+def _pcg(apply, precond, r: np.ndarray, rtol: float, truncate: bool = False):
     """Conjugate gradients for A s = r from s = 0, preconditioned by
-    precond, until ||r||_2 <= stop; r is overwritten with the residual.
-    Returns (s, iterations, ||r||_2).
+    precond, until ||r||_2 <= rtol ||r_0||_2; r is overwritten with the
+    residual.  Returns (s, iterations, ||r||_2 / ||r_0||_2 or 0).
 
     Raises NoConvergence on a non-finite residual or after _MG_MAX_ITER
     iterations.  With `truncate` (the inner solve of inexact Newton, A
@@ -352,34 +354,32 @@ def _pcg(apply, precond, r: np.ndarray, stop: float, truncate: bool = False):
     ends the loop and returns the iterate so far, or that direction if
     it is the first."""
     sol = np.zeros_like(r)
-    p = precond(r)
-    rz = np.sum(r * p)
+    # numpy reductions, not BLAS, so the loop stays on one thread
+    norm = res = math.sqrt(np.sum(r * r))
+    progress = Progress("multigrid CG", rtol * norm, _MG_MAX_ITER)
     it = 0
-    while True:
+    while not progress.done(res, it):
+        z = precond(r)
+        rz_new = np.sum(r * z)
+        if it == 0:
+            p = z
+        else:
+            # p = z + (rz_new / rz) p in place, the same floats
+            p *= rz_new / rz
+            p += z
+        del z
+        rz = rz_new
         it += 1
         q = apply(p)
         pq = np.sum(p * q)
         if truncate and not pq > 0.0:
-            return (p if it == 1 else sol), it, math.sqrt(np.sum(r * r))
+            return (p if it == 1 else sol), it, res / norm
         alpha = rz / pq
         sol += alpha * p
         r -= alpha * q
         del q
         res = math.sqrt(np.sum(r * r))
-        # NaN fails every comparison, so it must never reach `res <= stop`
-        if not math.isfinite(res):
-            raise NoConvergence(it, res, "multigrid CG hit a non-finite residual")
-        if res <= stop:
-            return sol, it, res
-        if it >= _MG_MAX_ITER:
-            raise NoConvergence(it, res, "multigrid CG")
-        z = precond(r)
-        rz_new = np.sum(r * z)
-        # p = z + (rz_new / rz) p in place, the same floats
-        p *= rz_new / rz
-        p += z
-        del z
-        rz = rz_new
+    return sol, it, res / norm if norm else 0.0
 
 
 def _mg_pcg(x: np.ndarray, free: np.ndarray, shift, h: float):
@@ -408,16 +408,9 @@ def _mg_pcg(x: np.ndarray, free: np.ndarray, shift, h: float):
     # where, not a product with the mask: frozen data the mask never
     # reads may be non-finite
     r = np.where(fine.free, r, 0.0)
-    # numpy reductions, not BLAS, so the loop stays on one thread
-    res = math.sqrt(np.sum(r * r))
-    if not math.isfinite(res):
-        raise NoConvergence(0, res, "multigrid CG hit a non-finite residual")
-    if res == 0.0:
-        out[free] = 0.0
-        return out, 0, 0.0
-    sol, it, last = _pcg(fine.apply, lambda r: _vcycle(levels, r), r, _MG_RTOL * res)
+    sol, it, rel = _pcg(fine.apply, lambda r: _vcycle(levels, r), r, _MG_RTOL)
     out[crop][cfree] = sol[: n[0], : n[1]][cfree]
-    return out, it, last / res
+    return out, it, rel
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +445,9 @@ def _lowest_mode(levels: list[_Level], apply, lam_a: float):
     mode with unit 2-norm.  Stops at the first ρ < −_Q_TOL lam_a (a proof
     of negative curvature) or once ||H x / 2 − ρ x||_2 <= _Q_TOL lam_a,
     which puts ρ within _Q_TOL lam_a of an eigenvalue; raises
-    NoConvergence after _MG_MAX_ITER iterations.  One H-apply and one
-    V-cycle per iteration: the images H x / 2 and H p / 2 are carried
-    along."""
+    NoConvergence on a non-finite residual or after _MG_MAX_ITER
+    iterations.  One H-apply and one V-cycle per iteration: the images
+    H x / 2 and H p / 2 are carried along."""
     mask = levels[0].mask
     s = np.linspace(0.0, 1.0, mask.shape[0])[:, None]
     t = np.linspace(0.0, 1.0, mask.shape[1])[None, :]
@@ -463,13 +456,12 @@ def _lowest_mode(levels: list[_Level], apply, lam_a: float):
     x /= math.sqrt(np.sum(x * x))
     ax = apply(x)
     p = ap = None
-    for it in range(_MG_MAX_ITER):
+    progress = Progress("second-variation eigen-solve", _Q_TOL * lam_a, _MG_MAX_ITER)
+    for it in itertools.count():
         rho = float(np.sum(x * ax))
         r = ax - rho * x
         res = math.sqrt(np.sum(r * r))
-        if not math.isfinite(res):
-            raise NoConvergence(it, res, "second-variation eigen-solve hit a non-finite residual")
-        if rho < -_Q_TOL * lam_a or res <= _Q_TOL * lam_a:
+        if progress.done(res, it) or rho < -_Q_TOL * lam_a:
             return rho / lam_a, x
         w = _vcycle(levels, r)
         w /= math.sqrt(np.sum(w * w))
@@ -496,7 +488,6 @@ def _lowest_mode(levels: list[_Level], apply, lam_a: float):
         scale = math.sqrt(np.sum(p * p))
         p /= scale
         ap /= scale
-    raise NoConvergence(_MG_MAX_ITER, res, "second-variation eigen-solve")
 
 
 def _line_search(u, v, step, energy: float, res: float, kappa: float, h: float, steps: int):
@@ -539,32 +530,24 @@ def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = Fals
     q = None
     energies: list[float] = []
     energy = discrete_energy(u, v, kappa, h)
+    # second differences of values up to max(u, v), over h², carry a
+    # rounding error near 5 ε max(u, v)/h² that no step removes
+    floor = 5.0 * np.finfo(float).eps * max(np.max(u), np.max(v)) / (h * h)
+    progress = Progress("Newton iteration", cfg.tol, _NEWTON_MAX, floor, "5ε·max(u, v)/h²")
     res = _sup_residual(u, v, kappa, h)
     while True:
-        # NaN fails every comparison, so it must never reach `res <= cfg.tol`
-        if not math.isfinite(res):
-            raise NoConvergence(steps, res, "Newton iteration hit a non-finite residual")
-        if res <= cfg.tol and not certify:
+        met = progress.done(res, steps + escapes)
+        if met and not certify:
             break
         levels, apply = _hessian(hier, u, v, kappa, h)
         # -grad E / 2 = h² (Δ_h u - κ u v², Δ_h v - κ v u²) on the interior
         b = levels[0].apply(hier.pad(np.stack((u, v))))
         b *= -1.0
-        if res <= cfg.tol:
+        if met:
             q, mode = _lowest_mode(levels, apply, lam_a)
             if q >= -_Q_TOL:
                 break
-        if steps + escapes >= _NEWTON_MAX:
-            # second differences of values up to max(u, v), over h², carry
-            # a rounding error near 5 ε max(u, v)/h² that no step removes
-            floor = 5.0 * np.finfo(float).eps * max(np.max(u), np.max(v)) / (h * h)
-            raise NoConvergence(
-                steps + escapes,
-                res,
-                f"Newton iteration (tol {cfg.tol:.3e}, "
-                f"round-off floor 5ε·max(u, v)/h² ≈ {floor:.3e})",
-            )
-        if res <= cfg.tol:
+            progress.escape(steps + escapes, res)
             # the sign that does not raise E to first order, and a
             # first trial step as large as the pair
             scale = max(np.max(u), np.max(v)) / np.max(np.abs(mode))
@@ -573,8 +556,7 @@ def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = Fals
             escapes += 1
         else:
             eta = min(0.1, math.sqrt(res * h * h))
-            stop = eta * math.sqrt(np.sum(b * b))
-            step, it, _ = _pcg(apply, lambda r: _vcycle(levels, r), b, stop, True)
+            step, it, _ = _pcg(apply, lambda r: _vcycle(levels, r), b, eta, True)
             iterations += it
             energy = _line_search(u, v, step[box], energy, res, kappa, h, steps)
             steps += 1

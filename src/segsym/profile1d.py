@@ -9,10 +9,11 @@ the interior unknowns interleaved as (u₁, v₁, u₂, v₂, …) the Jacobian
 is pentadiagonal: each component's second difference sits at offsets
 ±2 and the coupling −2uᵢvᵢ at ±1.  It is symmetric but indefinite, so
 each step is one banded LU solve (scipy.linalg.solve_banded).  The full
-step is taken, clamped at a tiny positive floor; a step that does not
-lower the sup residual raises NoConvergence.  From the piecewise-linear
-start every converging solve measured (L up to 400, h down to 0.01)
-accepts the full step every time, in 6–8 steps.
+step is taken, clamped at a tiny positive floor, until the sup residual
+is ≤ tol; _util.Progress stops the loop, with the cap _NEWTON_MAX and
+the residual's round-off floor L/h²·ε.  From the piecewise-linear start
+every converging solve measured (L up to 400, h down to 0.01) takes 6–8
+steps; one whose tol is below the floor stalls after 9–12.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
+from ._util import Progress
 from .config import SolveConfig
 from .errors import DomainTooLarge, MultipleSignChanges, NoConvergence, NoSignChange
 from .grid import Field, Grid2D
@@ -96,8 +98,8 @@ def solve_profile(
     Requires a finite half_length >= 10 (so the linear regime is
     visible) and 0 < spacing <= 0.1 dividing the interval evenly into at
     most _MAX_INTERVALS = 10^6 intervals.  Raises NoConvergence on a
-    non-finite residual, a singular Jacobian, a step that does not lower
-    the residual, or after _NEWTON_MAX steps.
+    non-finite residual, a singular Jacobian, a stall at the round-off
+    floor, or after _NEWTON_MAX steps.
     """
     cfg = cfg or SolveConfig(tol=1e-10)
     L, h = float(half_length), float(spacing)
@@ -120,38 +122,23 @@ def solve_profile(
     u[0], u[-1] = _BOUNDARY_FLOOR, L
     v[0], v[-1] = L, _BOUNDARY_FLOOR
 
+    # second differences of values up to L, divided by h², carry a
+    # rounding error near L/h²·ε that no Newton step removes
+    floor = L / (h * h) * np.finfo(float).eps
+    progress = Progress("profile Newton iteration", cfg.tol, _NEWTON_MAX, floor, "L/h²·ε")
     res = _sup_residual(u, v, h)
-    for newton_steps in range(_NEWTON_MAX):
-        # NaN fails every comparison, so it must never reach `res <= tol`
-        if not np.isfinite(res):
-            raise NoConvergence(
-                newton_steps, res, "profile Newton iteration hit a non-finite residual"
-            )
-        if res <= cfg.tol:
-            break
+    newton_steps = 0
+    while not progress.done(res, newton_steps):
         try:
             du, dv = _newton_step(u, v, h)
         except LinAlgError:
             raise NoConvergence(
                 newton_steps, res, "profile Newton step hit a singular Jacobian"
             ) from None
-        u_new, v_new = u.copy(), v.copy()
-        u_new[1:-1] = np.maximum(u[1:-1] + du, _POS_FLOOR)
-        v_new[1:-1] = np.maximum(v[1:-1] + dv, _POS_FLOOR)
-        res_new = _sup_residual(u_new, v_new, h)
-        if not res_new < res:
-            # second differences of values up to L, divided by h², carry
-            # a rounding error near L/h²·ε that no Newton step removes
-            floor = L / (h * h) * np.finfo(float).eps
-            raise NoConvergence(
-                newton_steps + 1,
-                res,
-                "profile Newton step did not lower the residual "
-                f"(tol {cfg.tol:.3e}, round-off floor L/h²·ε ≈ {floor:.3e})",
-            )
-        u, v, res = u_new, v_new, res_new
-    else:
-        raise NoConvergence(_NEWTON_MAX, res, "profile Newton iteration")
+        u[1:-1] = np.maximum(u[1:-1] + du, _POS_FLOOR)
+        v[1:-1] = np.maximum(v[1:-1] + dv, _POS_FLOOR)
+        res = _sup_residual(u, v, h)
+        newton_steps += 1
     return Profile1D(x, u, v, res, L, h, newton_steps)
 
 

@@ -385,6 +385,16 @@ def test_minimize_stall_is_not_convergence(monkeypatch):
     assert exc.value.residual > sphere._KKT_TOL
 
 
+def test_non_finite_kkt_residual_raises_at_the_first_step(monkeypatch):
+    # NaN fails every comparison: it must end the descent at once, not
+    # after _OUTER_MAX outer steps
+    monkeypatch.setattr(sphere, "_kkt_residual", lambda *args: float("nan"))
+    with pytest.raises(NoConvergence, match="non-finite") as exc:
+        minimize_spherical(1e3, 1.0, 16)
+    assert exc.value.iterations == 1
+    assert math.isnan(exc.value.residual)
+
+
 def test_eigen_solve_failure_raises_numerical_error(monkeypatch):
     # a factorization that never certifies a shift below the spectrum,
     # a solve that returns non-finite values, and a ground state that is
