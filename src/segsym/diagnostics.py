@@ -152,6 +152,8 @@ def _check_radii(radii) -> np.ndarray:
 def _ball_terms(u: Field, v: Field, kappa: float, x, r: float):
     """The window of B_r(x) and, on it, |grad u|^2, |grad v|^2 and
     kappa u^2 v^2; every ball functional integrates sums of these."""
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     win = Window.ball(u.grid, x, r)
     ux, uy = win.grad(u.values)
     vx, vy = win.grad(v.values)
@@ -446,8 +448,8 @@ def gradient_bounds(u: Field, v: Field, margin: float) -> float:
     """sup(|grad u| + |grad v|) over the margin-shrunk interior."""
     _check_pair(u, v)
     g = u.grid
-    if margin < 2.0 * g.h:
-        raise ValueError(f"margin must be >= 2h = {2.0 * g.h}, got {margin}")
+    if not (math.isfinite(margin) and margin >= 2.0 * g.h):
+        raise ValueError(f"margin must be finite and >= 2h = {2.0 * g.h}, got {margin}")
     k = int(math.ceil(margin / g.h - 1e-9))
     if g.nx - 2 * k < 2 or g.ny - 2 * k < 2:
         raise ValueError("margin leaves no interior window")

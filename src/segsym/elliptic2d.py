@@ -44,6 +44,8 @@ second-variation check, q = λ_min(H/2) / λ_min(A) ≥ −_Q_TOL, with
 from block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)),
 preconditioned by the Newton step's V-cycle and started from a fixed
 vector that no symmetry of the square or of the data maps to ± itself.
+Its Rayleigh-Ritz step solves a 3×3 symmetric-definite pencil by the
+Cholesky reduction in numpy.linalg; this module imports no scipy.
 A Rayleigh quotient below −_Q_TOL λ_min(A) proves negative curvature;
 the pair then steps along the mode, with the sign that does not raise
 E to first order and the same halving line search from a step as large
@@ -74,7 +76,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 
 from ._util import Progress
 from .config import SolveConfig
@@ -435,6 +436,15 @@ def _hessian(hier: _Hierarchy, u: np.ndarray, v: np.ndarray, kappa: float, h: fl
     return levels, apply
 
 
+def _lowest_pencil_vector(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """The eigenvector of the lowest eigenvalue of the pencil ga c = λ gb c,
+    both symmetrized, normalized to c^T gb c = 1: gb = L L^T, then the
+    lowest eigenvector y of L^{-1} ga L^{-T}, and c = L^{-T} y.  Raises
+    numpy.linalg.LinAlgError when gb is not positive definite."""
+    li = np.linalg.inv(np.linalg.cholesky(0.5 * (gb + gb.T)))
+    return li.T @ np.linalg.eigh(li @ (0.5 * (ga + ga.T)) @ li.T)[1][:, 0]
+
+
 def _lowest_mode(levels: list[_Level], apply, lam_a: float):
     """The lowest eigenpair of H/2 by block-size-1 LOBPCG (Knyazev 2001),
     preconditioned by one V-cycle of `levels`, from a fixed start that no
@@ -473,8 +483,8 @@ def _lowest_mode(levels: list[_Level], apply, lam_a: float):
         ga = np.array([[np.sum(a * b) for b in images] for a in basis])
         gb = np.array([[np.sum(a * b) for b in basis] for a in basis])
         try:
-            c = eigh(0.5 * (ga + ga.T), 0.5 * (gb + gb.T))[1][:, 0]
-        except LinAlgError:
+            c = _lowest_pencil_vector(ga, gb)
+        except np.linalg.LinAlgError:
             # p has fallen into span{x, w}: restart without it
             p = ap = None
             continue
@@ -650,10 +660,9 @@ def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
 
 def solve_linear_decay(M: float, A: float, R_outer: float, g: Grid2D) -> Field:
     """Solve Δw = M w in B_{R_outer}(0) with w = A on the rim."""
-    if M < 0.0:
-        raise ValueError(f"M must be nonnegative, got {M}")
-    if A < 0.0:
-        raise ValueError(f"A must be nonnegative, got {A}")
+    for name, value in (("M", M), ("A", A)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     _require_ball_inside(g, (0.0, 0.0), R_outer)
     frozen = np.full((g.nx, g.ny), float(A))
     return Field(g, _disk_dirichlet_solve(g, (0.0, 0.0), R_outer, frozen, float(M)))

@@ -8,7 +8,8 @@ The solver is plain Newton on the centered-difference residual.  With
 the interior unknowns interleaved as (u₁, v₁, u₂, v₂, …) the Jacobian
 is pentadiagonal: each component's second difference sits at offsets
 ±2 and the coupling −2uᵢvᵢ at ±1.  It is symmetric but indefinite, so
-each step is one banded LU solve (scipy.linalg.solve_banded).  The full
+each step is one banded LU solve (scipy.linalg.solve_banded, imported
+on the first step, so `import segsym` loads no scipy).  The full
 step is taken, clamped at a tiny positive floor, until the sup residual
 is ≤ tol; _util.Progress stops the loop, with the cap _NEWTON_MAX and
 the residual's round-off floor L/h²·ε.  From the piecewise-linear start
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from ._util import Progress
 from .config import SolveConfig
@@ -74,6 +74,8 @@ def _sup_residual(u, v, h) -> float:
 def _newton_step(u, v, h):
     """Newton correction (du, dv) of the interior values: one banded LU
     solve on the interleaved unknowns."""
+    from scipy.linalg import solve_banded  # loaded on first use, not by `import segsym`
+
     ui, vi = u[1:-1], v[1:-1]
     ru, rv = _residual(u, v, h)
     h2 = h * h
@@ -131,7 +133,7 @@ def solve_profile(
     while not progress.done(res, newton_steps):
         try:
             du, dv = _newton_step(u, v, h)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             raise NoConvergence(
                 newton_steps, res, "profile Newton step hit a singular Jacobian"
             ) from None

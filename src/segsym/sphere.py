@@ -19,12 +19,14 @@ tangent taken at the new u.
 
 Consecutive majorizers barely differ, so each ground state is found by
 shifted inverse iteration started from the current iterate: a step
-factors T - sigma with LAPACK ?pttrf and solves with ?pttrs, O(m) each,
-and one or two steps usually reach a residual |T y - rho y| at the
-rounding level of |T|.  The shift sits below the Rayleigh quotient rho,
-and the factorization itself certifies it: ?pttrf succeeds exactly when
-T - sigma is positive definite, i.e. sigma < lambda_1; on failure sigma
-moves 16 times further down.  T - sigma is then an M-matrix whose LDL^T
+factors T - sigma with LAPACK ?pttrf and solves with ?pttrs, O(m) each
+(from scipy.linalg.lapack, imported on the first ground state, so that
+`import segsym` loads no scipy), and one or two steps usually reach a
+residual |T y - rho y| at the rounding level of |T|.  The shift sits
+below the Rayleigh quotient rho, and the factorization itself certifies
+it: ?pttrf succeeds exactly when T - sigma is positive definite, i.e.
+sigma < lambda_1; on failure sigma moves 16 times further down.
+T - sigma is then an M-matrix whose LDL^T
 factors have positive pivots and nonpositive multipliers, so the solve
 only adds nonnegative terms and a nonnegative iterate stays nonnegative,
 in floating point too, converging to the Perron vector.  With sigma
@@ -44,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ._util import Progress
 from .config import SolveConfig
@@ -301,6 +302,8 @@ def _ground_state(diag, off, f, rs, w):
     No _util.Progress guard: the stop test already is the round-off
     floor, and each failure is a breakdown of the descent.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs  # loaded on first use, not by `import segsym`
+
     norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
     tol = _RESIDUAL_ULPS * _EPS * norm
     y = f / rs

@@ -422,6 +422,14 @@ def test_gradient_bounds_linear(lin257):
         gradient_bounds(u, v, 3.0)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf])
+def test_gradient_bounds_rejects_non_finite_margin(lin257, margin):
+    # inf used to raise OverflowError and nan a float-to-int ValueError
+    _, u, v = lin257
+    with pytest.raises(ValueError, match="margin must be finite"):
+        gradient_bounds(u, v, margin)
+
+
 def test_cone_monotonicity_linear(lin257):
     g, u, v = lin257
     assert cone_monotonicity(u, v, (1.0, 0.0), 0.75) < 1e-10
@@ -561,6 +569,19 @@ def test_nan_in_sup_scans_raises(axis):
     for first, second in ((u, v), (v, u)):
         with pytest.raises(NumericalBreakdown, match="sup mixed scan"):
             dg.product_bounds(first, second)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_ball_functionals_reject_bad_kappa(kappa):
+    # every kappa-weighted ball functional shares _ball_terms, which checks
+    # kappa once; a nan or inf kappa used to come back as a silent nan
+    u, v = linear_pair(square_grid(1.0, 17))
+    for fn in (almgren_N, almgren_D, acf_J, almgren_H_rate):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            fn(u, v, kappa, (0.0, 0.0), 0.5)
+    for functional in ("N", "D", "J"):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            functional_trace(functional, u, v, kappa, (0.0, 0.0), [0.25, 0.5])
 
 
 def test_nan_center_is_rejected_before_the_shell_stencil():

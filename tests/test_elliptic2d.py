@@ -452,6 +452,17 @@ def test_decay_validates_inputs():
         solve_linear_decay(1.0, 1.0, 1.5, g)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["M", "A"])
+def test_decay_rejects_non_finite_inputs(name, bad):
+    # nan and inf pass a plain `< 0` check and used to end in a multigrid
+    # NoConvergence; they are input errors
+    args = {"M": 1.0, "A": 1.0}
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solve_linear_decay(args["M"], args["A"], 0.9, square_grid(1.0, 33))
+
+
 def test_energy_linear_pair_ball():
     g = square_grid(1.0, 257)
     u, v = linear_pair(g)
@@ -914,6 +925,64 @@ def test_symmetric_saddle_has_negative_curvature():
     q_dense = np.linalg.eigvalsh(H)[0] / np.linalg.eigvalsh(A)[0]
     assert q_dense < -0.1
     assert q_dense <= kernel_q(u, v, 1e4, g.h) < -e2d._Q_TOL
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pencil_matches_scipy_eigh(seed):
+    # the numpy Rayleigh-Ritz pencil solve is the Cholesky reduction that
+    # scipy.linalg.eigh(a, b) runs: same lowest pair, same b-normalization
+    from scipy.linalg import eigh
+
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, 3))
+    gb = m @ m.T + 0.1 * np.eye(3)
+    ga = rng.standard_normal((3, 3))
+    ga += ga.T
+    c = e2d._lowest_pencil_vector(ga, gb)
+    lam, vecs = eigh(ga, gb)
+    assert float(c @ ga @ c) == pytest.approx(lam[0], rel=1e-12, abs=1e-12 * abs(lam).max())
+    assert float(c @ gb @ c) == pytest.approx(1.0, rel=1e-12)
+    s = vecs[:, 0]
+    tol = 1e-10 * np.abs(s).max() * abs(lam).max() / (lam[1] - lam[0])
+    assert min(np.abs(c - s).max(), np.abs(c + s).max()) <= tol
+
+
+def test_rank_deficient_gram_raises_linalg_error():
+    # the Gram of (x, w, x + w): p has fallen into span{x, w}.  Both the
+    # numpy pencil and scipy's raise the class _lowest_mode restarts on
+    from scipy.linalg import eigh
+
+    gb = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    ga = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        e2d._lowest_pencil_vector(ga, gb)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigh(ga, gb)
+
+
+def test_lowest_mode_restart_keeps_the_certificate(monkeypatch):
+    # one Rayleigh-Ritz step on span{x, w, p} fails as if the Gram were
+    # singular: LOBPCG drops p, restarts, and still certifies the dense q
+    g = square_grid(1.0, 17)
+    pair = solve_system(g, *harmonic_pair(g, 2), 1e3)
+    u, v = pair.u.values, pair.v.values
+    pencil, sizes = e2d._lowest_pencil_vector, []
+
+    def fail_first_full_step(ga, gb):
+        sizes.append(len(ga))
+        if sizes.count(3) == 1 and len(ga) == 3:
+            raise np.linalg.LinAlgError("forced")
+        return pencil(ga, gb)
+
+    monkeypatch.setattr(e2d, "_lowest_pencil_vector", fail_first_full_step)
+    q = kernel_q(u, v, 1e3, g.h)
+    first = sizes.index(3)
+    assert sizes[first + 1] == 2  # the step after the failure runs without p
+    assert 3 in sizes[first + 2 :]  # and p comes back
+    H, A = dense_half_hessian(u, v, 1e3, g.h)
+    q_dense = np.linalg.eigvalsh(H)[0] / np.linalg.eigvalsh(A)[0]
+    assert q == pytest.approx(q_dense, abs=e2d._Q_TOL)
+    assert q >= q_dense
 
 
 @pytest.mark.parametrize("kappa", [1e1, 1e2, 1e3, 1e4, 1e5])

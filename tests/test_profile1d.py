@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import segsym.profile1d as p1d
 from segsym import Grid2D, square_grid
@@ -62,7 +63,8 @@ def test_singular_jacobian_raises(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(p1d, "solve_banded", singular)
+    # _newton_step imports solve_banded from scipy.linalg at call time
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
     with pytest.raises(NoConvergence, match="singular") as exc:
         solve_profile(20.0, 0.05)
     assert exc.value.iterations == 0

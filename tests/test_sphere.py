@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -410,11 +411,15 @@ def test_eigen_solve_failure_raises_numerical_error(monkeypatch):
         calls.append(b)
         return np.full_like(b, math.nan), 0
 
-    for patch in ({"dpttrf": never_definite}, {"dpttrs": nan_solve}, {"_EIGEN_MAX_STEPS": 0}):
+    # _ground_state imports dpttrf and dpttrs from scipy.linalg.lapack at call time
+    for target, name, value in (
+        (scipy.linalg.lapack, "dpttrf", never_definite),
+        (scipy.linalg.lapack, "dpttrs", nan_solve),
+        (sphere, "_EIGEN_MAX_STEPS", 0),
+    ):
         calls.clear()
         with monkeypatch.context() as mp:
-            for name, value in patch.items():
-                mp.setattr(sphere, name, value)
+            mp.setattr(target, name, value)
             with pytest.raises(NumericalBreakdown, match="descent"):
                 minimize_spherical(10.0, 1.0, 16)
         assert len(calls) <= sphere._SHIFT_TRIES
@@ -463,10 +468,12 @@ def test_ground_state_matches_dense_eigh(case, warm):
 def test_minimizer_does_not_load_scipy_optimize():
     # scipy.optimize costs ~0.3 s of import time and ~16 MB of memory;
     # scipy.sparse is not needed either: the profile Newton solve is
-    # banded, and the pair solve's eigen-solve is hand-written LOBPCG
+    # banded, and the pair solve's eigen-solve is hand-written LOBPCG.
+    # scipy.linalg loads on the first spherical ground state (?pttrf)
     code = (
         "import sys, segsym\n"
-        "def loaded(): print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "def loaded(): print(*(m in sys.modules for m in"
+        " ('scipy.linalg', 'scipy.optimize', 'scipy.sparse')))\n"
         "loaded()\n"
         "segsym.kappa_sweep([1e2, 1e3, 1e4], 1.0, 32)\n"
         "loaded()\n"
@@ -476,7 +483,41 @@ def test_minimizer_does_not_load_scipy_optimize():
         "loaded()\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False"] * 8
+    assert out.stdout.split() == ["False"] * 3 + ["True", "False", "False"] * 3
+
+
+def test_pair_solve_path_loads_no_scipy():
+    # the pair solve, its certificate and the ball traces are numpy-only.
+    # Without scipy.linalg (and the numpy.f2py, numpy.testing and
+    # charset_normalizer its array-API shim pulls in), `import segsym`
+    # takes 0.17-0.23 s instead of 0.41-0.51 s, and a whole
+    # `segsym solve2d --n 65` process 0.32-0.47 s instead of 0.62-0.73 s
+    # (2 CPUs, Intel Xeon, Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
+    # The profile Newton step's banded LU loads scipy.linalg on first use
+    code = (
+        "import sys, numpy as np, segsym as ss\n"
+        "def loaded(): print(*(m in sys.modules for m in"
+        " ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse')))\n"
+        "loaded()\n"
+        "g = ss.square_grid(1.0, 129)\n"
+        "pair = ss.solve_system(g, *ss.linear_pair_bdata(), 1e3)\n"
+        "print(len(pair.stages) > 1)\n"
+        "r = np.linspace(0.1, 0.45, 8)\n"
+        "ss.frequency_trace(pair.u, pair.v, 1e3, (0.0, 0.0), r)\n"
+        "ss.functional_trace('H', pair.u, pair.v, 1e3, (0.0, 0.0), r)\n"
+        "ss.acf_trace_and_fit(pair.u, pair.v, 1e3, (0.0, 0.0), r)\n"
+        "loaded()\n"
+        "g = ss.square_grid(1.0, 65)\n"
+        "print(ss.solve_system(g, *ss.harmonic_pair(g, 3), 1e4).stages[0].escapes >= 1)\n"
+        "loaded()\n"
+        "ss.solve_profile(10.0, 0.1)\n"
+        "loaded()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    absent = ["False"] * 4
+    assert out.stdout.split() == (
+        absent + ["True"] + absent + ["True"] + absent + ["True", "True", "False", "False"]
+    )
 
 
 @pytest.fixture(scope="module")
