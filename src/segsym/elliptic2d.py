@@ -200,6 +200,19 @@ class _Level:
         self.mask = mask
         self.inner = diag[..., 1:-1, 1:-1]
         self.weight = mask / diag  # Gauss-Seidel step, 0 off the mask
+        rows, n = mask.shape
+        self.nodes = rows * n
+        self.fweight = self._flat(self.weight)
+        # per colour, the flat slices of (up, down, left, right, the node)
+        stop = (rows - 1) * n - 1
+        self.slices = [
+            tuple((..., slice(n + 1 + colour + d, stop + d, 2)) for d in (-n, n, -1, 1, 0))
+            for colour in (_RED, _BLACK)
+        ]
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        """a with the level's grid flattened; a view, a is C-contiguous."""
+        return a.reshape(a.shape[:-2] + (self.nodes,))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         q = np.zeros_like(x)
@@ -215,19 +228,26 @@ class _Level:
         has the parity of i + j and a colour is one stride-2 slice; it
         also passes the border nodes at the row ends, where the weight
         is 0.  Each node becomes ((((up + down) + left) + right) + r)
-        weight.  e is C-contiguous, so its flat reshape is a view."""
-        rows, n = e.shape[-2:]
-        fe = e.reshape(e.shape[:-2] + (rows * n,))
-        fr = r.reshape(r.shape[:-2] + (rows * n,))
-        fw = self.weight.reshape(self.weight.shape[:-2] + (rows * n,))
-        stop = (rows - 1) * n - 1
+        weight."""
+        fe, fr, fw = self._flat(e), self._flat(r), self.fweight
         for colour in colours:
-            at = lambda d: (..., slice(n + 1 + colour + d, stop + d, 2))
-            nb = np.add(fe[at(-n)], fe[at(n)])
-            nb += fe[at(-1)]
-            nb += fe[at(1)]
-            nb += fr[at(0)]
-            np.multiply(nb, fw[at(0)], out=fe[at(0)])
+            up, down, left, right, at = self.slices[colour]
+            nb = np.add(fe[up], fe[down])
+            nb += fe[left]
+            nb += fe[right]
+            nb += fr[at]
+            np.multiply(nb, fw[at], out=fe[at])
+
+    def presmooth(self, r: np.ndarray) -> np.ndarray:
+        """_MG_SMOOTH red-black sweeps on e from e = 0.  The first, red,
+        half-sweep reads only zeros besides r, so it is the product
+        r weight on the red nodes (equal to the full half-sweep's, up to
+        the sign of a zero)."""
+        e = np.zeros_like(r)
+        at = self.slices[_RED][-1]
+        np.multiply(self._flat(r)[at], self.fweight[at], out=self._flat(e)[at])
+        self.smooth(e, r, (_BLACK,) + (_RED, _BLACK) * (_MG_SMOOTH - 1))
+        return e
 
 
 class _Coarsest(_Level):
@@ -283,8 +303,7 @@ def _vcycle(levels: list[_Level], r: np.ndarray, k: int = 0) -> np.ndarray:
     lv = levels[k]
     if k == len(levels) - 1:
         return lv.solve(r)
-    e = np.zeros_like(r)
-    lv.smooth(e, r, (_RED, _BLACK) * _MG_SMOOTH)
+    e = lv.presmooth(r)
     q = lv.apply(e)
     np.subtract(r, q, out=q)
     rc = _restrict(q, levels[k + 1].mask)

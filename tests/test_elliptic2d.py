@@ -651,6 +651,51 @@ def test_flat_smoother_equals_strided_blocks():
         assert np.array_equal(np.signbit(e_flat[inner]), np.signbit(e_blocks[inner]))
 
 
+def per_call_smooth(level, e, r, colours):
+    """The flat smoother with its slices built on every call, one lambda
+    per colour."""
+    rows, n = e.shape[-2:]
+    fe = e.reshape(e.shape[:-2] + (rows * n,))
+    fr = r.reshape(r.shape[:-2] + (rows * n,))
+    fw = level.weight.reshape(level.weight.shape[:-2] + (rows * n,))
+    stop = (rows - 1) * n - 1
+    for colour in colours:
+        at = lambda d: (..., slice(n + 1 + colour + d, stop + d, 2))
+        nb = np.add(fe[at(-n)], fe[at(n)])
+        nb += fe[at(-1)]
+        nb += fe[at(1)]
+        nb += fr[at(0)]
+        np.multiply(nb, fw[at(0)], out=fe[at(0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([3, 5, 9, 17, 33]),
+    n=st.sampled_from([3, 5, 9, 17, 33]),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_slices_equal_per_call_slices(m, n, stacked, seed):
+    # the slices built once per level give the floats of the per-call
+    # ones, and the pre-smoothing's first half-sweep, one product from
+    # e = 0, equals the full five-operation half-sweep on zeros
+    rng = np.random.default_rng(seed)
+    free = rng.uniform(size=(m, n)) < 0.8
+    free[0, :] = free[-1, :] = free[:, 0] = free[:, -1] = False
+    shape = ((2,) if stacked else ()) + (m, n)
+    level = e2d._Level(free, free.astype(float), 4.0 + rng.uniform(0.0, 100.0, shape))
+    r = rng.normal(size=shape) * level.mask
+    colours = tuple(int(c) for c in rng.integers(0, 2, 5))
+    start = rng.normal(size=shape) * level.mask
+    e_level, e_call = start.copy(), start.copy()
+    level.smooth(e_level, r, colours)
+    per_call_smooth(level, e_call, r, colours)
+    assert np.all(e_level == e_call)
+    e_call = np.zeros(shape)
+    per_call_smooth(level, e_call, r, (e2d._RED, e2d._BLACK) * e2d._MG_SMOOTH)
+    assert np.all(level.presmooth(r) == e_call)
+
+
 def test_coarsest_solve_is_exact():
     # the coarsest level of random disk masks' hierarchies, with a random
     # shift, stacked or not: its solve inverts its own apply on the mask
