@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigInvalid
@@ -12,8 +13,9 @@ class SolveConfig:
     """The residual target of the iterative solvers.
 
     tol  sup-norm residual target of the 1D and 2D solves (not an
-         energy delta); the spherical minimizer does not read it, it
-         stops on its own KKT tolerance (sphere._KKT_TOL)
+         energy delta), finite and positive; the spherical minimizer
+         does not read it, it stops on its own KKT tolerance
+         (sphere._KKT_TOL)
 
     Every iterative loop stops through one guard, _util.Progress, and
     owns its cap as a module constant, such as elliptic2d._NEWTON_MAX or
@@ -25,5 +27,6 @@ class SolveConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ConfigInvalid("tol", f"must be positive, got {self.tol}")
+        # an infinite tol would let every solve stop at its start
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigInvalid("tol", f"must be finite and positive, got {self.tol}")

@@ -24,8 +24,11 @@ A Newton step solves H δ = −∇E, where, with A the 5-point matrix
 H need not be positive definite away from a minimizer, so the step is
 truncated CG, preconditioned by one V-cycle on each diagonal block (a
 5-point operator with the per-node shift κ v² or κ u²), stopped at the
-relative residual η = min(0.1, √(res h²)) (an Eisenstat–Walker forcing
-term, res the sup residual) or at a direction of nonpositive
+relative residual η = min(0.1, max(√(res h²), 0.5 tol/res)) (res the
+sup residual; √(res h²) is an Eisenstat–Walker forcing term, and the
+bound 0.5 tol/res is Kelley's safeguard, Iterative Methods for Linear
+and Nonlinear Equations (1995) §6.3, so the last step of a grid asks CG
+for no more than tol needs) or at a direction of nonpositive
 curvature.  The new iterate is max(u + t δ, 0), with t halved until E
 does not rise; a full step is also taken if it lowers the sup residual
 and raises E by at most _NEAR_FLAT |E|, since near convergence the
@@ -100,8 +103,9 @@ _RED, _BLACK = 0, 1  # the parity of i + j
 class Stage:
     """One grid of a nested pair solve, coarsest first: its node counts,
     the Newton steps and CG iterations run on it, the negative-curvature
-    escapes and the certified q = λ_min(H/2) / λ_min(A) (the start grid
-    only; None on the finer grids), and its wall seconds."""
+    escapes, the certified q = λ_min(H/2) / λ_min(A) (the start grid
+    only; None on the finer grids), the grid's final sup residual and
+    its wall seconds."""
 
     nx: int
     ny: int
@@ -109,6 +113,7 @@ class Stage:
     cg_iterations: int
     escapes: int
     q: float | None
+    residual: float
     seconds: float
 
 
@@ -584,7 +589,8 @@ def _newton(u, v, kappa: float, h: float, cfg: SolveConfig, certify: bool = Fals
             energy = _line_search(u, v, mode[box], energy, res, kappa, h, steps)
             escapes += 1
         else:
-            eta = min(0.1, math.sqrt(res * h * h))
+            # Kelley's safeguard: no tighter than tol needs from here
+            eta = min(0.1, max(math.sqrt(res * h * h), 0.5 * cfg.tol / res))
             step, it, _ = _pcg(apply, lambda r: _vcycle(levels, r), b, eta, True)
             iterations += it
             energy = _line_search(u, v, step[box], energy, res, kappa, h, steps)
@@ -609,7 +615,7 @@ def _solve_nested(u, v, kappa: float, h: float, cfg: SolveConfig, stages: list):
         u[1:-1, 1:-1] = _interpolate(uc)[1:-1, 1:-1]
         v[1:-1, 1:-1] = _interpolate(vc)[1:-1, 1:-1]
     res, steps, iterations, escapes, q, energies = _newton(u, v, kappa, h, cfg, not nest)
-    stages.append(Stage(nx, ny, steps, iterations, escapes, q, time.perf_counter() - t0))
+    stages.append(Stage(nx, ny, steps, iterations, escapes, q, res, time.perf_counter() - t0))
     return res, energies
 
 

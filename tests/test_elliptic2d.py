@@ -20,7 +20,7 @@ from segsym.elliptic2d import (
     solve_linear_decay,
     solve_system,
 )
-from segsym.errors import BallOutsideDomain, NoConvergence
+from segsym.errors import BallOutsideDomain, ConfigInvalid, NoConvergence
 from segsym.grid import Field, Grid2D, square_grid
 from segsym.presets import harmonic_pair, linear_pair, linear_pair_bdata
 
@@ -90,6 +90,15 @@ def test_non_finite_kappa_rejected(kappa):
     fu, fv = linear_pair_bdata()
     with pytest.raises(ValueError, match="kappa"):
         solve_system(g, fu, fv, kappa)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, 0.0, -1e-8])
+def test_solve_config_needs_a_finite_positive_tol(tol):
+    # an infinite tol would let every solve stop at its start, returning
+    # the zero interior with 0 Newton steps
+    with pytest.raises(ConfigInvalid, match="finite and positive") as exc:
+        SolveConfig(tol=tol)
+    assert exc.value.field == "tol"
 
 
 @pytest.mark.parametrize("name, bad_value", [("bdata_u", np.nan), ("bdata_v", np.inf)])
@@ -830,6 +839,72 @@ def test_newton_steps_per_level(n, bdata):
         assert stage.cg_iterations <= 30 * stage.newton_steps
         # only the start grid is certified
         assert stage.escapes == 0 and stage.q is None
+
+
+def test_stages_report_their_residual():
+    g = square_grid(1.0, 257)
+    pair = solve_system(g, *HALF, 1e3)
+    assert [s.nx for s in pair.stages] == [65, 129, 257]
+    assert pair.stages[-1].residual == pair.residual
+    assert all(s.residual <= SolveConfig().tol for s in pair.stages)
+
+
+# the benchmark's 129² half-plane pair: (Newton steps, CG iterations)
+# per grid, start grid first
+BENCH_STAGES = {1e2: [(6, 17), (4, 9)], 1e3: [(8, 22), (4, 10)]}
+
+
+@pytest.mark.parametrize("kappa", sorted(BENCH_STAGES))
+def test_bench_pair_stage_counts(kappa):
+    g = square_grid(1.0, 129)
+    pair = solve_system(g, *HALF, kappa)
+    assert [(s.newton_steps, s.cg_iterations) for s in pair.stages] == BENCH_STAGES[kappa]
+
+
+def test_newton_cg_asks_only_for_what_tol_needs(monkeypatch):
+    # Kelley's safeguard: each Newton step's CG rtol is at least
+    # min(0.1, 0.5 tol / res), res the sup residual the step starts
+    # from, so a step that starts near tol is not solved far past it
+    # (the line search's own residuals come after its step's CG call)
+    pcg, sup = e2d._pcg, e2d._sup_residual
+    residuals, calls = [], []
+
+    def recording_sup(*args):
+        residuals.append(sup(*args))
+        return residuals[-1]
+
+    def recording_pcg(apply, precond, r, rtol, truncate=False):
+        if truncate:
+            calls.append((rtol, residuals[-1]))
+        return pcg(apply, precond, r, rtol, truncate)
+
+    monkeypatch.setattr(e2d, "_sup_residual", recording_sup)
+    monkeypatch.setattr(e2d, "_pcg", recording_pcg)
+    g = square_grid(1.0, 129)
+    pair = solve_system(g, *HALF, 1e3)
+    tol = SolveConfig().tol
+    assert len(calls) == pair.newton_steps
+    for rtol, res in calls:
+        assert rtol >= min(0.1, 0.5 * tol / res)
+
+
+@pytest.mark.parametrize("n", [65, 129])
+@pytest.mark.parametrize("kappa", [1e2, 1e4])
+@pytest.mark.parametrize("d", [1, 2, 3], ids=["half", "z2", "z3"])
+def test_default_tol_agrees_with_a_tight_solve(d, kappa, n):
+    # the default tol against tol = 1e-11 (d = 3 at kappa = 1e4 escapes
+    # its saddle on both): measured, the energies agree to 4e-16
+    # relative and u, v to 2.5e-11 (d = 3, 65²); a residual <= 1e-8
+    # alone allows about 1e-8 / (2 pi²) = 5e-10
+    g = square_grid(1.0, n)
+    bu, bv = harmonic_pair(g, d)
+    loose = solve_system(g, bu, bv, kappa)
+    tight = solve_system(g, bu, bv, kappa, SolveConfig(tol=1e-11))
+    e_loose = e2d.discrete_energy(loose.u.values, loose.v.values, kappa, g.h)
+    e_tight = e2d.discrete_energy(tight.u.values, tight.v.values, kappa, g.h)
+    assert abs(e_loose - e_tight) <= 1e-14 * e_tight
+    assert np.max(np.abs(loose.u.values - tight.u.values)) <= 1e-10
+    assert np.max(np.abs(loose.v.values - tight.v.values)) <= 1e-10
 
 
 def test_nesting_needs_odd_node_counts():

@@ -77,8 +77,9 @@ def test_newton_steps_recorded(profile):
 
 def test_residual_floor_stops_newton_early():
     # at L / h^2 = 1e6 the sup residual has a round-off floor near
-    # L / h^2 * eps ~ 1.4e-10, above the 1e-10 target: the first step
-    # that cannot lower it ends the solve, long before _NEWTON_MAX
+    # L / h^2 * eps ~ 1.4e-10, above the 1e-10 target: two residuals in a
+    # row that set no new best near it end the solve, long before
+    # _NEWTON_MAX
     with pytest.raises(NoConvergence) as exc:
         solve_profile(100.0, 0.01)
     assert exc.value.iterations <= 10
