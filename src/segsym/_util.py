@@ -1,5 +1,5 @@
-"""Small shared helpers: the stop rule of the iterative loops, atomic
-file output and CSV text."""
+"""Small shared helpers: the stop rule of the iterative loops, the
+nonnegative-parameter check, atomic file output and CSV text."""
 
 from __future__ import annotations
 
@@ -51,6 +51,12 @@ class Progress:
     def _spend(self, steps: int, res: float) -> None:
         if steps >= self.cap:
             raise NoConvergence(steps, res, self.what + self.bounds)
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless value is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def fmt_value(v) -> str:

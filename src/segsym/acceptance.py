@@ -29,7 +29,7 @@ from . import blowdown as bd
 from . import diagnostics as dg
 from ._util import write_csv
 from .elliptic2d import solve_linear_decay, solve_system
-from .grid import Field, Grid2D, square_grid
+from .grid import Field, Grid2D, _centred, square_grid
 from .presets import linear_pair, linear_pair_bdata
 from .profile1d import crossing_point, extend_to_2d, solve_profile
 from .sphere import (
@@ -53,6 +53,21 @@ _REARRANGE_SEED = 0
 
 # criteria 3, 4 and 6: coupling constants of the solved pairs
 _SOLVED_KAPPAS = (1e2, 1e3)
+
+# criterion 8, spheremin and spheresweep: ceiling of the minimal γ(x) + γ(y)
+_VALUE_CEILING = 2.0 + 1e-6
+
+
+def _sweep_table(fit):
+    """CSV header and rows of a κ-sweep, one row per minimization."""
+    rows = [(r.kappa, r.value, r.mult1, r.mult2, r.seg) for r in fit.reports]
+    return ["kappa", "value", "mult1", "mult2", "seg"], rows
+
+
+def _blowdown_table(records):
+    """CSV header and rows of direction_convergence's records."""
+    rows = [(r.R, r.L, r.e[0], r.e[1], r.flatness, r.deficit) for r in records]
+    return ["R", "L", "e_x", "e_y", "flatness", "deficit"], rows
 
 
 @dataclass(frozen=True)
@@ -394,11 +409,7 @@ def criterion_08(ctx: SuiteContext) -> list:
     """Constrained spherical minimization across kappa: value ceiling,
     deficit decay exponent, multiplier normalization, segregation rate."""
     fit = ctx.sweep
-    checks = []
-    rows = []
-    for rep in fit.reports:
-        rows.append((rep.kappa, rep.value, rep.mult1, rep.mult2, rep.seg))
-        checks.append(_le(f"value_k{rep.kappa:g}", rep.value, 2.0 + 1e-6))
+    checks = [_le(f"value_k{rep.kappa:g}", rep.value, _VALUE_CEILING) for rep in fit.reports]
     checks.append(_le("deficit_exponent", fit.exponent, -0.2))
     top = fit.reports[-1]
     seg_slope = float(
@@ -407,8 +418,7 @@ def criterion_08(ctx: SuiteContext) -> list:
     ctx.write_csv(
         "08_sweep_data.csv",
         {"criterion": "spherical_minimization", "m": 512, "exponent": fit.exponent, "C": fit.C},
-        ["kappa", "value", "mult1", "mult2", "seg"],
-        rows,
+        *_sweep_table(fit),
     )
     checks.append(_within("seg_exponent", seg_slope, -0.65, -0.35))
     # the multiplier checks come last: at kappa = 1e4 the converged
@@ -464,8 +474,7 @@ def criterion_10(ctx: SuiteContext) -> list:
     ctx.write_csv(
         "10_blowdown_data.csv",
         {"criterion": "blowdown", "deficit_slope": slope, "L_slope": l_slope},
-        ["R", "L", "e_x", "e_y", "flatness", "deficit"],
-        [(r.R, r.L, r.e[0], r.e[1], r.flatness, r.deficit) for r in records],
+        *_blowdown_table(records),
     )
     ctx.write_checks("10_blowdown.csv", {"criterion": "blowdown"}, checks)
     return checks
@@ -507,11 +516,8 @@ def criterion_12(ctx: SuiteContext) -> list:
     g, u, v = ctx.extension
     tol = dg.eps_mono(g)
     viol = dg.cone_monotonicity(u, v, (1.0, 0.0), 0.75)
-    # sup |∂_y| inside: grid.gradient's centred differences, same floats
-    transverse = max(
-        float(np.max(np.abs(f.values[1:-1, 2:] - f.values[1:-1, :-2]))) / (2.0 * g.h)
-        for f in (u, v)
-    )
+    # sup |∂_y| inside, by grid's interior kernel
+    transverse = max(float(np.max(np.abs(_centred(f.values[1:-1].T, g.h)))) for f in (u, v))
     checks = [
         _le("cone_violation_aperture_0.75", viol, tol),
         _le("transverse_derivative_sup", transverse, tol),

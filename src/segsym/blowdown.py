@@ -122,9 +122,7 @@ def direction_convergence(
     direction and slope fitted at the largest radius; cauchy_gap is the
     maximum angle (radians) between consecutive e(R)."""
     _check_pair(u, v)
-    radii = _check_radii(radii)
-    if radii.size < 3:
-        raise ValueError("need at least 3 radii")
+    radii = _check_radii(radii, 3)
     # one gradient of u - v on the largest ball's window, and each
     # radius's weights, serve every flatness fit and every deficit
     win = Window.ball(u.grid, _ORIGIN, float(radii[-1]))

@@ -331,7 +331,7 @@ def run_spheremin(params, outdir: Path):
         "n": params["n"],
         "m": params["m"],
         "value": rep.value,
-        "value_ceiling": 2.0 + 1e-6,
+        "value_ceiling": acceptance._VALUE_CEILING,
         "x": rep.x_kappa,
         "y": rep.y_kappa,
         "mult1": rep.mult1,
@@ -370,10 +370,9 @@ def run_spheresweep(params, outdir: Path):
             "m": params["m"],
             "C": fit.C,
             "exponent": fit.exponent,
-            "value_ceiling": 2.0 + 1e-6,
+            "value_ceiling": acceptance._VALUE_CEILING,
         },
-        ["kappa", "value", "mult1", "mult2", "seg"],
-        [(r.kappa, r.value, r.mult1, r.mult2, r.seg) for r in fit.reports],
+        *acceptance._sweep_table(fit),
     )
     return "done", {
         "C": fit.C,
@@ -404,8 +403,7 @@ def run_blowdown(params, outdir: Path):
     write_csv(
         out,
         {"gap_deg": float(np.degrees(gap))},
-        ["R", "L", "e_x", "e_y", "flatness", "deficit"],
-        [(r.R, r.L, r.e[0], r.e[1], r.flatness, r.deficit) for r in records],
+        *acceptance._blowdown_table(records),
     )
     top = records[-1]
     return "done", {

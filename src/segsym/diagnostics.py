@@ -29,12 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_nonnegative
 from .config import SolveConfig
 from .elliptic2d import solve_harmonic
 from .errors import NumericalBreakdown, ZeroDenominator
 from .grid import (
     Field,
     Window,
+    _block_bounds,
+    _centred,
+    _unit,
     ball_weights,
     gradient,
     shell_integral,
@@ -82,8 +86,7 @@ class MonotonicityTrace:
 
     def min_pairwise_slope(self) -> float:
         """Smallest (value[i+1]-value[i])/(r[i+1]-r[i]); >= 0 means monotone."""
-        if self.radii.size < 2:
-            raise ValueError("need at least 2 radii for a slope")
+        _check_radii(self.radii, 2)
         return float(np.min(np.diff(self.values) / np.diff(self.radii)))
 
 
@@ -136,7 +139,8 @@ def _check_pair(u: Field, v: Field) -> None:
         raise ValueError("u and v must share one grid")
 
 
-def _check_radii(radii) -> np.ndarray:
+def _check_radii(radii, min_count: int = 1) -> np.ndarray:
+    """radii as floats: at least min_count, finite, positive, increasing."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
         raise ValueError("radii must be a nonempty 1D array")
@@ -146,14 +150,15 @@ def _check_radii(radii) -> np.ndarray:
         raise ValueError("radii must be strictly increasing")
     if radii[0] <= 0.0:
         raise ValueError("radii must be positive")
+    if radii.size < min_count:
+        raise ValueError(f"need at least {min_count} radii, got {radii.size}")
     return radii
 
 
 def _ball_terms(u: Field, v: Field, kappa: float, x, r: float):
     """The window of B_r(x) and, on it, |grad u|^2, |grad v|^2 and
     kappa u^2 v^2; every ball functional integrates sums of these."""
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    check_nonnegative("kappa", kappa)
     win = Window.ball(u.grid, x, r)
     ux, uy = win.grad(u.values)
     vx, vy = win.grad(v.values)
@@ -325,9 +330,7 @@ def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
     """Log-log slope of r -> int_{dB_r(x)} (u + v); degenerate inputs
     (vanishing shell mass) raise ZeroDenominator."""
     _check_pair(u, v)
-    radii = _check_radii(radii)
-    if radii.size < 3:
-        raise ValueError("need at least 3 radii for a trend")
+    radii = _check_radii(radii, 3)
     f = Field(u.grid, u.values + v.values)
     shells = np.array([shell_integral(f, x, r) for r in radii])
     if np.any(shells <= _ZERO_SHELL):
@@ -345,29 +348,6 @@ def _row_blocks(start: int, stop: int) -> list[slice]:
     n = stop - start
     k = -(-n // _BLOCK_ROWS)
     return [slice(start + b * n // k, start + (b + 1) * n // k) for b in range(k)]
-
-
-def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
-    """Per row block, A = max |f| over the block's rows and G, a bound
-    on |d_x f| + |d_y f| >= |grad f| at those rows.
-
-    With R the range of f over the block's rows and its one-row halo,
-    the centred difference is at most R/(2h) and the one-sided
-    three-point one at most 4R/(2h), since |-3a + 4b - c| <= 4R; so each
-    derivative is at most 2R/h and G = 4R/h, plus 32 eps A/h for the
-    rounding of the one-sided stencil, whose terms can cancel to a
-    nonzero float where R is 0."""
-    hi, lo = np.max(f, axis=1), np.min(f, axis=1)
-    starts = np.array([b.start for b in blocks])
-    stops = np.array([b.stop for b in blocks])
-    hi_b, lo_b = np.maximum.reduceat(hi, starts), np.minimum.reduceat(lo, starts)
-    amp = np.maximum(hi_b, -lo_b)
-    # the halo rows start - 1 and stop, clipped at the grid edge
-    before, after = np.maximum(starts - 1, 0), np.minimum(stops, f.shape[0] - 1)
-    spread = np.maximum(hi_b, np.maximum(hi[before], hi[after])) - np.minimum(
-        lo_b, np.minimum(lo[before], lo[after])
-    )
-    return amp, (4.0 * spread + 32.0 * np.finfo(float).eps * amp) / h
 
 
 def _bounded_max(bounds: np.ndarray, blocks: list[slice], block_max, name: str) -> float:
@@ -392,22 +372,18 @@ def product_bounds(u: Field, v: Field) -> ProductBounds:
 
     sup uv and sup (u|grad v| + v|grad u|) are scanned over blocks of
     whole rows, each block differenced through grid.Window, so the
-    temporaries stay block-sized.  Before the scan each block gets a
-    bound from four row reductions, the per-row max and min of u and v:
-    with A_f the largest |f| on the block's rows and G_f a bound on
-    |grad f| there (see _block_bounds), A_u A_v bounds uv and
+    temporaries stay block-sized.  Each block is bounded by
+    grid._block_bounds, next to the stencil it bounds: with A_f >= |f|
+    and G_f >= |grad f| on its rows, A_u A_v bounds uv and
     A_u G_v + A_v G_u the mixed term, each padded by 1 + 1e-9 for
-    rounding.  Each sup visits the blocks in decreasing bound and
-    skips a block whose bound is below its running value, so on a pair
-    whose products peak in a few blocks only those are differenced.  A
-    skipped block holds no value above the running one and a max does
-    not depend on the visiting order, so both sups are the same floats
-    as a scan of every block.  The interaction-mass exponent is fitted
+    rounding.  _bounded_max skips the blocks that cannot raise a sup,
+    so on a pair whose products peak in a few blocks only those are
+    differenced, and both sups are the same floats as a scan of every
+    block; a NaN in either scan (say, from an overflowing gradient)
+    raises NumericalBreakdown.  The interaction-mass exponent is fitted
     over the balls R_max * {1/4, 1/2, 1} around the grid center, R_max
     the inscribed radius, with u^2 v^2 built once on the largest ball's
-    window; identically segregated pairs (zero product) report 0.0.
-    A NaN in either scan (say, from an overflowing gradient) raises
-    NumericalBreakdown."""
+    window; identically segregated pairs (zero product) report 0.0."""
     _check_pair(u, v)
     g = u.grid
     blocks = _row_blocks(0, g.nx)
@@ -477,31 +453,25 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     s along >= a across) and otherwise at the arc edge nearer g, where
     it is a along + s across.
 
-    The interior is scanned in blocks of rows, in five block buffers
-    allocated once, so the temporaries stay cache-sized on large grids.
-    Each block takes only the centred differences of gradient(), which
-    are its floats at every interior node.  The sign is folded into
-    (ex, ey); negation is exact, so along and across are the same
-    floats up to the sign of a zero, which no excess depends on.  The
-    hypot is taken on the inside nodes only, and a block skips the mask
-    where it can have no inside node whose hypot differs from
-    a along + s across: along < 0 everywhere (no node is inside), or
-    along <= 0 and across = 0 everywhere (any inside node has a zero
-    gradient, where both are +0), as on the flat rows of a pair
-    extended along e.  A NaN (say, from an overflowing gradient) is
-    never inside, and raises NumericalBreakdown."""
+    The interior is scanned in row blocks, differenced by grid._centred
+    into five block buffers allocated once, so the temporaries stay
+    cache-sized on large grids.  The sign is folded into (ex, ey);
+    negation is exact, so along and across are the same floats up to
+    the sign of a zero, which no excess depends on.  The hypot is taken
+    on the inside nodes only, and a block skips the mask where it can
+    have no inside node whose hypot differs from a along + s across:
+    along < 0 everywhere (no node is inside), or along <= 0 and
+    across = 0 everywhere (any inside node has a zero gradient, where
+    both are +0), as on the flat rows of a pair extended along e.  A NaN
+    (say, from an overflowing gradient) is never inside, and raises
+    NumericalBreakdown."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
-    ex, ey = float(e[0]), float(e[1])
-    norm = math.hypot(ex, ey)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"direction e must have a nonzero finite norm, got {e}")
-    ex, ey = ex / norm, ey / norm
+    ex, ey = _unit(e, "direction e")
     a = aperture
     s = math.sqrt((1.0 - a) * (1.0 + a))
     g = u.grid
-    two_h = 2.0 * g.h
     cols = slice(1, g.ny - 1)
     shape = (_BLOCK_ROWS, g.ny - 2)
     bufs = [np.empty(shape) for _ in range(5)]
@@ -511,13 +481,9 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
         n = rows.stop - rows.start
         gx, gy, along, across, tmp = (b[:n] for b in bufs)
         inside, outside = (m[:n] for m in masks)
-        up = slice(rows.start + 1, rows.stop + 1)
-        down = slice(rows.start - 1, rows.stop - 1)
         for f, sx, sy in ((u.values, -ex, -ey), (v.values, ex, ey)):
-            np.subtract(f[up, cols], f[down, cols], out=gx)
-            gx /= two_h
-            np.subtract(f[rows, 2:], f[rows, :-2], out=gy)
-            gy /= two_h
+            _centred(f[rows.start - 1 : rows.stop + 1, cols], g.h, gx)
+            _centred(f[rows].T, g.h, gy.T)
             np.multiply(gx, sx, out=along)
             np.multiply(gy, sy, out=tmp)
             along += tmp
@@ -608,5 +574,5 @@ def _flatness_fit(u: Field, v: Field, x, R: float, win: Window, grad, weights) -
     t = gx * dx + gy * dy
     err = np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))
     s = math.hypot(gx, gy)
-    e = np.array([gx / s, gy / s]) if s > 0.0 else np.array([1.0, 0.0])
+    e = np.array(_unit((gx, gy)) if s > 0.0 else (1.0, 0.0))
     return FlatnessFit(e, float(np.max(err)) / R, s)

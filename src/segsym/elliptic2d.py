@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import Progress
+from ._util import Progress, check_nonnegative
 from .config import SolveConfig
 from .errors import NoConvergence
 from .grid import Field, Grid2D, _require_ball_inside
@@ -630,8 +630,7 @@ def solve_system(
     """
     t0 = time.perf_counter()
     cfg = cfg or SolveConfig()
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    check_nonnegative("kappa", kappa)
     bu = _boundary_values(g, bdata_u)
     bv = _boundary_values(g, bdata_v)
     border_mask = np.zeros((g.nx, g.ny), dtype=bool)
@@ -685,9 +684,8 @@ def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
 
 def solve_linear_decay(M: float, A: float, R_outer: float, g: Grid2D) -> Field:
     """Solve Δw = M w in B_{R_outer}(0) with w = A on the rim."""
-    for name, value in (("M", M), ("A", A)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    check_nonnegative("M", M)
+    check_nonnegative("A", A)
     _require_ball_inside(g, (0.0, 0.0), R_outer)
     frozen = np.full((g.nx, g.ny), float(A))
     return Field(g, _disk_dirichlet_solve(g, (0.0, 0.0), R_outer, frozen, float(M)))

@@ -109,7 +109,25 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# differencing and interpolation
+# directions and differencing, for every module; interpolation
+
+
+def _unit(direction, name: str = "direction") -> tuple[float, float]:
+    """direction / |direction| by math.hypot; a NaN, infinite or zero
+    direction (a NaN norm fails both tests) raises a ValueError naming it."""
+    dx, dy = float(direction[0]), float(direction[1])
+    norm = math.hypot(dx, dy)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{name} must be a finite, nonzero vector, got ({dx}, {dy})")
+    return dx / norm, dy / norm
+
+
+def _centred(a: np.ndarray, h: float, out=None) -> np.ndarray:
+    """(a[k+1] - a[k-1]) / (2h) along the first axis, k = 1..n-2, into out:
+    the one centred difference.  Transposed a and out take the last axis."""
+    out = np.subtract(a[2:], a[:-2], out=out)
+    out /= 2.0 * h
+    return out
 
 
 def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -120,23 +138,44 @@ def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     is one pass over the flat array.  The entries it fills across row
     ends are garbage that the one-sided stencils overwrite, and may
     overflow where the result does not, so the centred pass reports no
-    overflow; an infinite result is still returned as such."""
-
-    def at(s):
-        # index s along `axis`, everything along the other axes
-        return (slice(None),) * axis + (s,)
-
+    overflow; an infinite result is still returned as such.  _block_bounds
+    relies on these coefficients: change both together."""
     out = np.empty_like(a)
-    if axis == a.ndim - 1 and a.flags.c_contiguous:
-        inner, hi, lo = out.ravel()[1:-1], a.ravel()[2:], a.ravel()[:-2]
-    else:
-        inner, hi, lo = out[at(slice(1, -1))], a[at(slice(2, None))], a[at(slice(None, -2))]
+    # views with `axis` first; writing o writes out
+    t, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
     with np.errstate(over="ignore"):
-        np.subtract(hi, lo, out=inner)
-        inner /= 2.0 * h
-    out[at(0)] = (-3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]) / (2.0 * h)
-    out[at(-1)] = (3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]) / (2.0 * h)
+        if axis == a.ndim - 1 and a.flags.c_contiguous:
+            _centred(a.ravel(), h, out.ravel()[1:-1])
+        else:
+            _centred(t, h, o[1:-1])
+    o[0] = (-3.0 * t[0] + 4.0 * t[1] - t[2]) / (2.0 * h)
+    o[-1] = (3.0 * t[-1] - 4.0 * t[-2] + t[-3]) / (2.0 * h)
     return out
+
+
+def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
+    """Per block of consecutive rows of f, A = max |f| over the block's
+    rows and G, a bound on |d_x f| + |d_y f| >= |grad f| at those rows
+    as _diff_axis forms the derivatives.  A block at the first or last
+    row must span two rows: its halo then holds the one-sided stencil.
+
+    With R the range of f over the block's rows and its one-row halo,
+    the centred difference is at most R/(2h) and the one-sided
+    three-point one at most 4R/(2h), since |-3a + 4b - c| <= 4R; so each
+    derivative is at most 2R/h and G = 4R/h, plus 32 eps A/h for the
+    rounding of the one-sided stencil, whose terms can cancel to a
+    nonzero float where R is 0."""
+    hi, lo = np.max(f, axis=1), np.min(f, axis=1)
+    starts = np.array([b.start for b in blocks])
+    stops = np.array([b.stop for b in blocks])
+    hi_b, lo_b = np.maximum.reduceat(hi, starts), np.minimum.reduceat(lo, starts)
+    amp = np.maximum(hi_b, -lo_b)
+    # the halo rows start - 1 and stop, clipped at the grid edge
+    before, after = np.maximum(starts - 1, 0), np.minimum(stops, f.shape[0] - 1)
+    spread = np.maximum(hi_b, np.maximum(hi[before], hi[after])) - np.minimum(
+        lo_b, np.minimum(lo[before], lo[after])
+    )
+    return amp, (4.0 * spread + 32.0 * np.finfo(float).eps * amp) / h
 
 
 def gradient(f: Field) -> VectorField:

@@ -12,20 +12,11 @@ limit problem but is not one-dimensional.
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
 
-from .grid import Field, Grid2D
-
-
-def _unit(direction) -> tuple[float, float]:
-    dx, dy = float(direction[0]), float(direction[1])
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    return dx / norm, dy / norm
+from .grid import Field, Grid2D, _unit
 
 
 def linear_pair_bdata(direction=(1.0, 0.0), amplitude: float = 1.0):

@@ -27,7 +27,7 @@ import numpy as np
 from ._util import Progress
 from .config import SolveConfig
 from .errors import DomainTooLarge, MultipleSignChanges, NoConvergence, NoSignChange
-from .grid import Field, Grid2D
+from .grid import Field, Grid2D, _unit
 
 # keeps iterates strictly positive where the true values underflow
 _POS_FLOOR = 1e-300
@@ -172,22 +172,19 @@ def asymptotic_slope(p: Profile1D) -> tuple[float, float]:
 
 
 def extend_to_2d(p: Profile1D, g: Grid2D, direction) -> tuple[Field, Field]:
-    """Planar extension u2(x) = u(x . direction), linear in between nodes.
+    """Planar extension u2(x) = u(x . d), d the unit direction (grid._unit),
+    linear in between nodes.
 
     Along an x-axis direction (unit d with d[1] == 0.0) every row i holds
     one value: x_i d[0] + y_j d[1] is x_i d[0] + y_0 d[1] for every j,
     since each y term is +-0.0.  So that row is interpolated once and
     repeated across the ny columns, the same floats as interpolating
     the whole grid."""
-    d = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm == 0.0:
-        raise ValueError("direction must be a nonzero vector")
-    d = d / norm
-    if d[1] == 0.0:
-        t = g.x * d[0] + g.y[0] * d[1]
+    dx, dy = _unit(direction)
+    if dy == 0.0:
+        t = g.x * dx + g.y[0] * dy
     else:
-        t = g.x[:, None] * d[0] + g.y[None, :] * d[1]
+        t = g.x[:, None] * dx + g.y[None, :] * dy
     lo, hi = float(t.min()), float(t.max())
     if lo < p.x[0] - 1e-12 or hi > p.x[-1] + 1e-12:
         raise DomainTooLarge(

@@ -23,8 +23,11 @@ from segsym import (
     shell_integral,
     square_grid,
 )
+from segsym.diagnostics import cone_monotonicity
 from segsym.errors import BallOutsideDomain, PointOutsideDomain
-from segsym.grid import Window, _diff_axis, ball_weights, disk_rect_area
+from segsym.grid import Window, _block_bounds, _diff_axis, ball_weights, disk_rect_area
+from segsym.presets import linear_pair, linear_pair_bdata
+from segsym.profile1d import extend_to_2d, solve_profile
 
 # integral of e^x over the unit disk, adaptive polar quadrature (scipy
 # dblquad, epsabs 1e-14), frozen:
@@ -134,6 +137,92 @@ def test_diff_axis_row_ends_raise_no_overflow_warning(shape):
         got = _diff_axis(a, h, 1)
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, ref_diff_axis(a, h, 1))
+
+
+@st.composite
+def row_fields(draw):
+    """A grid of 3..40 rows, a field on it whose rows are each random,
+    constant or within a few ulps of a constant, and a partition of the
+    rows into consecutive blocks whose first and last span at least two
+    rows, as the one-sided stencil at the grid edge needs."""
+    nx, ny = draw(st.integers(3, 40)), draw(st.integers(3, 12))
+    h = draw(st.sampled_from([0.01, 2.6 / 32, 0.125, 3.0]))
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    base = scale * draw(st.sampled_from([0.1, 1.0, -3.7, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["random", "constant", "ulps"])
+    kinds = draw(st.lists(kinds, min_size=nx, max_size=nx))
+    rows = {
+        "random": lambda: base + scale * rng.uniform(-1.0, 1.0, ny),
+        "constant": lambda: np.full(ny, base),
+        "ulps": lambda: base + np.spacing(base) * rng.integers(-2, 3, ny),
+    }
+    f = np.array([rows[k]() for k in kinds])
+    cuts = sorted(draw(st.sets(st.integers(2, nx - 2)))) if nx >= 4 else []
+    edges = [0, *cuts, nx]
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return Grid2D(nx, ny, h), f, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_fields())
+def test_block_bounds_bound_the_gradient(case):
+    # the bound that lets product_bounds skip a block: on each block's
+    # rows, A >= |f| and G >= |d_x f| + |d_y f| as gradient() forms them,
+    # also where the rows are constant and the one-sided stencil rounds
+    # to a nonzero float
+    g, f, blocks = case
+    amp, bound = _block_bounds(f, blocks, g.h)
+    gr = gradient(Field(g, f))
+    total = np.abs(gr.vx) + np.abs(gr.vy)
+    for b, rows in enumerate(blocks):
+        assert np.max(np.abs(f[rows])) <= amp[b]
+        assert np.max(total[rows]) <= bound[b]
+
+
+# ---------------------------------------------------------------------------
+# directions
+
+
+@pytest.fixture(scope="module")
+def direction_callers():
+    """Every public call that takes a direction, on small inputs."""
+    g = square_grid(1.0, 9)
+    prof = solve_profile(10.0, 0.1)
+    u, v = linear_pair(g)
+    return {
+        "extend_to_2d": lambda d: extend_to_2d(prof, g, d),
+        "linear_pair_bdata": lambda d: linear_pair_bdata(d)[0](g.x, g.y),
+        "linear_pair": lambda d: linear_pair(g, d)[0].values,
+        "cone_monotonicity": lambda d: cone_monotonicity(u, v, d, 0.5),
+    }
+
+
+CALLERS = ["extend_to_2d", "linear_pair_bdata", "linear_pair", "cone_monotonicity"]
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+@pytest.mark.parametrize("direction", [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+    (math.inf, math.nan), (0.0, 0.0), (-0.0, 0.0),
+], ids=["nan,0", "0,nan", "inf,0", "0,-inf", "inf,nan", "0,0", "-0,0"])
+def test_bad_directions_raise_naming_the_direction(direction_callers, caller, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction"):
+            direction_callers[caller](direction)
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_huge_direction_still_normalizes(direction_callers, caller):
+    # |(1e308, 1e308)| overflows as a sum of squares but not by math.hypot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = direction_callers[caller]((1e308, 1e308))
+    want = direction_callers[caller]((1.0, 1.0))
+    if caller == "extend_to_2d":
+        got, want = got[0].values, want[0].values
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
