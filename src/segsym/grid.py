@@ -71,7 +71,12 @@ def square_grid(half_width: float, n: int) -> Grid2D:
 
 @dataclass
 class Field:
-    """Scalar samples on a Grid2D; values[i, j] = f(x_i, y_j)."""
+    """Scalar samples on a Grid2D; values[i, j] = f(x_i, y_j).
+
+    values may be a read-only view, such as the broadcast row of an
+    x-axis profile extension, and need not be C-contiguous.  No library
+    code writes into a Field's values; a caller who needs to write
+    copies them first."""
 
     grid: Grid2D
     values: np.ndarray
@@ -83,7 +88,9 @@ class Field:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        if not np.all(np.isfinite(self.values)):
+        # a broadcast (zero-stride) axis repeats its first entry: check it once
+        distinct = tuple(slice(None) if s else slice(1) for s in self.values.strides)
+        if not np.all(np.isfinite(self.values[distinct])):
             raise ValueError("field values must be finite")
 
     @classmethod
@@ -135,11 +142,13 @@ def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     one-sided three-point at both ends (exact on quadratics).
 
     Along the last axis of a C-contiguous array the centred difference
-    is one pass over the flat array.  The entries it fills across row
-    ends are garbage that the one-sided stencils overwrite, and may
-    overflow where the result does not, so the centred pass reports no
-    overflow; an infinite result is still returned as such.  _block_bounds
-    relies on these coefficients: change both together."""
+    is one pass over the flat array; any other array, such as a
+    broadcast view, takes the general path, with the same floats.  The
+    entries the flat pass fills across row ends are garbage that the
+    one-sided stencils overwrite, and may overflow where the result does
+    not, so the centred pass reports no overflow; an infinite result is
+    still returned as such.  _block_bounds relies on these coefficients:
+    change both together."""
     out = np.empty_like(a)
     # views with `axis` first; writing o writes out
     t, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
@@ -395,10 +404,17 @@ def ball_weights(g: Grid2D, center, r: float):
     return isl, jsl, w
 
 
+def _sum_into(dens: np.ndarray, w: np.ndarray) -> float:
+    """sum(dens * w) with the product formed in w, for weights built for
+    this one sum: the same floats, shape and C order as the temporary
+    dens * w, so the same sum, with no window-sized temporary."""
+    return float(np.sum(np.multiply(dens, w, out=w)))
+
+
 def ball_integral(f: Field, center, r: float) -> float:
     """Integral of f over B_r(center): cell-value times exact cell area."""
     isl, jsl, w = ball_weights(f.grid, center, r)
-    return float(np.sum(f.values[isl, jsl] * w))
+    return _sum_into(f.values[isl, jsl], w)
 
 
 @dataclass(frozen=True)
@@ -440,17 +456,25 @@ class Window:
         h = self.grid.h
         return _diff_axis(ext, h, 0)[keep], _diff_axis(ext, h, 1)[keep]
 
-    def integral(self, dens: np.ndarray, center, r: float) -> float:
-        """Integral over B_r(center) of a density given on this window,
-        which must hold the ball's window."""
-        return self.weighted_sum(dens, ball_weights(self.grid, center, r))
-
-    def weighted_sum(self, dens: np.ndarray, weights) -> float:
-        """integral() with the ball_weights triple (isl, jsl, w) given."""
+    def _part(self, dens: np.ndarray, weights) -> np.ndarray:
+        """dens, given on this window, on the subwindow of the
+        ball_weights triple (isl, jsl, w)."""
         isl, jsl, w = weights
         i = isl.start - self.isl.start
         j = jsl.start - self.jsl.start
-        return float(np.sum(dens[i : i + w.shape[0], j : j + w.shape[1]] * w))
+        return dens[i : i + w.shape[0], j : j + w.shape[1]]
+
+    def integral(self, dens: np.ndarray, center, r: float) -> float:
+        """Integral over B_r(center) of a density given on this window,
+        which must hold the ball's window.  Its weights are built for
+        this one sum, so the density is multiplied into them."""
+        weights = ball_weights(self.grid, center, r)
+        return _sum_into(self._part(dens, weights), weights[2])
+
+    def weighted_sum(self, dens: np.ndarray, weights) -> float:
+        """integral() with the ball_weights triple (isl, jsl, w) given;
+        callers reuse it, so w is left as it is."""
+        return float(np.sum(self._part(dens, weights) * weights[2]))
 
 
 def _shell(g: Grid2D, at, center, r: float) -> float:

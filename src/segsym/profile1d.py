@@ -178,8 +178,11 @@ def extend_to_2d(p: Profile1D, g: Grid2D, direction) -> tuple[Field, Field]:
     Along an x-axis direction (unit d with d[1] == 0.0) every row i holds
     one value: x_i d[0] + y_j d[1] is x_i d[0] + y_0 d[1] for every j,
     since each y term is +-0.0.  So that row is interpolated once and
-    repeated across the ny columns, the same floats as interpolating
-    the whole grid."""
+    each field's values are a read-only np.broadcast_to view of it
+    across the ny columns: the same floats as interpolating the whole
+    grid, held in nx floats.  A caller that needs to write into them
+    copies first (np.array(f.values)).  Any other direction returns
+    full, writeable arrays."""
     dx, dy = _unit(direction)
     if dy == 0.0:
         t = g.x * dx + g.y[0] * dy
@@ -195,7 +198,7 @@ def extend_to_2d(p: Profile1D, g: Grid2D, direction) -> tuple[Field, Field]:
     def extend(f):
         vals = np.interp(t, p.x, f)
         if vals.ndim == 1:
-            vals = np.broadcast_to(vals[:, None], (g.nx, g.ny)).copy()
+            vals = np.broadcast_to(vals[:, None], (g.nx, g.ny))
         return Field(g, vals)
 
     return extend(p.u), extend(p.v)

@@ -46,6 +46,7 @@ from segsym.grid import (
     _ball_slices,
     ball_integral,
     ball_weights,
+    field_to_csv,
     gradient,
     shell_integral,
     square_grid,
@@ -230,6 +231,12 @@ def profile48():
     """A 1D profile long enough to extend onto square_grid(34.0, n) in
     any direction."""
     return solve_profile(48.0, 0.0625)
+
+
+@pytest.fixture(scope="module")
+def profile128():
+    """The profile that criteria 10-12 extend onto square_grid(128.0, 2049)."""
+    return solve_profile(128.0, 0.0625)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +674,20 @@ def test_product_bounds_peak_memory():
     assert peak <= 4.5 * u.values.nbytes
 
 
+def test_product_bounds_peak_memory_on_profile_pair(profile128):
+    # criterion 11's 2049^2 pair, whose values are broadcast rows: u^2 v^2
+    # on the largest ball's window and that ball's weights, 2.1 field
+    # sizes; a product temporary on top of them peaked at 3.0
+    u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
+    tracemalloc.start()
+    try:
+        product_bounds(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * u.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # the bounded product_bounds scan: a block whose bound is below the
 # running sup is never differenced, and both sups stay the same floats
@@ -770,23 +791,21 @@ def test_bounded_product_scan_sees_stencil_rounding():
     assert pb.sup_mixed == pytest.approx(2.0 * math.sqrt(2.0) * step, rel=1e-12)
 
 
-def test_bounded_product_scan_skips_flat_blocks(monkeypatch):
+def test_bounded_product_scan_skips_flat_blocks(monkeypatch, profile128):
     # the 2049^2 profile pair of criterion 11: its mixed term peaks
     # within a block or two of the interface
-    prof = solve_profile(128.0, 0.0625)
-    u, v = extend_to_2d(prof, square_grid(128.0, 2049), (1.0, 0.0))
+    u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
     blocks = _differenced_blocks(monkeypatch)
     pb = product_bounds(u, v)
     assert len(blocks) <= 5
     assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
 
 
-def test_direction_convergence_peak_memory():
+def test_direction_convergence_peak_memory(profile128):
     # the largest ball's u - v is formed on its window plus halo: 0.64
     # field sizes on the 2049^2 profile pair, 1.28 with the full-grid
     # difference
-    prof = solve_profile(128.0, 0.0625)
-    u, v = extend_to_2d(prof, square_grid(128.0, 2049), (1.0, 0.0))
+    u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
     tracemalloc.start()
     try:
         direction_convergence(u, v, [8.0, 16.0, 32.0])
@@ -811,3 +830,62 @@ def test_direction_convergence_takes_one_gradient(monkeypatch, profile48):
     monkeypatch.setattr(Window, "grad", counting)
     direction_convergence(u, v, [8.0, 16.0, 32.0])
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one-shot quadrature multiplies the density into its own weights, and
+# an x-axis profile extension is a read-only broadcast view: both give
+# the floats of the owned, temporary-making code
+
+
+@SETTINGS
+@given(data=st.data())
+def test_one_shot_quadrature_equals_product_sum(data):
+    g, u, v, rng = data.draw(pairs())
+    x, radii = data.draw(balls(g, count=3))
+    win = Window.ball(g, x, radii[-1])
+    dens = u.values[win.isl, win.jsl]
+    before = u.values.copy()
+    for r in radii:
+        isl, jsl, w = ball_weights(g, x, r)
+        ref = float(np.sum(u.values[isl, jsl] * w))
+        assert ball_integral(u, x, r) == ref
+        assert win.integral(dens, x, r) == ref
+        kept = w.copy()
+        # weights a caller passes in are reused, so they stay as given
+        assert win.weighted_sum(dens, (isl, jsl, w)) == ref
+        assert w.tobytes() == kept.tobytes()
+    assert u.values.tobytes() == before.tobytes()
+
+
+def _record_floats(records):
+    return [(r.R, r.L, *r.e, r.flatness, r.deficit) for r in records]
+
+
+def test_consumers_equal_on_broadcast_and_owned_pair(profile48):
+    g = square_grid(34.0, 257)
+    u, v = extend_to_2d(profile48, g, (1.0, 0.0))
+    assert u.values.strides == v.values.strides == (8, 0)
+    uc, vc = (Field(g, np.ascontiguousarray(f.values)) for f in (u, v))
+    assert uc.values.flags.c_contiguous and vc.values.flags.c_contiguous
+    for a, b in ((u, uc), (v, vc)):
+        ga, gb = gradient(a), gradient(b)
+        assert ga.vx.tobytes() == gb.vx.tobytes()
+        assert ga.vy.tobytes() == gb.vy.tobytes()
+        for x, r in (((0.0, 0.0), 8.0), ((1.3, -2.1), 9.7), ((0.0, 0.0), 33.9)):
+            assert ball_integral(a, x, r) == ball_integral(b, x, r)
+        assert field_to_csv(a) == field_to_csv(b)
+    assert product_bounds(u, v) == product_bounds(uc, vc)
+    for e in ((1.0, 0.0), (0.6, -0.8)):
+        assert cone_monotonicity(u, v, e, 0.75) == cone_monotonicity(uc, vc, e, 0.75)
+    recs, gap = direction_convergence(u, v, [4.0, 8.0, 16.0])
+    recs_c, gap_c = direction_convergence(uc, vc, [4.0, 8.0, 16.0])
+    assert _record_floats(recs) == _record_floats(recs_c) and gap == gap_c
+    for x in ((0.0, -12.0), (0.0, 0.0), (0.37, 5.0)):
+        for r in (2.0, 4.5):
+            assert almgren_H(u, v, x, r) == almgren_H(uc, vc, x, r)
+            assert almgren_N(u, v, 1.0, x, r) == almgren_N(uc, vc, 1.0, x, r)
+            assert acf_J(u, v, 1.0, x, r) == acf_J(uc, vc, 1.0, x, r)
+        fit, fit_c = flatness_direction(u, v, x, 6.0), flatness_direction(uc, vc, x, 6.0)
+        assert fit.e.tobytes() == fit_c.e.tobytes()
+        assert (fit.h_flat, fit.magnitude) == (fit_c.h_flat, fit_c.magnitude)

@@ -407,6 +407,24 @@ def test_snapshot_roundtrip_bit_exact(data):
     assert back.values.tobytes() == f.values.tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_field_rejects_non_finite_values_in_views(bad, k):
+    # a broadcast axis is checked once; every distinct entry still is
+    g = Grid2D(7, 7, 0.5)
+    line = np.ones(7)
+    line[k] = bad
+    for values in (
+        np.broadcast_to(line[:, None], (7, 7)),
+        np.broadcast_to(line[None, :], (7, 7)),
+        np.broadcast_to(np.float64(bad), (7, 7)),
+        np.outer(line, np.ones(7)).T[::-1],
+    ):
+        with pytest.raises(ValueError, match="values must be finite"):
+            Field(g, values)
+    assert Field(g, np.broadcast_to(np.ones(7)[:, None], (7, 7))).values.strides == (8, 0)
+
+
 def test_snapshot_header_shape():
     g = Grid2D(4, 3, 0.5, (0.0, 0.0))
     text = field_to_csv(Field.zeros(g))

@@ -30,6 +30,11 @@ def profile():
     return solve_profile(20.0, 0.05)
 
 
+@pytest.fixture(scope="module")
+def profile128():
+    return solve_profile(128.0, 0.0625)
+
+
 def test_preconditions():
     with pytest.raises(ValueError):
         solve_profile(5.0, 0.05)
@@ -246,15 +251,54 @@ def test_extension_equals_meshgrid_formula(profile):
             assert v2.values.tobytes() == np.interp(t, profile.x, profile.v).tobytes()
 
 
-def test_extension_peak_memory():
+def test_extension_peak_memory(profile128):
     # t, u and v: 3 field sizes; a meshgrid X, Y and their products
     # peaked at 5.13
-    p = solve_profile(128.0, 0.0625)
     g = square_grid(90.0, 1025)  # its diagonal fits the profile's [-128, 128]
     tracemalloc.start()
     try:
-        extend_to_2d(p, g, (0.6, 0.8))
+        extend_to_2d(profile128, g, (0.6, 0.8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * g.nx * g.ny * 8
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_axis_extension_is_a_read_only_row_view(profile):
+    g = square_grid(2.0, 41)
+    for f in extend_to_2d(profile, g, (1.0, 0.0)):
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+        # one row's floats, broadcast across the columns
+        assert _root(f.values).size == g.nx
+        assert f.values.strides == (8, 0)
+
+
+def test_tilted_extension_is_owned(profile):
+    g = square_grid(2.0, 41)
+    for f in extend_to_2d(profile, g, (0.6, 0.8)):
+        assert f.values.flags.writeable
+        assert f.values.flags.c_contiguous
+        assert f.values.flags.owndata
+
+
+def test_axis_extension_peak_memory(profile128):
+    # the 2049^2 pair of criteria 10-12: two interpolated rows and the
+    # grid's coordinates, no field-sized array (a full copy of each
+    # field peaked at 68 MB)
+    g = square_grid(128.0, 2049)
+    tracemalloc.start()
+    try:
+        u, v = extend_to_2d(profile128, g, (1.0, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert u.values.nbytes == v.values.nbytes == g.nx * g.ny * 8
