@@ -88,9 +88,7 @@ class Field:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        # a broadcast (zero-stride) axis repeats its first entry: check it once
-        distinct = tuple(slice(None) if s else slice(1) for s in self.values.strides)
-        if not np.all(np.isfinite(self.values[distinct])):
+        if not np.all(np.isfinite(_distinct(self.values))):
             raise ValueError("field values must be finite")
 
     @classmethod
@@ -105,7 +103,8 @@ class Field:
 
 @dataclass
 class VectorField:
-    """Componentwise samples of a vector field on a Grid2D."""
+    """Componentwise samples of a vector field on a Grid2D.  A component
+    may be a read-only broadcast view; no library code writes into one."""
 
     grid: Grid2D
     vx: np.ndarray
@@ -137,29 +136,27 @@ def _centred(a: np.ndarray, h: float, out=None) -> np.ndarray:
     return out
 
 
+def _distinct(a: np.ndarray, keep: int | None = None) -> np.ndarray:
+    """a with every broadcast (zero-stride) axis but `keep` cut to its first entry."""
+    cut = (slice(None) if s or k == keep else slice(1) for k, s in enumerate(a.strides))
+    return a[tuple(cut)]
+
+
 def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along `axis`: centered inside,
     one-sided three-point at both ends (exact on quadratics).
 
-    Along the last axis of a C-contiguous array the centred difference
-    is one pass over the flat array; any other array, such as a
-    broadcast view, takes the general path, with the same floats.  The
-    entries the flat pass fills across row ends are garbage that the
-    one-sided stencils overwrite, and may overflow where the result does
-    not, so the centred pass reports no overflow; an infinite result is
-    still returned as such.  _block_bounds relies on these coefficients:
-    change both together."""
-    out = np.empty_like(a)
+    Each distinct entry of a broadcast a is differenced once; across a
+    broadcast axis the result is broadcast back, a read-only view.
+    _block_bounds relies on these coefficients: change both together."""
+    d = _distinct(a, axis)
+    out = np.empty_like(d)
     # views with `axis` first; writing o writes out
-    t, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    with np.errstate(over="ignore"):
-        if axis == a.ndim - 1 and a.flags.c_contiguous:
-            _centred(a.ravel(), h, out.ravel()[1:-1])
-        else:
-            _centred(t, h, o[1:-1])
+    t, o = np.moveaxis(d, axis, 0), np.moveaxis(out, axis, 0)
+    _centred(t, h, o[1:-1])
     o[0] = (-3.0 * t[0] + 4.0 * t[1] - t[2]) / (2.0 * h)
     o[-1] = (3.0 * t[-1] - 4.0 * t[-2] + t[-3]) / (2.0 * h)
-    return out
+    return out if d.shape == a.shape else np.broadcast_to(out, a.shape)
 
 
 def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
@@ -188,7 +185,8 @@ def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
 
 
 def gradient(f: Field) -> VectorField:
-    """Discrete gradient, second order including the boundary rows."""
+    """Discrete gradient, second order including the boundary rows; a
+    component across a broadcast axis of f.values is a read-only view."""
     h = f.grid.h
     return VectorField(f.grid, _diff_axis(f.values, h, 0), _diff_axis(f.values, h, 1))
 
@@ -428,6 +426,7 @@ class Window:
     as gradient(); that stencil needs the window to span at least two
     nodes along an axis where it touches the grid edge.  integral()
     gives the same float as ball_integral of the full-grid density.
+    grad()'s components may be read-only views, as gradient()'s may.
     """
 
     grid: Grid2D

@@ -802,7 +802,7 @@ def test_bounded_product_scan_skips_flat_blocks(monkeypatch, profile128):
 
 
 def test_direction_convergence_peak_memory(profile128):
-    # the largest ball's u - v is formed on its window plus halo: 0.64
+    # the largest ball's u - v is formed on its window plus halo: 0.61
     # field sizes on the 2049^2 profile pair, 1.28 with the full-grid
     # difference
     u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))

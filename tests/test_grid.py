@@ -115,8 +115,8 @@ def ref_diff_axis(a, h, axis):
     ((2049, 3), (slice(None), slice(None))),            # many three-node rows
 ])
 def test_diff_axis_equals_moveaxis_stencil(shape, window):
-    # whole arrays and full-width row blocks are C-contiguous, so their
-    # last axis takes the flat pass
+    # owned arrays and windows of them: both axes are differenced in
+    # full into an owned, C-contiguous result
     a = np.random.default_rng(11).uniform(-1.0, 1.0, shape)[window]
     h = 2.6 / 32  # not dyadic, so the division by 2h rounds
     for axis in (0, 1):
@@ -127,9 +127,9 @@ def test_diff_axis_equals_moveaxis_stencil(shape, window):
 
 @pytest.mark.parametrize("shape", [(3, 5), (3, 2049), (2049, 3), (65, 97)])
 def test_diff_axis_row_ends_raise_no_overflow_warning(shape):
-    # rows of ±4e307: every stencil is finite along a row, but the flat
-    # pass's entries across a row end difference +4e307 and -4e307 and
-    # overflow when divided by 2h
+    # rows of ±4e307: every stencil along a row is finite, so differencing
+    # along the rows warns of no overflow; a difference across a row end,
+    # +4e307 - -4e307, would overflow
     a = np.where(np.arange(shape[0]) % 2 == 0, 4e307, -4e307)[:, None] * np.ones(shape[1])
     h = 2.6 / 32
     with warnings.catch_warnings():
@@ -137,6 +137,34 @@ def test_diff_axis_row_ends_raise_no_overflow_warning(shape):
         got = _diff_axis(a, h, 1)
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, ref_diff_axis(a, h, 1))
+
+
+def _root(x):
+    """The array that owns x's memory."""
+    while x.base is not None:
+        x = x.base
+    return x
+
+
+@pytest.mark.parametrize("kind", ["row", "column", "scalar", "row window"])
+def test_diff_axis_differences_broadcast_entries_once(kind):
+    # across a broadcast axis the derivative of the distinct entries is
+    # broadcast back, read-only; along it the result is owned
+    rng = np.random.default_rng(13)
+    a = {
+        "row": np.broadcast_to(rng.uniform(-1.0, 1.0, (37, 1)), (37, 53)),
+        "column": np.broadcast_to(rng.uniform(-1.0, 1.0, 53), (37, 53)),
+        "scalar": np.broadcast_to(rng.uniform(-1.0, 1.0), (37, 53)),
+        "row window": np.broadcast_to(rng.uniform(-1.0, 1.0, (101, 1)), (101, 80))[5:90:3, 7:60],
+    }[kind]
+    h = 2.6 / 32
+    for axis in (0, 1):
+        got = _diff_axis(a, h, axis)
+        assert np.array_equal(got, ref_diff_axis(np.ascontiguousarray(a), h, axis))
+        kept = [n for k, n in enumerate(a.shape) if k == axis or a.strides[k]]
+        cut = len(kept) < a.ndim
+        assert got.flags.writeable != cut
+        assert _root(got).size == (math.prod(kept) if cut else a.size)
 
 
 @st.composite

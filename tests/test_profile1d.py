@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import segsym.profile1d as p1d
-from segsym import Grid2D, square_grid
+from segsym import Grid2D, gradient, square_grid
 from segsym.config import SolveConfig
 from segsym.errors import (
     DomainTooLarge,
@@ -302,3 +302,19 @@ def test_axis_extension_peak_memory(profile128):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert u.values.nbytes == v.values.nbytes == g.nx * g.ny * 8
+
+
+def test_axis_extension_gradient_peak_memory(profile128):
+    # d/dx of the broadcast rows differences each row once (nx floats,
+    # broadcast back); d/dy along the rows is one full field: 1.01 field
+    # sizes traced, 2.01 when every copy of a row was differenced
+    u, _ = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
+    tracemalloc.start()
+    try:
+        gu = gradient(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * u.values.nbytes
+    assert _root(gu.vx).size == u.grid.nx
+    assert not gu.vx.flags.writeable
