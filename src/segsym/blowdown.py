@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _ZERO_SHELL, _check_pair, _check_radii, _flatness_fit
-from .errors import DomainTooLarge, NumericalBreakdown, ZeroDenominator
+from .diagnostics import _check_pair, _check_radii, _flatness_fit, _shell_mass
+from .errors import DomainTooLarge, NumericalBreakdown
 from .grid import Field, Grid2D, Window, _box_inside, ball_weights, interpolate, shell_sq_integral
 
 _ORIGIN = (0.0, 0.0)
@@ -61,12 +61,7 @@ def compute_L(u: Field, v: Field, R: float) -> float:
     The circle must fit inside the grid; vanishing shell mass raises
     ZeroDenominator."""
     _check_pair(u, v)
-    mass = shell_sq_integral(u, v, _ORIGIN, R)
-    if mass <= _ZERO_SHELL:
-        raise ZeroDenominator(
-            f"shell mass {mass:.3e} at R={R} is numerically zero"
-        )
-    return math.sqrt(mass / R)
+    return math.sqrt(_shell_mass(u, v, _ORIGIN, R) / R)
 
 
 def rescale(

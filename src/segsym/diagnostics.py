@@ -8,9 +8,11 @@ asymptotic one-dimensionality.  Nothing in this module mutates fields
 or solves equations, except harmonic_deficit which delegates one
 Dirichlet solve.
 
-Ball functionals read only the ball's node window plus one node of
-halo (grid.Window), so their cost follows the ball, not the grid; the
-values are the same floats as full-grid densities would give.
+Ball functionals, harmonic replacement and the growth and gradient
+bounds read only their node window plus one node of halo (grid.Window)
+or the nodes their shells' stencils touch, so their cost follows the
+ball, not the grid (the Dirichlet solve alone takes u - v whole); the
+values are the same floats as full-grid arrays would give.
 
 Conventions (n = 2 throughout, so the scaling prefactors r^{2-n} and
 r^{1-n} reduce to 1 and 1/r):
@@ -31,17 +33,16 @@ import numpy as np
 
 from ._util import check_nonnegative
 from .config import SolveConfig
-from .elliptic2d import solve_harmonic
+from .elliptic2d import _disk_dirichlet_solve
 from .errors import NumericalBreakdown, ZeroDenominator
 from .grid import (
     Field,
     Window,
     _block_bounds,
     _centred,
+    _shell,
     _unit,
     ball_weights,
-    gradient,
-    shell_integral,
     shell_sq_integral,
 )
 
@@ -155,6 +156,14 @@ def _check_radii(radii, min_count: int = 1) -> np.ndarray:
     return radii
 
 
+def _shell_mass(u: Field, v: Field, x, r: float) -> float:
+    """int_{dB_r(x)} u^2 + v^2, the denominator of N and L; zero raises ZeroDenominator."""
+    mass = shell_sq_integral(u, v, x, r)
+    if mass <= _ZERO_SHELL:
+        raise ZeroDenominator(f"shell mass {mass:.3e} at r={r} is numerically zero")
+    return mass
+
+
 def _ball_terms(u: Field, v: Field, kappa: float, x, r: float):
     """The window of B_r(x) and, on it, |grad u|^2, |grad v|^2 and
     kappa u^2 v^2; every ball functional integrates sums of these."""
@@ -195,14 +204,7 @@ def _ball_values(functional: str, u: Field, v: Field, kappa: float, x, radii) ->
 
         def value(r):
             num = win.integral(dens, x, r)
-            if functional == "D":
-                return num
-            den = shell_sq_integral(u, v, x, r)
-            if den <= _ZERO_SHELL:
-                raise ZeroDenominator(
-                    f"shell integral {den:.3e} at r={r} is numerically zero"
-                )
-            return r * num / den
+            return num if functional == "D" else r * num / _shell_mass(u, v, x, r)
 
     else:
         raise ValueError(f"unknown functional {functional!r}, expected N, H, D, or J")
@@ -331,8 +333,10 @@ def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
     (vanishing shell mass) raise ZeroDenominator."""
     _check_pair(u, v)
     radii = _check_radii(radii, 3)
-    f = Field(u.grid, u.values + v.values)
-    shells = np.array([shell_integral(f, x, r) for r in radii])
+    uu, vv = u.values, v.values
+    shells = np.array([_shell(u.grid, lambda i, j: uu[i, j] + vv[i, j], x, r) for r in radii])
+    if not np.all(np.isfinite(shells)):
+        raise ValueError("field values must be finite: u + v overflows on a shell")
     if np.any(shells <= _ZERO_SHELL):
         raise ZeroDenominator("shell integral of u+v is numerically zero")
     return float(np.polyfit(np.log(radii), np.log(shells), 1)[0])
@@ -429,10 +433,10 @@ def gradient_bounds(u: Field, v: Field, margin: float) -> float:
     k = int(math.ceil(margin / g.h - 1e-9))
     if g.nx - 2 * k < 2 or g.ny - 2 * k < 2:
         raise ValueError("margin leaves no interior window")
-    gu = gradient(u)
-    gv = gradient(v)
-    mag = np.hypot(gu.vx, gu.vy) + np.hypot(gv.vx, gv.vy)
-    return float(np.max(mag[k:-k, k:-k]))
+    win = Window(g, slice(k, g.nx - k), slice(k, g.ny - k))
+    ux, uy = win.grad(u.values)
+    vx, vy = win.grad(v.values)
+    return float(np.max(np.hypot(ux, uy) + np.hypot(vx, vy)))
 
 
 def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
@@ -525,11 +529,12 @@ def harmonic_deficit(
     cfg is accepted and unread: the Dirichlet solve stops on the linear
     core's own relative residual."""
     _check_pair(u, v)
-    w = Field(u.grid, u.values - v.values)
-    phi = solve_harmonic(u.grid, x, R, w)
-    diff = Field(u.grid, w.values - phi.values)
+    w = u.values - v.values
+    if not np.all(np.isfinite(w)):
+        raise ValueError("field values must be finite: u - v overflows")
+    phi = _disk_dirichlet_solve(u.grid, x, R, w, 0.0)
     win = Window.ball(u.grid, x, R)
-    gx, gy = win.grad(diff.values)
+    gx, gy = win.grad(w, minus=phi)
     return win.integral(gx * gx + gy * gy, x, R)
 
 

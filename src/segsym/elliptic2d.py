@@ -57,17 +57,17 @@ Stat. Comput. 4 (1983)), and Newton resumes.  The finer grids start
 from the prolonged, certified coarse solution and only lower E.
 
 Every linear problem, the Newton steps' diagonal blocks and the two
-disk solves (harmonic replacement on a disk, Δw = M w on a disk), goes
-through one multigrid hierarchy: the 5-point operator
-(4 + s h²) x − Σ neighbours on a node mask, with the nodes off the
-mask frozen as Dirichlet data and the shift s a scalar or an array on
-the grid.  _mg_pcg solves it by conjugate gradients preconditioned by
-one symmetric geometric V-cycle (red-black Gauss-Seidel smoothing,
-bilinear transfer, coarse masks taken at even nodes, s h² restricted
-by full weighting, and on the coarsest level, at most 8 cells per
-axis, a dense inverse built from that level's own operator), so its
-cost is O(N) in the nodes of the mask's bounding box.  It stops when
-the residual's 2-norm falls to 1e-13 times the right-hand side's, and
+disk solves (harmonic replacement and Δw = M w, their masks built on
+the ball's window), goes through one multigrid hierarchy: the 5-point
+operator (4 + s h²) x − Σ neighbours on a node mask, with the nodes off
+the mask frozen as Dirichlet data and the shift s a scalar or an array
+on the grid.  _mg_pcg solves it by conjugate gradients preconditioned
+by one symmetric geometric V-cycle (red-black Gauss-Seidel smoothing,
+bilinear transfer, coarse masks taken at even nodes, s h² restricted by
+full weighting, and on the coarsest level, at most 8 cells per axis, a
+dense inverse built from that level's own operator), so its cost is
+O(N) in the nodes of the mask's bounding box.  It stops when the
+residual's 2-norm falls to 1e-13 times the right-hand side's, and
 raises NoConvergence on a non-finite residual or after 100 iterations.
 """
 
@@ -83,7 +83,7 @@ import numpy as np
 from ._util import Progress, check_nonnegative
 from .config import SolveConfig
 from .errors import NoConvergence
-from .grid import Field, Grid2D, _require_ball_inside
+from .grid import Field, Grid2D, _ball_slices
 
 _NEST_MIN = 65  # grids with more nodes than this on both axes, both odd, are nested
 _NEAR_FLAT = 1e-14  # relative energy rise a full, residual-lowering step may make
@@ -144,11 +144,11 @@ class SolutionPair:
 
 
 def _boundary_values(g: Grid2D, bdata) -> np.ndarray:
-    """Evaluate boundary data on the full lattice (only the border is used)."""
+    """Evaluate boundary data on the full lattice; a Field's values are read, not copied."""
     if isinstance(bdata, Field):
         if bdata.grid != g:
             raise ValueError("boundary data field must live on the same grid")
-        return bdata.values.copy()
+        return bdata.values
     X, Y = g.meshgrid()
     return np.asarray(bdata(X, Y), dtype=float)
 
@@ -663,8 +663,9 @@ def _disk_dirichlet_solve(
 ) -> np.ndarray:
     """Solve (Δ - shift) w = 0 on lattice nodes strictly inside the disk;
     nodes at distance >= R keep frozen_values (first-order rim treatment)."""
-    X, Y = g.meshgrid()
-    inside = np.hypot(X - center[0], Y - center[1]) < R
+    isl, jsl = _ball_slices(g, center, R)
+    inside = np.zeros((g.nx, g.ny), dtype=bool)
+    inside[isl, jsl] = np.hypot(g.x[isl, None] - center[0], g.y[None, jsl] - center[1]) < R
     # nodes on the outermost lattice ring cannot be unknowns
     inside[0, :] = inside[-1, :] = False
     inside[:, 0] = inside[:, -1] = False
@@ -677,15 +678,12 @@ def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
     bdata is a vectorized callable (x, y) -> values or a Field on the
     same grid; lattice nodes at distance >= R are frozen to it.
     """
-    _require_ball_inside(g, center, R)
-    frozen = _boundary_values(g, bdata)
-    return Field(g, _disk_dirichlet_solve(g, center, R, frozen, 0.0))
+    return Field(g, _disk_dirichlet_solve(g, center, R, _boundary_values(g, bdata), 0.0))
 
 
 def solve_linear_decay(M: float, A: float, R_outer: float, g: Grid2D) -> Field:
     """Solve Δw = M w in B_{R_outer}(0) with w = A on the rim."""
     check_nonnegative("M", M)
     check_nonnegative("A", A)
-    _require_ball_inside(g, (0.0, 0.0), R_outer)
     frozen = np.full((g.nx, g.ny), float(A))
     return Field(g, _disk_dirichlet_solve(g, (0.0, 0.0), R_outer, frozen, float(M)))

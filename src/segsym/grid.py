@@ -10,6 +10,7 @@ per node, shape (nx, ny), values[i, j] = f(x_i, y_j).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class Grid2D:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        try:
+            operator.index(self.nx), operator.index(self.ny)
+        except TypeError:
+            raise TypeError(f"grid nx, ny must be integers, got {self.nx!r}, {self.ny!r}") from None
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3, got ({self.nx}, {self.ny})")
         if not (0.0 < self.h < math.inf):
@@ -231,6 +236,8 @@ def _bilinear(at, i, j, tx, ty) -> np.ndarray:
 def interpolate(f: Field, points) -> np.ndarray | float:
     """Bilinear interpolation at one point (2,) or many (N, 2)."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError(f"points must have shape (2,) or (N, 2), got {pts.shape}")
     single = pts.ndim == 1
     v = f.values
     out = _bilinear(lambda i, j: v[i, j], *_stencil(f.grid, np.atleast_2d(pts)))
@@ -402,19 +409,6 @@ def ball_weights(g: Grid2D, center, r: float):
     return isl, jsl, w
 
 
-def _sum_into(dens: np.ndarray, w: np.ndarray) -> float:
-    """sum(dens * w) with the product formed in w, for weights built for
-    this one sum: the same floats, shape and C order as the temporary
-    dens * w, so the same sum, with no window-sized temporary."""
-    return float(np.sum(np.multiply(dens, w, out=w)))
-
-
-def ball_integral(f: Field, center, r: float) -> float:
-    """Integral of f over B_r(center): cell-value times exact cell area."""
-    isl, jsl, w = ball_weights(f.grid, center, r)
-    return _sum_into(f.values[isl, jsl], w)
-
-
 @dataclass(frozen=True)
 class Window:
     """A rectangular node window isl x jsl of a grid, for densities built
@@ -424,8 +418,9 @@ class Window:
     halo.  The halo is clipped at the grid edge, where gradient's
     one-sided stencil applies, so each window node gets the same float
     as gradient(); that stencil needs the window to span at least two
-    nodes along an axis where it touches the grid edge.  integral()
-    gives the same float as ball_integral of the full-grid density.
+    nodes along an axis where it touches the grid edge.  integral() is
+    the one one-shot ball sum: ball_integral is integral() on the window
+    of the whole grid.
     grad()'s components may be read-only views, as gradient()'s may.
     """
 
@@ -465,15 +460,22 @@ class Window:
 
     def integral(self, dens: np.ndarray, center, r: float) -> float:
         """Integral over B_r(center) of a density given on this window,
-        which must hold the ball's window.  Its weights are built for
-        this one sum, so the density is multiplied into them."""
+        which must hold the ball's window.  The density is multiplied
+        into the weights, built for this one sum: the floats of the
+        temporary dens * w, so the same sum, with no such temporary."""
         weights = ball_weights(self.grid, center, r)
-        return _sum_into(self._part(dens, weights), weights[2])
+        w = weights[2]
+        return float(np.sum(np.multiply(self._part(dens, weights), w, out=w)))
 
     def weighted_sum(self, dens: np.ndarray, weights) -> float:
         """integral() with the ball_weights triple (isl, jsl, w) given;
         callers reuse it, so w is left as it is."""
         return float(np.sum(self._part(dens, weights) * weights[2]))
+
+
+def ball_integral(f: Field, center, r: float) -> float:
+    """Integral of f over B_r(center): cell-value times exact cell area."""
+    return Window(f.grid, slice(0, f.grid.nx), slice(0, f.grid.ny)).integral(f.values, center, r)
 
 
 def _shell(g: Grid2D, at, center, r: float) -> float:

@@ -98,3 +98,30 @@ def test_13_determinism(ctx):
         "byte_mismatched_files",
         "files_compared",
     ]
+
+
+def test_run_all_writes_results_csv(tmp_path, monkeypatch):
+    # two fast stand-ins for the thirteen criteria, registered out of
+    # order: run_all runs them by number and writes one row for each,
+    # naming the failed checks of the one that fails
+    failing = [
+        acceptance.Check("a", False, 3.0, "<= 2"),
+        acceptance.Check("b", True, 1.0, "<= 2"),
+        acceptance.Check("c", False, 0.5, ">= 1"),
+    ]
+    passing = [acceptance.Check("x", True, 1.0, "== 1")]
+    fakes = {
+        2: lambda ctx: acceptance.CriterionResult("02 fails", False, 0.2, failing),
+        1: lambda ctx: acceptance.CriterionResult("01 passes", True, 0.1, passing),
+    }
+    monkeypatch.setattr(acceptance, "_CRITERIA", fakes)
+    results = acceptance.run_all(tmp_path)
+    assert [r.name for r in results] == ["01 passes", "02 fails"]
+    assert (tmp_path / "results.csv").read_text().splitlines() == [
+        "# suite=acceptance",
+        "criterion,passed,failed_checks",
+        "01 passes,1,",
+        "02 fails,0,a;c",
+    ]
+    assert results[0].failures() == []
+    assert results[1].failures() == ["a: got 3, wanted <= 2", "c: got 0.5, wanted >= 1"]

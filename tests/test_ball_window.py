@@ -35,10 +35,12 @@ from segsym.diagnostics import (
     cone_monotonicity,
     flatness_direction,
     functional_trace,
+    gradient_bounds,
     harmonic_deficit,
+    nondegeneracy_exponent,
     product_bounds,
 )
-from segsym.elliptic2d import solve_harmonic
+from segsym.elliptic2d import _mg_pcg, solve_harmonic, solve_linear_decay, solve_system
 from segsym.grid import (
     Field,
     Grid2D,
@@ -231,12 +233,6 @@ def profile48():
     """A 1D profile long enough to extend onto square_grid(34.0, n) in
     any direction."""
     return solve_profile(48.0, 0.0625)
-
-
-@pytest.fixture(scope="module")
-def profile128():
-    """The profile that criteria 10-12 extend onto square_grid(128.0, 2049)."""
-    return solve_profile(128.0, 0.0625)
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +826,148 @@ def test_direction_convergence_takes_one_gradient(monkeypatch, profile48):
     monkeypatch.setattr(Window, "grad", counting)
     direction_convergence(u, v, [8.0, 16.0, 32.0])
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the disk solves, harmonic replacement, the growth and gradient bounds,
+# the shell-mass denominators and ball_integral, each against the
+# full-grid formula it replaced: a meshgrid disk mask, full-grid
+# gradients and Fields, and a product-then-sum ball quadrature
+
+
+def full_disk_solve(g, center, R, frozen, shift):
+    X, Y = g.meshgrid()
+    inside = np.hypot(X - center[0], Y - center[1]) < R
+    inside[0, :] = inside[-1, :] = False
+    inside[:, 0] = inside[:, -1] = False
+    return _mg_pcg(frozen, inside, shift, g.h)[0]
+
+
+def full_ball_integral(values, g, x, r):
+    isl, jsl, w = ball_weights(g, x, r)
+    return float(np.sum(values[isl, jsl] * w))
+
+
+def full_harmonic_deficit(u, v, x, R):
+    g = u.grid
+    w = Field(g, u.values - v.values)
+    phi = full_disk_solve(g, x, R, w.values.copy(), 0.0)
+    gd = gradient(Field(g, w.values - phi))
+    return full_ball_integral(gd.magnitude_squared(), g, x, R)
+
+
+def full_nondegeneracy(u, v, x, radii):
+    f = Field(u.grid, u.values + v.values)
+    shells = np.array([shell_integral(f, x, r) for r in radii])
+    return float(np.polyfit(np.log(radii), np.log(shells), 1)[0])
+
+
+def full_gradient_bounds(u, v, margin):
+    k = int(math.ceil(margin / u.grid.h - 1e-9))
+    gu, gv = gradient(u), gradient(v)
+    mag = np.hypot(gu.vx, gu.vy) + np.hypot(gv.vx, gv.vy)
+    return float(np.max(mag[k:-k, k:-k]))
+
+
+def full_N(u, v, kappa, x, r):
+    gu2, gv2, inter = full_terms(u, v, kappa)
+    return r * full_ball_integral(gu2 + gv2 + inter, u.grid, x, r) / ref_shell_sq(u, v, x, r)
+
+
+# (center, radius) per case: about the origin, off it, and three balls
+# whose window is clipped at the grid edge (at x = 1, y = -1 and x = -1)
+UNIT_BALLS = [
+    ((0.0, 0.0), 0.5),
+    ((0.13, -0.27), 0.41),
+    ((0.52, 0.1), 0.48 - 1e-12),
+    ((-0.2, -0.7), 0.3),
+    ((-0.6, 0.25), 0.4),
+]
+PROFILE_BALLS = [
+    ((0.0, 0.0), 9.7),
+    ((1.3, -2.1), 9.7),
+    ((20.0, 5.0), 14.0 - 1e-12),
+    ((-3.0, -24.0), 10.0),
+    ((-25.0, 3.0), 9.0),
+]
+
+
+@pytest.fixture(scope="module")
+def window_path_cases(profile48):
+    g = square_grid(1.0, 129)
+    cases = {
+        name: (harmonic_pair(g, d), UNIT_BALLS) for name, d in (("half-plane", 1), ("z2", 2), ("z3", 3))
+    }
+    # a pair solved from (Re z^2)^+- border data
+    sol = solve_system(g, *harmonic_pair(g, 2), 1e3)
+    cases["solved"] = ((sol.u, sol.v), UNIT_BALLS)
+    g = square_grid(34.0, 257)
+    for name, e in (("x-axis", (1.0, 0.0)), ("tilted", (0.6, 0.8))):
+        cases[name] = (extend_to_2d(profile48, g, e), PROFILE_BALLS)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["half-plane", "z2", "z3", "solved", "x-axis", "tilted"])
+def test_window_paths_equal_full_grid(window_path_cases, name):
+    (u, v), balls = window_path_cases[name]
+    g = u.grid
+    clipped = []
+    for x, R in balls:
+        isl, jsl = _ball_slices(g, x, R)
+        clipped.append(isl.start == 0 or isl.stop == g.nx or jsl.start == 0)
+        assert harmonic_deficit(u, v, x, R) == full_harmonic_deficit(u, v, x, R)
+        w = Field(g, u.values - v.values)
+        assert np.array_equal(
+            solve_harmonic(g, x, R, w).values, full_disk_solve(g, x, R, w.values.copy(), 0.0)
+        )
+        radii = R * np.array([0.25, 0.5, 1.0])
+        assert nondegeneracy_exponent(u, v, x, radii) == full_nondegeneracy(u, v, x, radii)
+        for kappa in (0.0, 1e3):
+            assert almgren_N(u, v, kappa, x, R) == full_N(u, v, kappa, x, R)
+        for f in (u, v):
+            assert ball_integral(f, x, R) == full_ball_integral(f.values, g, x, R)
+        # compute_L reads the circle about the origin
+        r0 = min(R, 0.9 * (g.extent[1] - g.extent[0]) / 2)
+        assert compute_L(u, v, r0) == math.sqrt(ref_shell_sq(u, v, (0.0, 0.0), r0) / r0)
+    assert clipped == [False, False, True, True, True]
+    for margin in (2.0 * g.h, 2.5 * g.h, 0.2 * (g.extent[1] - g.extent[0])):
+        assert gradient_bounds(u, v, margin) == full_gradient_bounds(u, v, margin)
+
+
+@pytest.mark.parametrize("M", [10.0, 100.0, 1000.0])
+def test_linear_decay_equals_full_grid(M):
+    # criterion 5's decay solves, and a disk touching the grid edge,
+    # whose window is clipped there
+    for g, R in ((square_grid(1.6, 321), 1.5), (square_grid(1.0, 129), 1.0 - 1e-12)):
+        ref = full_disk_solve(g, (0.0, 0.0), R, np.full((g.nx, g.ny), 1.0), M)
+        assert np.array_equal(solve_linear_decay(M, 1.0, R, g).values, ref)
+
+
+def test_harmonic_deficit_peak_memory(lin513):
+    # the 513^2 half-plane pair at R = 0.5: u - v, the solve's copy and
+    # its mask, and window-sized arrays, 5.1 field sizes; a meshgrid
+    # mask and full-grid Fields of w and w - phi peaked at 8.13
+    g, u, v = lin513
+    tracemalloc.start()
+    try:
+        harmonic_deficit(u, v, (0.0, 0.0), 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * u.values.nbytes
+
+
+def test_nondegeneracy_exponent_peak_memory(lin513):
+    # u + v at the shells' stencil nodes only: 0.51 field sizes on the
+    # 513^2 half-plane pair, 1.43 with a full-grid Field of u + v
+    g, u, v = lin513
+    tracemalloc.start()
+    try:
+        nondegeneracy_exponent(u, v, (0.0, 0.0), [0.2, 0.4, 0.8])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * u.values.nbytes
 
 
 # ---------------------------------------------------------------------------

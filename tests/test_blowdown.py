@@ -20,17 +20,9 @@ from segsym.errors import (
     ZeroDenominator,
 )
 from segsym.grid import Field, shell_integral, square_grid
-from segsym.presets import linear_pair
 from segsym.profile1d import extend_to_2d, solve_profile
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-@pytest.fixture(scope="module")
-def lin513():
-    g = square_grid(1.0, 513)
-    u, v = linear_pair(g)
-    return g, u, v
 
 
 def test_record_validation():

@@ -1,8 +1,11 @@
-"""The demos that lift the 1D profile to the plane run to completion.
+"""Four of the five demos run to completion, each in its own
+interpreter with the checkout's src/ first on the path.
 
-They are the planar extension's only callers outside the package, the
-tests and the benchmark, so they run here, each in its own interpreter
-with the checkout's src/ first on the path."""
+The two that lift the 1D profile to the plane are the planar
+extension's only callers outside the package, the tests and the
+benchmark; sphere_sweep.py (~0.5 s) and monotonicity_ladder.py (one
+129² solve) are cheap enough to run too.  pair_scaling.py (~10 s of
+solves up to 513²) is left out to keep the suite fast."""
 
 import os
 import subprocess
@@ -14,7 +17,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["blowdown_cone.py", "profile_walkthrough.py"])
+@pytest.mark.parametrize(
+    "name",
+    ["blowdown_cone.py", "profile_walkthrough.py", "sphere_sweep.py", "monotonicity_ladder.py"],
+)
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -47,13 +47,6 @@ J_LINEAR = math.pi**2 / 4
 
 
 @pytest.fixture(scope="module")
-def lin513():
-    g = square_grid(1.0, 513)
-    u, v = linear_pair(g)
-    return g, u, v
-
-
-@pytest.fixture(scope="module")
 def lin257():
     g = square_grid(1.0, 257)
     u, v = linear_pair(g)
@@ -420,6 +413,18 @@ def test_gradient_bounds_linear(lin257):
         gradient_bounds(u, v, 0.5 * g.h)
     with pytest.raises(ValueError):
         gradient_bounds(u, v, 3.0)
+
+
+def test_overflowing_sums_raise_value_error():
+    # u and v are finite, but u - v, and u + v on the shells, overflow:
+    # a ValueError, as when the sum was a full-grid Field, not inf or NaN
+    g = square_grid(1.0, 33)
+    big = np.full((33, 33), 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="u - v overflows"):
+            harmonic_deficit(Field(g, big), Field(g, -big), (0.0, 0.0), 0.5)
+        with pytest.raises(ValueError, match="u \\+ v overflows"):
+            nondegeneracy_exponent(Field(g, big), Field(g, big), (0.0, 0.0), [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf])

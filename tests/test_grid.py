@@ -44,6 +44,19 @@ def test_grid_invariants():
         Grid2D(5, 5, -0.1)
 
 
+def test_grid_rejects_fractional_node_counts():
+    # Grid2D(4.5, 4, 0.5) once built x with 5 nodes but reported the
+    # extent (0, 1.75, ...), and Field.zeros on it died on a bare TypeError
+    for args, name in (((4.5, 4, 0.5), "4.5"), ((4, 7.0, 0.5), "7.0")):
+        with pytest.raises(TypeError, match=rf"nx, ny must be integers.*{name}"):
+            Grid2D(*args)
+    with pytest.raises(TypeError, match="nx, ny must be integers"):
+        square_grid(1.0, 4.5)
+    g = Grid2D(np.int64(5), np.int32(4), 0.25)
+    assert g.extent == (0.0, 1.0, 0.0, 0.75)
+    assert Field.zeros(g).values.shape == (5, 4)
+
+
 def test_square_grid_centered():
     g = square_grid(1.0, 9)
     assert g.extent == (-1.0, 1.0, -1.0, 1.0)
@@ -403,6 +416,21 @@ def test_interpolate_outside():
     f = Field.zeros(g)
     with pytest.raises(PointOutsideDomain):
         interpolate(f, (1.2, 0.0))
+
+
+def test_interpolate_rejects_points_not_in_the_plane():
+    # a third coordinate was once dropped: (0.5, 0.25, 99.0) read as (0.5, 0.25)
+    f = Field.from_function(square_grid(1.0, 17), lambda x, y: x + 2.0 * y)
+    for p, shape in (
+        ((0.5, 0.25, 99.0), r"\(3,\)"),
+        (np.zeros((4, 3)), r"\(4, 3\)"),
+        (np.zeros((4, 1)), r"\(4, 1\)"),
+        (np.zeros((2, 4, 2)), r"\(2, 4, 2\)"),
+        (0.5, r"\(\)"),
+    ):
+        with pytest.raises(ValueError, match=shape):
+            interpolate(f, p)
+    assert interpolate(f, (0.5, 0.25)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_interpolate_rejects_nonfinite_points():

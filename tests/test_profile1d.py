@@ -30,11 +30,6 @@ def profile():
     return solve_profile(20.0, 0.05)
 
 
-@pytest.fixture(scope="module")
-def profile128():
-    return solve_profile(128.0, 0.0625)
-
-
 def test_preconditions():
     with pytest.raises(ValueError):
         solve_profile(5.0, 0.05)
