@@ -18,9 +18,7 @@ from .diagnostics import (
     ProductBounds,
     acf_J,
     acf_trace_and_fit,
-    almgren_D,
     almgren_H,
-    almgren_H_rate,
     almgren_N,
     check_doubling,
     cone_monotonicity,
@@ -34,7 +32,7 @@ from .diagnostics import (
     nondegeneracy_exponent,
     product_bounds,
 )
-from .elliptic2d import SolutionPair, solve_harmonic, solve_linear_decay, solve_system
+from .elliptic2d import SolutionPair, solve_linear_decay, solve_system
 from .grid import (
     Field,
     Grid2D,
@@ -94,9 +92,7 @@ __all__ = [
     "VectorField",
     "acf_J",
     "acf_trace_and_fit",
-    "almgren_D",
     "almgren_H",
-    "almgren_H_rate",
     "almgren_N",
     "asymptotic_slope",
     "ball_integral",
@@ -132,7 +128,6 @@ __all__ = [
     "rearrange_pair",
     "rescale",
     "shell_integral",
-    "solve_harmonic",
     "solve_linear_decay",
     "solve_profile",
     "solve_system",

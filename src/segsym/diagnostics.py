@@ -11,8 +11,10 @@ Dirichlet solve.
 Ball functionals, harmonic replacement and the growth and gradient
 bounds read only their node window plus one node of halo (grid.Window)
 or the nodes their shells' stencils touch, so their cost follows the
-ball, not the grid (the Dirichlet solve alone takes u - v whole); the
-values are the same floats as full-grid arrays would give.
+ball, not the grid (harmonic replacement's Dirichlet solve included);
+the values are the same floats as full-grid arrays would give.  Every
+center passes grid._require_ball_inside, which rejects one that is not
+two finite coordinates with a ValueError naming it.
 
 Conventions (n = 2 throughout, so the scaling prefactors r^{2-n} and
 r^{1-n} reduce to 1 and 1/r):
@@ -40,6 +42,7 @@ from .grid import (
     Window,
     _block_bounds,
     _centred,
+    _require_ball_inside,
     _shell,
     _unit,
     ball_weights,
@@ -211,25 +214,10 @@ def _ball_values(functional: str, u: Field, v: Field, kappa: float, x, radii) ->
     return [value(r) for r in radii]
 
 
-def almgren_D(u: Field, v: Field, kappa: float, x, r: float) -> float:
-    """Scaled energy of the pair on B_r(x); nondecreasing in r on
-    solutions (n = 2, so the r^{2-n} prefactor is 1)."""
-    _check_pair(u, v)
-    return _ball_values("D", u, v, kappa, x, (r,))[0]
-
-
 def almgren_H(u: Field, v: Field, x, r: float) -> float:
     """Average height r^{-1} * int_{dB_r(x)} (u^2 + v^2)."""
     _check_pair(u, v)
     return _ball_values("H", u, v, 0.0, x, (r,))[0]
-
-
-def almgren_H_rate(u: Field, v: Field, kappa: float, x, r: float) -> float:
-    """dH/dr through the identity
-    H'(r) = 2 r^{1-n} int_{B_r} |grad u|^2 + |grad v|^2 + 2 kappa u^2 v^2."""
-    _check_pair(u, v)
-    win, gu2, gv2, inter = _ball_terms(u, v, kappa, x, r)
-    return 2.0 * win.integral(gu2 + gv2 + 2.0 * inter, x, r) / r
 
 
 def almgren_N(u: Field, v: Field, kappa: float, x, r: float) -> float:
@@ -529,12 +517,12 @@ def harmonic_deficit(
     cfg is accepted and unread: the Dirichlet solve stops on the linear
     core's own relative residual."""
     _check_pair(u, v)
-    w = u.values - v.values
+    win = Window.ball(u.grid, x, R)
+    w = u.values[win.isl, win.jsl] - v.values[win.isl, win.jsl]
     if not np.all(np.isfinite(w)):
         raise ValueError("field values must be finite: u - v overflows")
-    phi = _disk_dirichlet_solve(u.grid, x, R, w, 0.0)
-    win = Window.ball(u.grid, x, R)
-    gx, gy = win.grad(w, minus=phi)
+    # off the window the full-grid w - phi is 0: the solve keeps w off the disk
+    gx, gy = win.grad_zero_off(w, _disk_dirichlet_solve(win, x, R, w, 0.0))
     return win.integral(gx * gx + gy * gy, x, R)
 
 
@@ -565,6 +553,7 @@ def _flatness_fit(u: Field, v: Field, x, R: float, win: Window, grad, weights) -
     on a window holding B_R(x) and the ball_weights(g, x, R) triple
     `weights`, for callers that fit several balls of one window."""
     g = u.grid
+    cx, cy = _require_ball_inside(g, x, R)
     isl, jsl, w = weights
     mask = w > 0.0
     uu = u.values[isl, jsl][mask]
@@ -574,8 +563,8 @@ def _flatness_fit(u: Field, v: Field, x, R: float, win: Window, grad, weights) -
     area = float(np.sum(w))
     gx = win.weighted_sum(grad[0], weights) / area
     gy = win.weighted_sum(grad[1], weights) / area
-    dx = np.broadcast_to((g.x[isl] - float(x[0]))[:, None], mask.shape)[mask]
-    dy = np.broadcast_to((g.y[jsl] - float(x[1]))[None, :], mask.shape)[mask]
+    dx = np.broadcast_to((g.x[isl] - cx)[:, None], mask.shape)[mask]
+    dy = np.broadcast_to((g.y[jsl] - cy)[None, :], mask.shape)[mask]
     t = gx * dx + gy * dy
     err = np.abs(uu - np.maximum(t, 0.0)) + np.abs(vv - np.maximum(-t, 0.0))
     s = math.hypot(gx, gy)

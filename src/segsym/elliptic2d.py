@@ -57,8 +57,8 @@ Stat. Comput. 4 (1983)), and Newton resumes.  The finer grids start
 from the prolonged, certified coarse solution and only lower E.
 
 Every linear problem, the Newton steps' diagonal blocks and the two
-disk solves (harmonic replacement and Δw = M w, their masks built on
-the ball's window), goes through one multigrid hierarchy: the 5-point
+disk solves (harmonic replacement and Δw = M w, which take and return
+the ball's window only), goes through one multigrid hierarchy: the 5-point
 operator (4 + s h²) x − Σ neighbours on a node mask, with the nodes off
 the mask frozen as Dirichlet data and the shift s a scalar or an array
 on the grid.  _mg_pcg solves it by conjugate gradients preconditioned
@@ -83,7 +83,7 @@ import numpy as np
 from ._util import Progress, check_nonnegative
 from .config import SolveConfig
 from .errors import NoConvergence
-from .grid import Field, Grid2D, _ball_slices
+from .grid import Field, Grid2D, Window, _require_ball_inside
 
 _NEST_MIN = 65  # grids with more nodes than this on both axes, both odd, are nested
 _NEAR_FLAT = 1e-14  # relative energy rise a full, residual-lowering step may make
@@ -659,31 +659,26 @@ def solve_system(
 
 
 def _disk_dirichlet_solve(
-    g: Grid2D, center, R: float, frozen_values: np.ndarray, shift: float
+    win: Window, center, R: float, frozen: np.ndarray, shift: float
 ) -> np.ndarray:
-    """Solve (Δ - shift) w = 0 on lattice nodes strictly inside the disk;
-    nodes at distance >= R keep frozen_values (first-order rim treatment)."""
-    isl, jsl = _ball_slices(g, center, R)
-    inside = np.zeros((g.nx, g.ny), dtype=bool)
-    inside[isl, jsl] = np.hypot(g.x[isl, None] - center[0], g.y[None, jsl] - center[1]) < R
-    # nodes on the outermost lattice ring cannot be unknowns
+    """Solve (Δ - shift) w = 0 on the nodes strictly inside B_R(center),
+    win = Window.ball(g, center, R); the other nodes keep frozen, the
+    values on the window (first-order rim).  Returns the window's solution.
+    The window's outer ring holds no unknown: it lies h outside the disk
+    or is the grid's own ring, so the mask equals a full-grid solve's."""
+    g = win.grid
+    cx, cy = _require_ball_inside(g, center, R)
+    inside = np.hypot(g.x[win.isl, None] - cx, g.y[None, win.jsl] - cy) < R
     inside[0, :] = inside[-1, :] = False
     inside[:, 0] = inside[:, -1] = False
-    return _mg_pcg(frozen_values, inside, shift, g.h)[0]
-
-
-def solve_harmonic(g: Grid2D, center, R: float, bdata) -> Field:
-    """Discrete harmonic function in B_R(center) matching bdata on the rim.
-
-    bdata is a vectorized callable (x, y) -> values or a Field on the
-    same grid; lattice nodes at distance >= R are frozen to it.
-    """
-    return Field(g, _disk_dirichlet_solve(g, center, R, _boundary_values(g, bdata), 0.0))
+    return _mg_pcg(frozen, inside, shift, g.h)[0]
 
 
 def solve_linear_decay(M: float, A: float, R_outer: float, g: Grid2D) -> Field:
     """Solve Δw = M w in B_{R_outer}(0) with w = A on the rim."""
     check_nonnegative("M", M)
     check_nonnegative("A", A)
-    frozen = np.full((g.nx, g.ny), float(A))
-    return Field(g, _disk_dirichlet_solve(g, (0.0, 0.0), R_outer, frozen, float(M)))
+    win = Window.ball(g, (0.0, 0.0), R_outer)
+    w, box = np.full((g.nx, g.ny), float(A)), (win.isl, win.jsl)
+    w[box] = _disk_dirichlet_solve(win, (0.0, 0.0), R_outer, w[box], float(M))
+    return Field(g, w)

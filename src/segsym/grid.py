@@ -204,7 +204,8 @@ def _stencil(g: Grid2D, pts: np.ndarray):
         raise ValueError("points must be finite")
     xmin, xmax, ymin, ymax = g.extent
     px, py = pts[:, 0], pts[:, 1]
-    if not _box_inside(g, px.min(), px.max(), py.min(), py.max()):
+    # an empty point set has no extent to check
+    if px.size and not _box_inside(g, px.min(), px.max(), py.min(), py.max()):
         k = int(
             np.argmax(
                 np.maximum.reduce(
@@ -324,32 +325,39 @@ def _box_inside(g: Grid2D, xlo, xhi, ylo, yhi) -> bool:
     return not (xlo < xmin - eps or xhi > xmax + eps or ylo < ymin - eps or yhi > ymax + eps)
 
 
-def _require_ball_inside(g: Grid2D, center, r: float) -> None:
-    xmin, xmax, ymin, ymax = g.extent
-    cx, cy = float(center[0]), float(center[1])
+def _require_ball_inside(g: Grid2D, center, r: float) -> tuple[float, float]:
+    """The one check of a ball; returns the (cx, cy) every ball and shell
+    computation reads.  A center that is not two finite coordinates, or
+    r <= 0, raises ValueError; a ball outside the grid BallOutsideDomain."""
+    c = np.asarray(center, dtype=float)
+    if c.shape != (2,) or not np.all(np.isfinite(c)):
+        raise ValueError(f"ball center must be two finite coordinates, got {center!r}")
+    cx, cy = float(c[0]), float(c[1])
     if not (r > 0.0):
         raise ValueError(f"ball radius must be positive, got {r}")
     if not _box_inside(g, cx - r, cx + r, cy - r, cy + r):
+        xmin, xmax, ymin, ymax = g.extent
         raise BallOutsideDomain(
             f"ball B_{r:.6g}(({cx:.6g}, {cy:.6g})) exceeds grid extent "
             f"[{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]"
         )
+    return cx, cy
 
 
-def _ball_slices(g: Grid2D, center, r: float) -> tuple[slice, slice]:
-    """Node slices of the subwindow that holds B_r(center) plus one cell,
-    clipped to the grid; the ball must lie inside the grid.  The window
-    of a smaller radius about the same center is a subwindow."""
-    _require_ball_inside(g, center, r)
+def _ball_slices(g: Grid2D, center, r: float) -> tuple[tuple[float, float], slice, slice]:
+    """The checked center (cx, cy) and the node slices of the subwindow
+    that holds B_r(center) plus one cell, clipped to the grid; the ball
+    must lie inside the grid.  The window of a smaller radius about the
+    same center is a subwindow."""
+    cx, cy = _require_ball_inside(g, center, r)
     h = g.h
-    cx, cy = float(center[0]), float(center[1])
     xmin, _, ymin, _ = g.extent
     pad = r + h
     i0 = max(int(math.floor((cx - pad - xmin) / h)), 0)
     i1 = min(int(math.ceil((cx + pad - xmin) / h)) + 1, g.nx)
     j0 = max(int(math.floor((cy - pad - ymin) / h)), 0)
     j1 = min(int(math.ceil((cy + pad - ymin) / h)) + 1, g.ny)
-    return slice(i0, i1), slice(j0, j1)
+    return (cx, cy), slice(i0, i1), slice(j0, j1)
 
 
 def ball_weights(g: Grid2D, center, r: float):
@@ -371,9 +379,8 @@ def ball_weights(g: Grid2D, center, r: float):
     about h²/(2r) in d, far above the rounding of np.hypot; d is
     computed, and compared as above, only on the cells in between.
     """
-    isl, jsl = _ball_slices(g, center, r)
+    (cx, cy), isl, jsl = _ball_slices(g, center, r)
     h = g.h
-    cx, cy = float(center[0]), float(center[1])
     xs = g.x[isl] - cx
     ys = g.y[jsl] - cy
     half_diag = h * math.sqrt(0.5)
@@ -431,7 +438,22 @@ class Window:
     @classmethod
     def ball(cls, g: Grid2D, center, r: float) -> "Window":
         """The window of B_r(center); it holds every B_s(center), s <= r."""
-        return cls(g, *_ball_slices(g, center, r))
+        return cls(g, *_ball_slices(g, center, r)[1:])
+
+    def _halo(self):
+        """The grid slices of the window plus its halo, and the window's
+        slices within them."""
+        i0, j0 = max(self.isl.start - 1, 0), max(self.jsl.start - 1, 0)
+        i1, j1 = min(self.isl.stop + 1, self.grid.nx), min(self.jsl.stop + 1, self.grid.ny)
+        keep = (
+            slice(self.isl.start - i0, self.isl.stop - i0),
+            slice(self.jsl.start - j0, self.jsl.stop - j0),
+        )
+        return (slice(i0, i1), slice(j0, j1)), keep
+
+    def _diff(self, ext: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+        h = self.grid.h
+        return _diff_axis(ext, h, 0)[keep], _diff_axis(ext, h, 1)[keep]
 
     def grad(
         self, a: np.ndarray, minus: np.ndarray | None = None
@@ -439,16 +461,16 @@ class Window:
         """Gradient on the window of the full-grid array a, or of a - minus,
         which is then formed on the window plus halo only (elementwise, so
         the same floats as differencing the full-grid a - minus)."""
-        i0 = max(self.isl.start - 1, 0)
-        j0 = max(self.jsl.start - 1, 0)
-        halo = (slice(i0, self.isl.stop + 1), slice(j0, self.jsl.stop + 1))
-        ext = a[halo] if minus is None else a[halo] - minus[halo]
-        keep = (
-            slice(self.isl.start - i0, self.isl.stop - i0),
-            slice(self.jsl.start - j0, self.jsl.stop - j0),
-        )
-        h = self.grid.h
-        return _diff_axis(ext, h, 0)[keep], _diff_axis(ext, h, 1)[keep]
+        halo, keep = self._halo()
+        return self._diff(a[halo] if minus is None else a[halo] - minus[halo], keep)
+
+    def grad_zero_off(self, a: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """grad() of the full-grid array that is a - minus on the window
+        and 0 off it, from a and minus given on the window alone."""
+        halo, keep = self._halo()
+        ext = np.zeros((halo[0].stop - halo[0].start, halo[1].stop - halo[1].start))
+        np.subtract(a, minus, out=ext[keep])
+        return self._diff(ext, keep)
 
     def _part(self, dens: np.ndarray, weights) -> np.ndarray:
         """dens, given on this window, on the subwindow of the
@@ -481,13 +503,11 @@ def ball_integral(f: Field, center, r: float) -> float:
 def _shell(g: Grid2D, at, center, r: float) -> float:
     """Trapezoid rule on the circle for the field whose node values are
     at(i, j); only the bilinear stencil nodes are read."""
-    _require_ball_inside(g, center, r)
+    cx, cy = _require_ball_inside(g, center, r)
     # m is a multiple of 4 so quarter-turn rotations sample congruent node sets
     m = max(128, 4 * int(math.ceil(4.0 * math.pi * r / g.h)))
     theta = 2.0 * math.pi * np.arange(m) / m
-    pts = np.column_stack(
-        (center[0] + r * np.cos(theta), center[1] + r * np.sin(theta))
-    )
+    pts = np.column_stack((cx + r * np.cos(theta), cy + r * np.sin(theta)))
     vals = _bilinear(at, *_stencil(g, pts))
     return float(r * np.sum(vals) * (2.0 * math.pi / m))
 

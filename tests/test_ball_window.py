@@ -28,9 +28,7 @@ from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
     _row_blocks,
     acf_J,
-    almgren_D,
     almgren_H,
-    almgren_H_rate,
     almgren_N,
     cone_monotonicity,
     flatness_direction,
@@ -40,7 +38,7 @@ from segsym.diagnostics import (
     nondegeneracy_exponent,
     product_bounds,
 )
-from segsym.elliptic2d import _mg_pcg, solve_harmonic, solve_linear_decay, solve_system
+from segsym.elliptic2d import _disk_dirichlet_solve, _mg_pcg, solve_linear_decay, solve_system
 from segsym.grid import (
     Field,
     Grid2D,
@@ -91,11 +89,6 @@ def ref_J(u, v, kappa, x, r):
     gu2, gv2, inter = full_terms(u, v, kappa)
     g = u.grid
     return ball_integral(Field(g, gu2 + inter), x, r) * ball_integral(Field(g, gv2 + inter), x, r) / r**4
-
-
-def ref_H_rate(u, v, kappa, x, r):
-    gu2, gv2, inter = full_terms(u, v, kappa)
-    return 2.0 * ball_integral(Field(u.grid, gu2 + gv2 + 2.0 * inter), x, r) / r
 
 
 def ref_gradient_fit(u, v, x, R):
@@ -197,7 +190,7 @@ def ref_disk_rect_area(r, ax, bx, ay, by):
 
 def ref_ball_weights(g, center, r):
     """The per-cell rim loop that the vectorised rim kernel replaces."""
-    isl, jsl = _ball_slices(g, center, r)
+    _, isl, jsl = _ball_slices(g, center, r)
     h = g.h
     xs = g.x[isl] - float(center[0])
     ys = g.y[jsl] - float(center[1])
@@ -286,11 +279,10 @@ def test_ball_functionals_equal_full_grid(data):
     g, u, v, rng = data.draw(pairs())
     x, (r,) = data.draw(balls(g))
     kappa = float(rng.uniform(0.0, 100.0))
-    assert almgren_D(u, v, kappa, x, r) == ref_D(u, v, kappa, x, r)
+    assert functional_trace("D", u, v, kappa, x, [r]).values[0] == ref_D(u, v, kappa, x, r)
     assert almgren_N(u, v, kappa, x, r) == ref_N(u, v, kappa, x, r)
     assert almgren_H(u, v, x, r) == ref_H(u, v, kappa, x, r)
     assert acf_J(u, v, kappa, x, r) == ref_J(u, v, kappa, x, r)
-    assert almgren_H_rate(u, v, kappa, x, r) == ref_H_rate(u, v, kappa, x, r)
 
 
 @SETTINGS
@@ -321,9 +313,8 @@ def test_compute_L_equals_full_grid(data):
 def test_harmonic_deficit_equals_full_grid(data):
     g, u, v, _ = data.draw(pairs(min_n=9, max_n=30))
     x, (R,) = data.draw(balls(g))
-    w = Field(g, u.values - v.values)
-    phi = solve_harmonic(g, x, R, w)
-    gd = gradient(Field(g, w.values - phi.values))
+    w = u.values - v.values
+    gd = gradient(Field(g, w - full_disk_solve(g, x, R, w, 0.0)))
     ref = ball_integral(Field(g, gd.magnitude_squared()), x, R)
     assert harmonic_deficit(u, v, x, R) == ref
 
@@ -836,6 +827,8 @@ def test_direction_convergence_takes_one_gradient(monkeypatch, profile48):
 
 
 def full_disk_solve(g, center, R, frozen, shift):
+    """The disk solve on the whole grid: the full-grid mask, with the
+    grid's outermost ring cleared, and frozen values everywhere else."""
     X, Y = g.meshgrid()
     inside = np.hypot(X - center[0], Y - center[1]) < R
     inside[0, :] = inside[-1, :] = False
@@ -850,9 +843,8 @@ def full_ball_integral(values, g, x, r):
 
 def full_harmonic_deficit(u, v, x, R):
     g = u.grid
-    w = Field(g, u.values - v.values)
-    phi = full_disk_solve(g, x, R, w.values.copy(), 0.0)
-    gd = gradient(Field(g, w.values - phi))
+    w = u.values - v.values
+    gd = gradient(Field(g, w - full_disk_solve(g, x, R, w, 0.0)))
     return full_ball_integral(gd.magnitude_squared(), g, x, R)
 
 
@@ -913,13 +905,13 @@ def test_window_paths_equal_full_grid(window_path_cases, name):
     g = u.grid
     clipped = []
     for x, R in balls:
-        isl, jsl = _ball_slices(g, x, R)
-        clipped.append(isl.start == 0 or isl.stop == g.nx or jsl.start == 0)
+        win = Window.ball(g, x, R)
+        box = win.isl, win.jsl
+        clipped.append(win.isl.start == 0 or win.isl.stop == g.nx or win.jsl.start == 0)
         assert harmonic_deficit(u, v, x, R) == full_harmonic_deficit(u, v, x, R)
-        w = Field(g, u.values - v.values)
-        assert np.array_equal(
-            solve_harmonic(g, x, R, w).values, full_disk_solve(g, x, R, w.values.copy(), 0.0)
-        )
+        w = u.values - v.values
+        phi = _disk_dirichlet_solve(win, x, R, w[box], 0.0)
+        assert np.array_equal(phi, full_disk_solve(g, x, R, w, 0.0)[box])
         radii = R * np.array([0.25, 0.5, 1.0])
         assert nondegeneracy_exponent(u, v, x, radii) == full_nondegeneracy(u, v, x, radii)
         for kappa in (0.0, 1e3):
@@ -943,10 +935,55 @@ def test_linear_decay_equals_full_grid(M):
         assert np.array_equal(solve_linear_decay(M, 1.0, R, g).values, ref)
 
 
+@st.composite
+def edge_balls(draw, g):
+    """A center off the origin and a radius whose ball reaches one grid
+    edge (its window clipped there), within _EDGE_EPS h inside or past
+    it, or no edge (a window inside the grid)."""
+    xmin, xmax, ymin, ymax = g.extent
+    cx = xmin + draw(st.floats(0.05, 0.95)) * (xmax - xmin)
+    cy = ymin + draw(st.floats(0.05, 0.95)) * (ymax - ymin)
+    gaps = {"left": cx - xmin, "right": xmax - cx, "bottom": cy - ymin, "top": ymax - cy}
+    edge = draw(st.sampled_from([None, *gaps]))
+    slack = grid_module._EDGE_EPS * g.h
+    if edge is None:
+        R = min(gaps.values()) * draw(st.floats(0.05, 0.99))
+    else:
+        # 0.9, not 1: the rounding of cx - R must not carry it past the slack
+        R = gaps[edge] + draw(st.sampled_from([-1.0, 0.0, 0.5, 0.9])) * slack
+        assume(all(R <= gap + 0.9 * slack for gap in gaps.values()))
+    return (cx, cy), R, edge
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_disk_solve_window_equals_full_grid(data):
+    g, u, _, _ = data.draw(pairs(min_n=5, max_n=30))
+    x, R, edge = data.draw(edge_balls(g))
+    win = Window.ball(g, x, R)
+    box = win.isl, win.jsl
+    clipped = {
+        "left": win.isl.start == 0,
+        "right": win.isl.stop == g.nx,
+        "bottom": win.jsl.start == 0,
+        "top": win.jsl.stop == g.ny,
+    }
+    assert edge is None or clipped[edge]
+    shift = data.draw(st.sampled_from([0.0, 1.0, 100.0]))
+    frozen = u.values - 1.0
+    ref = full_disk_solve(g, x, R, frozen, shift)
+    assert np.array_equal(_disk_dirichlet_solve(win, x, R, frozen[box], shift), ref[box])
+    # off the window the full-grid solve keeps every frozen value
+    off = np.ones(frozen.shape, dtype=bool)
+    off[box] = False
+    assert np.array_equal(ref[off], frozen[off])
+
+
 def test_harmonic_deficit_peak_memory(lin513):
-    # the 513^2 half-plane pair at R = 0.5: u - v, the solve's copy and
-    # its mask, and window-sized arrays, 5.1 field sizes; a meshgrid
-    # mask and full-grid Fields of w and w - phi peaked at 8.13
+    # the 513^2 half-plane pair at R = 0.5, whose window is about a
+    # quarter of the grid: window-sized arrays only, 3.54 field sizes; a
+    # full-grid u - v and the solve's full-grid copy peaked at 5.13, and
+    # a meshgrid mask and full-grid Fields of w and w - phi at 8.13
     g, u, v = lin513
     tracemalloc.start()
     try:
@@ -954,7 +991,7 @@ def test_harmonic_deficit_peak_memory(lin513):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * u.values.nbytes
+    assert peak <= 4.0 * u.values.nbytes
 
 
 def test_nondegeneracy_exponent_peak_memory(lin513):

@@ -108,6 +108,19 @@ def test_rescale_rejects_oversized_target(lin513):
         rescale(u, v, 0.9, square_grid(1.2, 129))
 
 
+@pytest.mark.parametrize("R, L, message", [
+    (0.0, None, "R must be positive, got 0.0"),
+    (-0.5, 1.0, "R must be positive, got -0.5"),
+    (0.5, 0.0, "L must be positive, got 0.0"),
+    (0.5, -1.0, "L must be positive, got -1.0"),
+])
+def test_rescale_rejects_nonpositive_R_and_L(lin513, R, L, message):
+    g, u, v = lin513
+    with pytest.raises(ValueError) as exc:
+        rescale(u, v, R, square_grid(0.5, 17), L=L)
+    assert str(exc.value) == message
+
+
 def test_rescale_rejects_inconsistent_L(lin513):
     g, u, v = lin513
     # a numerical failure, not a bad argument: the CLI maps it to exit 3

@@ -170,6 +170,77 @@ def test_blowdown_from_files(linear_files, tmp_path, capsys):
     assert float(rows[-1][1]) == pytest.approx(np.sqrt(np.pi) * 0.8, rel=1e-3)
 
 
+def test_diag_solves_its_own_pair(tmp_path, capsys):
+    # no --in-u/--in-v: diag solves the half-plane pair itself
+    rc = main(
+        ["diag", "--n", "33", "--kappa", "10", "--radii", "0.2,0.4,0.6",
+         "--outdir", str(tmp_path)]
+    )
+    assert rc == 0
+    kv = last_result(capsys)
+    assert (kv["name"], kv["status"], kv["functional"]) == ("diag", "pass", "N")
+    text = (tmp_path / "diag.csv").read_text()
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert rows[0] == "r,value,eps_mono" and len(rows) == 4
+
+
+def test_blowdown_extends_its_own_profile(tmp_path, capsys):
+    # no input files: blowdown solves the 1D profile and extends it
+    rc = main(
+        ["blowdown", "--half-length", "10", "--spacing", "0.1", "--n", "65",
+         "--half-width", "8", "--radii", "2,3,4", "--outdir", str(tmp_path)]
+    )
+    assert rc == 0
+    kv = last_result(capsys)
+    assert (kv["name"], kv["status"]) == ("blowdown", "done")
+    assert float(kv["R_max"]) == 4.0
+    assert float(kv["gap_deg"]) <= 1e-6
+    text = (tmp_path / "blowdown.csv").read_text()
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert len(rows) == 4
+
+
+def test_accept_names_the_failed_checks(tmp_path, capsys, monkeypatch):
+    checks = [Check(label, ok, 1.0, "<= 2") for label, ok in (("x", True), ("y", False), ("z", False))]
+    monkeypatch.setattr(
+        acceptance, "run_all", lambda outdir: [CriterionResult("01 fake", False, 0.5, checks)]
+    )
+    assert main(["accept", "--outdir", str(tmp_path)]) == 3
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("RESULT ")]
+    first = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+    assert (first["name"], first["status"], first["failed"]) == ("01_fake", "fail", "y;z")
+    last = dict(tok.split("=", 1) for tok in lines[-1].split()[1:])
+    assert (last["status"], last["passed"], last["total"]) == ("fail", "0", "1")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"scenario": "solve2d", "n": 1.5}, "config field 'n': expected an integer, got 1.5"),
+        ({"scenario": "diag", "functional": 3}, "config field 'functional': expected a string, got 3"),
+        ({"scenario": "diag", "radii": []},
+         "config field 'radii': expected a nonempty list of numbers, got []"),
+        ({"scenario": "diag", "radii": [0.1, "a"]}, "config field 'radii': expected numbers, got 'a'"),
+        ({"scenario": "profile", "name": "my run"},
+         "config field 'name': expected a label without spaces, got 'my run'"),
+        ({"scenario": "spheresweep", "kappas": [100.0, -1.0]},
+         "config field 'kappas': every kappa must be nonnegative"),
+    ],
+)
+def test_bad_config_values_raise_config_invalid(doc, message):
+    with pytest.raises(errors.ConfigInvalid) as exc:
+        cli.make_experiment(doc)
+    assert str(exc.value) == message
+
+
+def test_input_fields_on_different_grids_raise_config_invalid(tmp_path):
+    write_field(Field.zeros(square_grid(1.0, 17)), tmp_path / "u.csv")
+    write_field(Field.zeros(square_grid(1.0, 33)), tmp_path / "v.csv")
+    with pytest.raises(errors.ConfigInvalid) as exc:
+        cli._read_pair({"in_u": str(tmp_path / "u.csv"), "in_v": str(tmp_path / "v.csv")})
+    assert str(exc.value) == "config field 'in_v': input fields must share one grid"
+
+
 def test_spheremin_json_report(tmp_path, capsys):
     rc = main(
         ["spheremin", "--kappa", "200", "--m", "64", "--outdir", str(tmp_path)]

@@ -22,9 +22,7 @@ from segsym.diagnostics import (
     MonotonicityTrace,
     acf_J,
     acf_trace_and_fit,
-    almgren_D,
     almgren_H,
-    almgren_H_rate,
     almgren_N,
     check_doubling,
     cone_monotonicity,
@@ -38,9 +36,9 @@ from segsym.diagnostics import (
     nondegeneracy_exponent,
     product_bounds,
 )
-from segsym.elliptic2d import solve_harmonic
+from segsym.elliptic2d import _disk_dirichlet_solve
 from segsym.errors import NumericalBreakdown, ZeroDenominator
-from segsym.grid import Field, ball_integral, gradient, square_grid
+from segsym.grid import Field, Window, ball_integral, gradient, square_grid
 from segsym.presets import linear_pair
 
 J_LINEAR = math.pi**2 / 4
@@ -82,7 +80,7 @@ def test_pair_must_share_grid():
     u = Field.zeros(square_grid(1.0, 17))
     v = Field.zeros(square_grid(1.0, 33))
     with pytest.raises(ValueError):
-        almgren_D(u, v, 1.0, (0.0, 0.0), 0.5)
+        functional_trace("D", u, v, 1.0, (0.0, 0.0), [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ def test_D_oracle(lin513):
     # |grad u|^2 + |grad v|^2 == 1 a.e., so D(r) is the disk area
     g, u, v = lin513
     for r in (0.3, 0.5, 0.9):
-        D = almgren_D(u, v, 7.0, (0.0, 0.0), r)
+        D = functional_trace("D", u, v, 7.0, (0.0, 0.0), [r]).values[0]
         assert D == pytest.approx(math.pi * r * r, rel=5e-3)
 
 
@@ -125,26 +123,6 @@ def test_N_zero_denominator():
         almgren_N(z, z, 1.0, (0.0, 0.0), 0.5)
 
 
-def test_H_rate_identity(lin513):
-    # for the exact pair the rate identity and the centered difference
-    # of H must both match 2*pi*r
-    g, u, v = lin513
-    rate = almgren_H_rate(u, v, 1.0, (0.0, 0.0), 0.5)
-    assert rate == pytest.approx(2.0 * math.pi * 0.5, rel=1e-2)
-    fd = (almgren_H(u, v, (0.0, 0.0), 0.51) - almgren_H(u, v, (0.0, 0.0), 0.49)) / 0.02
-    assert rate == pytest.approx(fd, rel=1e-2)
-
-
-def test_H_rate_frequency_inequality(lin513):
-    # H'(r) >= 2 N(r) H(r) / r, with equality when the product vanishes
-    g, u, v = lin513
-    r = 0.5
-    rate = almgren_H_rate(u, v, 1.0, (0.0, 0.0), r)
-    N = almgren_N(u, v, 1.0, (0.0, 0.0), r)
-    H = almgren_H(u, v, (0.0, 0.0), r)
-    assert rate >= 2.0 * N * H / r - 1e-12
-
-
 def test_frequency_trace_flat_on_linear(lin513):
     g, u, v = lin513
     tr = frequency_trace(u, v, 1.0, (0.0, 0.0), np.linspace(0.1, 0.9, 9))
@@ -160,7 +138,8 @@ def test_functional_trace_matches_pointwise(lin257):
     trH = functional_trace("H", u, v, 2.0, (0.0, 0.0), radii)
     trJ = functional_trace("J", u, v, 2.0, (0.0, 0.0), radii)
     for i, r in enumerate(radii):
-        assert trD.values[i] == pytest.approx(almgren_D(u, v, 2.0, (0.0, 0.0), r), abs=1e-14)
+        trD1 = functional_trace("D", u, v, 2.0, (0.0, 0.0), [r])
+        assert trD.values[i] == pytest.approx(trD1.values[0], abs=1e-14)
         assert trH.values[i] == pytest.approx(almgren_H(u, v, (0.0, 0.0), r), abs=1e-14)
         assert trJ.values[i] == pytest.approx(acf_J(u, v, 2.0, (0.0, 0.0), r), abs=1e-14)
     with pytest.raises(ValueError):
@@ -365,6 +344,18 @@ def test_non_finite_radii_rejected(lin257, call, bad):
         call(u, v, np.array(bad))
 
 
+def test_two_dimensional_radii_rejected(lin257):
+    g, u, v = lin257
+    radii = np.array([[0.1, 0.2, 0.3]])
+    for call in (
+        lambda: functional_trace("N", u, v, 1.0, (0.0, 0.0), radii),
+        lambda: nondegeneracy_exponent(u, v, (0.0, 0.0), radii),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "radii must be a nonempty 1D array"
+
+
 def test_acf_zero_pair_raises():
     g = square_grid(1.0, 33)
     z = Field.zeros(g)
@@ -478,7 +469,10 @@ def test_harmonic_deficit_pythagoras():
     d = harmonic_deficit(u, v, (0.0, 0.0), R)
     assert d > 0.1
     w = Field(g, u.values - v.values)
-    phi = solve_harmonic(g, (0.0, 0.0), R, w)
+    win = Window.ball(g, (0.0, 0.0), R)
+    phi = Field(g, w.values.copy())
+    box = win.isl, win.jsl
+    phi.values[box] = _disk_dirichlet_solve(win, (0.0, 0.0), R, w.values[box], 0.0)
 
     def dirichlet(f):
         gr = gradient(f)
@@ -581,12 +575,41 @@ def test_ball_functionals_reject_bad_kappa(kappa):
     # every kappa-weighted ball functional shares _ball_terms, which checks
     # kappa once; a nan or inf kappa used to come back as a silent nan
     u, v = linear_pair(square_grid(1.0, 17))
-    for fn in (almgren_N, almgren_D, acf_J, almgren_H_rate):
+    for fn in (almgren_N, acf_J):
         with pytest.raises(ValueError, match="kappa must be finite"):
             fn(u, v, kappa, (0.0, 0.0), 0.5)
     for functional in ("N", "D", "J"):
         with pytest.raises(ValueError, match="kappa must be finite"):
             functional_trace(functional, u, v, kappa, (0.0, 0.0), [0.25, 0.5])
+
+
+BALL_CALLS = {
+    "ball_integral": lambda u, v, c: grid.ball_integral(u, c, 0.5),
+    "shell_integral": lambda u, v, c: grid.shell_integral(u, c, 0.5),
+    "ball_weights": lambda u, v, c: grid.ball_weights(u.grid, c, 0.5),
+    "almgren_H": lambda u, v, c: almgren_H(u, v, c, 0.5),
+    "almgren_N": lambda u, v, c: almgren_N(u, v, 1.0, c, 0.5),
+    "acf_J": lambda u, v, c: acf_J(u, v, 1.0, c, 0.5),
+    "functional_trace": lambda u, v, c: functional_trace("D", u, v, 1.0, c, [0.25, 0.5]),
+    "frequency_trace": lambda u, v, c: frequency_trace(u, v, 1.0, c, [0.25, 0.5]),
+    "acf_trace_and_fit": lambda u, v, c: acf_trace_and_fit(u, v, 1.0, c, [0.25, 0.5]),
+    "flatness_direction": lambda u, v, c: flatness_direction(u, v, c, 0.5),
+    "harmonic_deficit": lambda u, v, c: harmonic_deficit(u, v, c, 0.5),
+    "nondegeneracy_exponent": lambda u, v, c: nondegeneracy_exponent(u, v, c, [0.2, 0.3, 0.5]),
+}
+
+
+@pytest.mark.parametrize("center", [(0.1, 0.2, 99.0), (0.1,), (math.nan, 0.0), (math.inf, 0.0)])
+@pytest.mark.parametrize("name", list(BALL_CALLS))
+def test_bad_center_raises_one_value_error(name, center):
+    # every function that takes a center checks it in grid._require_ball_inside:
+    # a third coordinate was ignored, a lone one raised IndexError, and an
+    # infinite one read as a ball outside the grid
+    u, v = linear_pair(square_grid(1.0, 17))
+    with pytest.raises(ValueError) as exc:
+        BALL_CALLS[name](u, v, center)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"ball center must be two finite coordinates, got {center!r}"
 
 
 def test_nan_center_is_rejected_before_the_shell_stencil():

@@ -13,15 +13,14 @@ from scipy.special import i0e
 
 import segsym.elliptic2d as e2d
 from segsym.config import SolveConfig
-from segsym.diagnostics import almgren_D
+from segsym.diagnostics import functional_trace, harmonic_deficit
 from segsym.elliptic2d import (
     _sup_residual,
-    solve_harmonic,
     solve_linear_decay,
     solve_system,
 )
 from segsym.errors import BallOutsideDomain, ConfigInvalid, NoConvergence
-from segsym.grid import Field, Grid2D, square_grid
+from segsym.grid import Field, Grid2D, Window, square_grid
 from segsym.presets import harmonic_pair, linear_pair, linear_pair_bdata
 
 # 1 / I0(5): center value of the radial solution of w'' + w'/r = 25 w
@@ -351,46 +350,53 @@ def test_unreachable_tol_stalls_at_the_round_off_floor():
     assert 0.5 * floor <= exc.value.residual <= 2.0 * floor
 
 
+def harmonic_replacement(g, R, f):
+    """The node values of f with the disk solve on B_R(0) written into
+    the ball's window, and the node values of f."""
+    X, Y = g.meshgrid()
+    w = f(X, Y)
+    win = Window.ball(g, (0.0, 0.0), R)
+    box = win.isl, win.jsl
+    w[box] = e2d._disk_dirichlet_solve(win, (0.0, 0.0), R, w[box], 0.0)
+    return w, f(X, Y)
+
+
+def test_border_field_on_another_grid_raises():
+    g = square_grid(1.0, 17)
+    u, v = linear_pair(square_grid(1.0, 33))
+    with pytest.raises(ValueError) as exc:
+        solve_system(g, u, v, 1.0)
+    assert str(exc.value) == "boundary data field must live on the same grid"
+
+
 def test_harmonic_reproduces_discrete_harmonics():
     # x^2 - y^2 satisfies the 5-point equation exactly
-    g = square_grid(1.0, 65)
-    f = lambda x, y: x * x - y * y
-    w = solve_harmonic(g, (0.0, 0.0), 0.9, f)
-    X, Y = g.meshgrid()
-    assert np.max(np.abs(w.values - f(X, Y))) <= 1e-10
+    w, f = harmonic_replacement(square_grid(1.0, 65), 0.9, lambda x, y: x * x - y * y)
+    assert np.max(np.abs(w - f)) <= 1e-10
 
 
 def test_harmonic_max_principle():
     g = square_grid(1.0, 65)
-    f = lambda x, y: np.sin(3 * np.arctan2(y, x + 1e-300))
-    w = solve_harmonic(g, (0.0, 0.0), 0.8, f)
+    w, f = harmonic_replacement(g, 0.8, lambda x, y: np.sin(3 * np.arctan2(y, x + 1e-300)))
     X, Y = g.meshgrid()
     rim = np.hypot(X, Y) >= 0.8
-    assert w.values.max() <= f(X, Y)[rim].max() + 1e-12
-    assert w.values.min() >= f(X, Y)[rim].min() - 1e-12
-
-
-def test_harmonic_accepts_field_bdata():
-    g = square_grid(1.0, 33)
-    f = lambda x, y: np.abs(x) + y * y
-    X, Y = g.meshgrid()
-    w1 = solve_harmonic(g, (0.0, 0.0), 0.7, f)
-    w2 = solve_harmonic(g, (0.0, 0.0), 0.7, Field(g, f(X, Y)))
-    assert np.array_equal(w1.values, w2.values)
+    assert w.max() <= f[rim].max() + 1e-12
+    assert w.min() >= f[rim].min() - 1e-12
 
 
 def test_harmonic_disk_outside_raises():
-    g = square_grid(1.0, 33)
+    u, v = linear_pair(square_grid(1.0, 33))
     with pytest.raises(BallOutsideDomain):
-        solve_harmonic(g, (0.5, 0.0), 0.8, lambda x, y: x)
+        harmonic_deficit(u, v, (0.5, 0.0), 0.8)
 
 
 @pytest.mark.parametrize("R", [0.0, -0.5])
 def test_disk_radius_must_be_positive(R):
     g = square_grid(1.0, 33)
-    with pytest.raises(ValueError):
-        solve_harmonic(g, (0.0, 0.0), R, lambda x, y: x)
-    with pytest.raises(ValueError):
+    u, v = linear_pair(g)
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        harmonic_deficit(u, v, (0.0, 0.0), R)
+    with pytest.raises(ValueError, match="ball radius must be positive"):
         solve_linear_decay(1.0, 1.0, R, g)
 
 
@@ -475,12 +481,12 @@ def test_decay_rejects_non_finite_inputs(name, bad):
 def test_energy_linear_pair_ball():
     g = square_grid(1.0, 257)
     u, v = linear_pair(g)
-    e = almgren_D(u, v, 1.0, (0.0, 0.0), 0.8)
+    e = functional_trace("D", u, v, 1.0, (0.0, 0.0), [0.8]).values[0]
     # centered differences halve the gradient on the kink column, an
     # O(h) strip, so the tolerance is a few h
     assert e == pytest.approx(np.pi * 0.64, abs=3 * g.h)
     # uv vanishes at every node, so kappa cannot matter
-    assert almgren_D(u, v, 7.0, (0.0, 0.0), 0.8) == e
+    assert functional_trace("D", u, v, 7.0, (0.0, 0.0), [0.8]).values[0] == e
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,39 @@ def test_interpolate_outside():
         interpolate(f, (1.2, 0.0))
 
 
+def test_interpolate_empty_point_set():
+    # an empty (0, 2) array used to reach numpy's min() of nothing
+    out = interpolate(Field.zeros(square_grid(1.0, 17)), np.zeros((0, 2)))
+    assert out.dtype == float and out.shape == (0,)
+
+
+def test_square_grid_needs_three_nodes():
+    with pytest.raises(ValueError, match=r"^need n >= 3, got 2$"):
+        square_grid(1.0, 2)
+
+
+def test_field_shape_must_match_its_grid():
+    with pytest.raises(ValueError, match=r"^values shape \(17, 16\) does not match grid \(17, 17\)$"):
+        Field(square_grid(1.0, 17), np.zeros((17, 16)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,3\n1,2,3\n", "field snapshot must start with the two '#' header lines"),
+        ("# nx,ny,h,ox,oy\n# 3,3,0.5\n1,2,3\n", "malformed field header: '# 3,3,0.5'"),
+        (
+            "# nx,ny,h,ox,oy\n# 3,3,0.5,0,0\n1,2\n1,2\n1,2\n",
+            "expected 3 columns per row, got shape (3, 2)",
+        ),
+    ],
+)
+def test_malformed_snapshot_raises_value_error(text, message):
+    with pytest.raises(ValueError) as exc:
+        field_from_csv(text)
+    assert str(exc.value) == message
+
+
 def test_interpolate_rejects_points_not_in_the_plane():
     # a third coordinate was once dropped: (0.5, 0.25, 99.0) read as (0.5, 0.25)
     f = Field.from_function(square_grid(1.0, 17), lambda x, y: x + 2.0 * y)

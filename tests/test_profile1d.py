@@ -42,6 +42,12 @@ def test_preconditions():
             solve_profile(length, 0.05)
 
 
+def test_spacing_must_divide_the_interval():
+    with pytest.raises(ValueError) as exc:
+        solve_profile(10.0, 0.03)
+    assert str(exc.value) == "spacing 0.03 does not divide [-10.0, 10.0] evenly"
+
+
 def test_node_count_bounded_before_any_allocation(monkeypatch):
     # 3.2e10 intervals divide evenly: the bound, not numpy, must refuse them
     def no_lattice(*args, **kwargs):

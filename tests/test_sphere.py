@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from segsym import sphere
 from segsym.errors import DeficitNonpositive, NegativeInput, NoConvergence, NumericalBreakdown
 from segsym.sphere import (
+    MinimizerReport,
     SphericalPair,
     dirichlet_energy,
     fit_deficit,
@@ -131,6 +132,28 @@ def test_uniform_pair_measure():
         assert abs(float(np.sum(p.w)) - surface_measure(n)) <= 1e-12
         assert p.alpha[0] > 0.0 and p.alpha[-1] < math.pi
         assert np.all(np.diff(p.alpha) > 0.0)
+
+
+def test_pair_and_report_invariants_name_the_violation():
+    m = 16
+    good = uniform_pair(2, m, np.ones(m), np.ones(m))
+    ubar = good.ubar.copy()
+    ubar[3] = np.nan
+    w = good.w.copy()
+    w[0], w[1] = 0.0, w[0] + w[1]
+    alpha = good.alpha.copy()
+    alpha[-1] = math.pi
+    for args, message in (
+        ((good.alpha, good.w, ubar, good.vbar), "ubar contains non-finite values"),
+        ((good.alpha, w, good.ubar, good.vbar), "weights must be positive"),
+        ((alpha, good.w, good.ubar, good.vbar), "alpha must lie strictly inside (0, pi)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            SphericalPair(2, m, *args)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        MinimizerReport(1.0, 1.0, -1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1, good)
+    assert str(exc.value) == "report quantities must be nonnegative"
 
 
 def test_pair_validation():
