@@ -29,7 +29,7 @@ from . import blowdown as bd
 from . import diagnostics as dg
 from ._util import write_csv
 from .elliptic2d import solve_linear_decay, solve_system
-from .grid import Field, Grid2D, _centred, square_grid
+from .grid import Field, Grid2D, gradient, square_grid
 from .presets import linear_pair, linear_pair_bdata
 from .profile1d import crossing_point, extend_to_2d, solve_profile
 from .sphere import (
@@ -516,8 +516,8 @@ def criterion_12(ctx: SuiteContext) -> list:
     g, u, v = ctx.extension
     tol = dg.eps_mono(g)
     viol = dg.cone_monotonicity(u, v, (1.0, 0.0), 0.75)
-    # sup |∂_y| inside, by grid's interior kernel
-    transverse = max(float(np.max(np.abs(_centred(f.values[1:-1].T, g.h)))) for f in (u, v))
+    # sup |∂_y| inside
+    transverse = max(float(np.max(np.abs(gradient(f).vy[1:-1, 1:-1]))) for f in (u, v))
     checks = [
         _le("cone_violation_aperture_0.75", viol, tol),
         _le("transverse_derivative_sup", transverse, tol),

@@ -109,7 +109,8 @@ class Field:
 @dataclass
 class VectorField:
     """Componentwise samples of a vector field on a Grid2D.  A component
-    may be a read-only broadcast view; no library code writes into one."""
+    may be a read-only broadcast view, as zeros along a broadcast axis
+    are; no library code writes into one."""
 
     grid: Grid2D
     vx: np.ndarray
@@ -133,65 +134,67 @@ def _unit(direction, name: str = "direction") -> tuple[float, float]:
     return dx / norm, dy / norm
 
 
-def _centred(a: np.ndarray, h: float, out=None) -> np.ndarray:
+def _centred(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     """(a[k+1] - a[k-1]) / (2h) along the first axis, k = 1..n-2, into out:
     the one centred difference.  Transposed a and out take the last axis."""
-    out = np.subtract(a[2:], a[:-2], out=out)
+    np.subtract(a[2:], a[:-2], out=out)
     out /= 2.0 * h
     return out
 
 
-def _distinct(a: np.ndarray, keep: int | None = None) -> np.ndarray:
-    """a with every broadcast (zero-stride) axis but `keep` cut to its first entry."""
-    cut = (slice(None) if s or k == keep else slice(1) for k, s in enumerate(a.strides))
-    return a[tuple(cut)]
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """a with every broadcast (zero-stride) axis cut to its first entry."""
+    return a[tuple(slice(None) if s else slice(1) for s in a.strides)]
 
 
 def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative along `axis`: centered inside,
-    one-sided three-point at both ends (exact on quadratics).
-
-    Each distinct entry of a broadcast a is differenced once; across a
-    broadcast axis the result is broadcast back, a read-only view.
-    _block_bounds relies on these coefficients: change both together."""
-    d = _distinct(a, axis)
+    one-sided three-point at both ends (exact on quadratics), in the
+    difference form (4(t1 - t0) - (t2 - t0)) / 2h and its mirror, which
+    gives exactly +0.0 on constants.  So a broadcast a has one rule: its
+    distinct entries are differenced and the result broadcast back
+    read-only, a view of zeros along a broadcast axis.  _block_bounds
+    relies on these coefficients: change both together."""
+    d = _distinct(a)
+    if d.shape[axis] < a.shape[axis]:
+        return np.broadcast_to(np.zeros_like(d), a.shape)
     out = np.empty_like(d)
     # views with `axis` first; writing o writes out
     t, o = np.moveaxis(d, axis, 0), np.moveaxis(out, axis, 0)
     _centred(t, h, o[1:-1])
-    o[0] = (-3.0 * t[0] + 4.0 * t[1] - t[2]) / (2.0 * h)
-    o[-1] = (3.0 * t[-1] - 4.0 * t[-2] + t[-3]) / (2.0 * h)
+    o[0] = (4.0 * (t[1] - t[0]) - (t[2] - t[0])) / (2.0 * h)
+    o[-1] = ((t[-3] - t[-1]) - 4.0 * (t[-2] - t[-1])) / (2.0 * h)
     return out if d.shape == a.shape else np.broadcast_to(out, a.shape)
 
 
 def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
     """Per block of consecutive rows of f, A = max |f| over the block's
-    rows and G, a bound on |d_x f| + |d_y f| >= |grad f| at those rows
-    as _diff_axis forms the derivatives.  A block at the first or last
-    row must span two rows: its halo then holds the one-sided stencil.
+    rows and G >= |d_x f| + |d_y f| >= |grad f| on them, as _diff_axis
+    forms and rounds the derivatives; G is 0 where f is constant on the
+    block and its halo.  A block at the first or last row must span two
+    rows: its halo then holds the one-sided stencil.
 
-    With R the range of f over the block's rows and its one-row halo,
-    the centred difference is at most R/(2h) and the one-sided
-    three-point one at most 4R/(2h), since |-3a + 4b - c| <= 4R; so each
-    derivative is at most 2R/h and G = 4R/h, plus 32 eps A/h for the
-    rounding of the one-sided stencil, whose terms can cancel to a
-    nonzero float where R is 0."""
-    hi, lo = np.max(f, axis=1), np.min(f, axis=1)
-    starts = np.array([b.start for b in blocks])
-    stops = np.array([b.stop for b in blocks])
+    With R the range of f over the block's rows and one-row halo, S =
+    fl(R) and u = eps/2: rounding is monotone, so a centred numerator
+    is at most S, and an end's, -3 t0 + 4 t1 - t2 <= 4R formed from two
+    differences within 1 + u of exact (exact if they underflow), at most
+    4R (1 + 5u/4)(1 + u) <= 4S (1 + 13u/4 + O(u^2)), below the
+    N = fl((4 + 16 eps) S) taken.  So D = fl(N / 2h) bounds each
+    rounded derivative, and G = 2D their sum."""
+    hi, lo = (np.broadcast_to(m(_distinct(f), axis=1), f.shape[:1]) for m in (np.max, np.min))
+    starts, stops = np.array([(b.start, b.stop) for b in blocks]).T
     hi_b, lo_b = np.maximum.reduceat(hi, starts), np.minimum.reduceat(lo, starts)
     amp = np.maximum(hi_b, -lo_b)
     # the halo rows start - 1 and stop, clipped at the grid edge
     before, after = np.maximum(starts - 1, 0), np.minimum(stops, f.shape[0] - 1)
-    spread = np.maximum(hi_b, np.maximum(hi[before], hi[after])) - np.minimum(
-        lo_b, np.minimum(lo[before], lo[after])
-    )
-    return amp, (4.0 * spread + 32.0 * np.finfo(float).eps * amp) / h
+    top = np.maximum(hi_b, np.maximum(hi[before], hi[after]))
+    spread = top - np.minimum(lo_b, np.minimum(lo[before], lo[after]))
+    return amp, 2.0 * ((4.0 + 16.0 * np.finfo(float).eps) * spread / (2.0 * h))
 
 
 def gradient(f: Field) -> VectorField:
     """Discrete gradient, second order including the boundary rows; a
-    component across a broadcast axis of f.values is a read-only view."""
+    broadcast f.values gives read-only views, of zeros along its broadcast axis."""
     h = f.grid.h
     return VectorField(f.grid, _diff_axis(f.values, h, 0), _diff_axis(f.values, h, 1))
 
@@ -206,13 +209,7 @@ def _stencil(g: Grid2D, pts: np.ndarray):
     px, py = pts[:, 0], pts[:, 1]
     # an empty point set has no extent to check
     if px.size and not _box_inside(g, px.min(), px.max(), py.min(), py.max()):
-        k = int(
-            np.argmax(
-                np.maximum.reduce(
-                    [xmin - px, px - xmax, ymin - py, py - ymax]
-                )
-            )
-        )
+        k = int(np.argmax(np.maximum.reduce([xmin - px, px - xmax, ymin - py, py - ymax])))
         raise PointOutsideDomain(
             f"point ({px[k]:.6g}, {py[k]:.6g}) outside grid extent "
             f"[{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]"
@@ -426,9 +423,9 @@ class Window:
     one-sided stencil applies, so each window node gets the same float
     as gradient(); that stencil needs the window to span at least two
     nodes along an axis where it touches the grid edge.  integral() is
-    the one one-shot ball sum: ball_integral is integral() on the window
-    of the whole grid.
-    grad()'s components may be read-only views, as gradient()'s may.
+    the one one-shot ball sum, ball_integral integral() on the whole grid.
+    grad()'s components may be read-only views, of zeros along a
+    broadcast axis, as gradient()'s may.
     """
 
     grid: Grid2D
@@ -538,12 +535,8 @@ _HEADER = "# nx,ny,h,ox,oy"
 def field_to_csv(f: Field) -> str:
     """Serialize a field; 17 significant digits round-trip float64 exactly."""
     g = f.grid
-    lines = [
-        _HEADER,
-        f"# {g.nx},{g.ny},{g.h:.17g},{g.origin[0]:.17g},{g.origin[1]:.17g}",
-    ]
-    for i in range(g.nx):
-        lines.append(",".join(f"{v:.17g}" for v in f.values[i]))
+    lines = [_HEADER, f"# {g.nx},{g.ny},{g.h:.17g},{g.origin[0]:.17g},{g.origin[1]:.17g}"]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in f.values]
     return "\n".join(lines) + "\n"
 
 

@@ -103,7 +103,9 @@ class SphericalPair:
 
 
 def uniform_pair(n: int, m: int, ubar, vbar) -> SphericalPair:
-    """Pair on m equal-angle cells with exact cell measures."""
+    """Pair on m >= 1 equal-angle cells with exact cell measures."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be a positive integer number of cells, got {m!r}")
     edges = np.linspace(0.0, math.pi, m + 1)
     alpha = 0.5 * (edges[:-1] + edges[1:])
     if n == 2:
@@ -118,6 +120,9 @@ def uniform_pair(n: int, m: int, ubar, vbar) -> SphericalPair:
 def gamma(x, n: int = 2):
     """gamma(x) = sqrt(((n-2)/2)^2 + x) - (n-2)/2; gamma(n-1) = 1."""
     x = np.asarray(x, dtype=float)
+    # a NaN passes the test x < 0.0
+    if np.any(np.isnan(x)):
+        raise ValueError("gamma needs x >= 0, got nan")
     if np.any(x < 0.0):
         raise NegativeInput(f"gamma needs x >= 0, got {x.min()}")
     if n < 2:
@@ -475,12 +480,14 @@ class SweepFit:
 
 def fit_deficit(kappas, values) -> SweepFit:
     """Least-squares log-log fit of 2 - value; deficits that are not
-    positive are clipped to 1e-15 and flagged.  Raises ValueError on a
-    non-finite value or a non-finite or nonpositive kappa, and
-    DeficitNonpositive when every value sits at or above 2, leaving
+    positive are clipped to 1e-15 and flagged.  Raises ValueError on
+    unequal lengths, a non-finite value or a non-finite or nonpositive
+    kappa, and DeficitNonpositive when every value sits at or above 2, leaving
     nothing to fit."""
     kappas = np.asarray(kappas, dtype=float)
     values = np.asarray(values, dtype=float)
+    if kappas.ndim != 1 or values.shape != kappas.shape:
+        raise ValueError(f"kappas {kappas.shape} and values {values.shape} must be 1-D of one length")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0.0)):

@@ -22,6 +22,7 @@ from segsym.elliptic2d import (
 from segsym.errors import BallOutsideDomain, ConfigInvalid, NoConvergence
 from segsym.grid import Field, Grid2D, Window, square_grid
 from segsym.presets import harmonic_pair, linear_pair, linear_pair_bdata
+from segsym.profile1d import extend_to_2d, solve_profile
 
 # 1 / I0(5): center value of the radial solution of w'' + w'/r = 25 w
 # on [0, 1] with w(1) = 1.  Agrees with scipy.special.i0 and with the
@@ -231,6 +232,19 @@ def test_interface_amplitude_tracks_profile():
         centers.append(u0)
         assert u0 == pytest.approx(PROFILE_CENTER * kappa**-0.25, rel=0.15)
     assert centers[1] < centers[0]
+
+
+def test_profile_extension_is_an_exact_fixed_point():
+    # the 5-point Laplacian of a function constant in y is the 3-point
+    # one in x, so on the aligned grid of the profile's own spacing the
+    # discrete 1D profile, extended along x, solves the 2D discrete
+    # system: given its border values, the pair solve returns it
+    g = square_grid(10.0, 257)
+    U, V = extend_to_2d(solve_profile(10.0, g.h), g, (1.0, 0.0))
+    pair = solve_system(g, U, V, 1.0)
+    assert np.max(np.abs(pair.u.values - U.values)) <= 1e-9
+    assert np.max(np.abs(pair.v.values - V.values)) <= 1e-9
+    assert pair.stages[0].q > 0.9
 
 
 def test_product_sup_exponent():

@@ -105,13 +105,24 @@ def test_gradient_linearity():
 
 
 def ref_diff_axis(a, h, axis):
-    """The difference stencil on a copy moved to axis 0 and back."""
+    """The difference stencil on a copy moved to axis 0 and back, with
+    the one-sided ends in difference form."""
     a = np.moveaxis(a, axis, 0)
     out = np.empty_like(a)
     out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    out[0] = (4.0 * (a[1] - a[0]) - (a[2] - a[0])) / (2.0 * h)
+    out[-1] = ((a[-3] - a[-1]) - 4.0 * (a[-2] - a[-1])) / (2.0 * h)
     return np.moveaxis(out, 0, axis)
+
+
+def old_ends(a, h):
+    """The one-sided ends along axis 0 in the expanded form
+    -3 t0 + 4 t1 - t2 that _diff_axis once used, which can round
+    constant data to a nonzero float."""
+    return (
+        (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h),
+        (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h),
+    )
 
 
 @pytest.mark.parametrize("shape, window", [
@@ -162,7 +173,8 @@ def _root(x):
 @pytest.mark.parametrize("kind", ["row", "column", "scalar", "row window"])
 def test_diff_axis_differences_broadcast_entries_once(kind):
     # across a broadcast axis the derivative of the distinct entries is
-    # broadcast back, read-only; along it the result is owned
+    # broadcast back, read-only; along it, the zeros of the distinct
+    # entries are, so the result owns only the distinct entries either way
     rng = np.random.default_rng(13)
     a = {
         "row": np.broadcast_to(rng.uniform(-1.0, 1.0, (37, 1)), (37, 53)),
@@ -174,10 +186,64 @@ def test_diff_axis_differences_broadcast_entries_once(kind):
     for axis in (0, 1):
         got = _diff_axis(a, h, axis)
         assert np.array_equal(got, ref_diff_axis(np.ascontiguousarray(a), h, axis))
-        kept = [n for k, n in enumerate(a.shape) if k == axis or a.strides[k]]
+        kept = [n for k, n in enumerate(a.shape) if a.strides[k]]
         cut = len(kept) < a.ndim
         assert got.flags.writeable != cut
         assert _root(got).size == (math.prod(kept) if cut else a.size)
+
+
+def _layouts(a):
+    """a as an owned array, a row, a column and a scalar broadcast of its
+    first column, row and entry, and a strided window of each."""
+    nx, ny = a.shape
+    whole = {
+        "owned": a,
+        "row": np.broadcast_to(a[:, :1], (nx, ny)),
+        "column": np.broadcast_to(a[0], (nx, ny)),
+        "scalar": np.broadcast_to(a[0, 0], (nx, ny)),
+    }
+    return {**whole, **{f"{k} window": v[3:40:4, 2:35:3] for k, v in whole.items()}}
+
+
+@pytest.mark.parametrize("c", [0.1, -0.7310585786300049, 1e6 / 3, 3.0])
+def test_diff_axis_is_exactly_zero_on_constants(c):
+    # the ends in difference form give +0.0 on constant data, as the
+    # centred difference does; -3c + 4c - c rounds to a nonzero float
+    # for three of these constants
+    for name, a in _layouts(np.full((41, 37), c)).items():
+        for axis in (0, 1):
+            got = _diff_axis(a, 2.6 / 32, axis)
+            assert np.all(got == 0.0) and not np.any(np.signbit(got)), (name, axis)
+
+
+def test_diff_axis_ends_move_by_rounding_only():
+    # the difference form is the same stencil as -3 t0 + 4 t1 - t2: on
+    # random data at a non-dyadic h the two differ by a few eps times
+    # the entries' size over h, the scale at which the expanded form rounds
+    rng = np.random.default_rng(17)
+    h = 2.6 / 32
+    eps = np.finfo(float).eps
+    for scale in (1.0, 1e-3, 1e5):
+        a = scale * rng.uniform(-1.0, 1.0, (30, 41))
+        for axis in (0, 1):
+            t = np.moveaxis(a, axis, 0)
+            got = np.moveaxis(_diff_axis(a, h, axis), axis, 0)
+            for new, old, near in zip((got[0], got[-1]), old_ends(t, h), (t[:3], t[-3:])):
+                size = np.max(np.abs(near), axis=0)
+                assert np.all(np.abs(new - old) <= 8.0 * eps * size / h)
+                assert np.any(new != old)
+
+
+def _assert_block_bounds(f, blocks, h):
+    """A >= |f| and G >= |d_x f| + |d_y f| on every block's rows, unpadded."""
+    g = Grid2D(*f.shape, h)
+    amp, bound = _block_bounds(f, blocks, h)
+    gr = gradient(Field(g, f))
+    total = np.abs(gr.vx) + np.abs(gr.vy)
+    for b, rows in enumerate(blocks):
+        assert np.max(np.abs(f[rows])) <= amp[b]
+        assert np.max(total[rows]) <= bound[b]
+    return amp, bound, total
 
 
 @st.composite
@@ -209,16 +275,42 @@ def row_fields(draw):
 @given(row_fields())
 def test_block_bounds_bound_the_gradient(case):
     # the bound that lets product_bounds skip a block: on each block's
-    # rows, A >= |f| and G >= |d_x f| + |d_y f| as gradient() forms them,
-    # also where the rows are constant and the one-sided stencil rounds
-    # to a nonzero float
+    # rows, A >= |f| and G >= |d_x f| + |d_y f| as gradient() forms and
+    # rounds them, with no padding, also on constant rows and rows
+    # within a few ulps of a constant
     g, f, blocks = case
-    amp, bound = _block_bounds(f, blocks, g.h)
-    gr = gradient(Field(g, f))
-    total = np.abs(gr.vx) + np.abs(gr.vy)
-    for b, rows in enumerate(blocks):
-        assert np.max(np.abs(f[rows])) <= amp[b]
-        assert np.max(total[rows]) <= bound[b]
+    _assert_block_bounds(f, blocks, g.h)
+
+
+def test_block_bounds_on_constant_rows_and_corners():
+    h = 2.6 / 32
+    blocks = [slice(0, 2), slice(2, 5), slice(5, 9)]
+    # constant rows: the gradient and the bound are exactly 0
+    for c in (0.1, -0.7310585786300049, 1e6 / 3):
+        _, bound, total = _assert_block_bounds(np.full((9, 7), c), blocks, h)
+        assert np.all(total == 0.0) and np.all(bound == 0.0)
+    # a corner node whose one-sided derivatives both reach 2R/h:
+    # t0 = lo, t1 = hi, t2 = lo along each axis, so |d_x| + |d_y| = 4R/h
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        f = rng.uniform(lo, hi, (9, 7))
+        f[0, 0] = f[2, 0] = f[0, 2] = lo
+        f[1, 0] = f[0, 1] = hi
+        _, bound, total = _assert_block_bounds(f, blocks, h)
+        assert total[0, 0] >= (1.0 - 1e-14) * bound[0]
+
+
+@pytest.mark.parametrize("kind", ["owned", "row", "column", "scalar", "row window", "column window"])
+def test_block_bounds_on_random_and_broadcast_fields(kind):
+    # the row extremes of a broadcast field come from its distinct
+    # entries; the bound holds on it as on the owned field
+    rng = np.random.default_rng(23)
+    for h in (2.6 / 32, 0.01, 3.0):
+        f = _layouts(rng.uniform(-1.0, 1.0, (41, 37)))[kind]
+        edges = [0, 2, *sorted(rng.choice(np.arange(3, f.shape[0] - 2), 3, replace=False)), f.shape[0]]
+        blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        _assert_block_bounds(f, blocks, h)
 
 
 # ---------------------------------------------------------------------------

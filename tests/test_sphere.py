@@ -117,6 +117,16 @@ def test_gamma_rejects_negative_and_bad_dimension():
         gamma(1.0, 1)
 
 
+def test_gamma_rejects_nan_keeps_inf():
+    # NaN passes the test x < 0.0, so it once came back as gamma's value
+    for x in (math.nan, [0.0, math.nan, 1.0], np.full((2, 2), math.nan)):
+        with pytest.raises(ValueError, match="got nan"):
+            gamma(x, 2)
+    with pytest.raises(NegativeInput):
+        gamma([1.0, -1.0], 3)
+    assert gamma(math.inf, 2) == math.inf
+
+
 def test_gamma_concave_increasing():
     x = np.linspace(0.0, 50.0, 2001)
     g = gamma(x, 3)
@@ -132,6 +142,15 @@ def test_uniform_pair_measure():
         assert abs(float(np.sum(p.w)) - surface_measure(n)) <= 1e-12
         assert p.alpha[0] > 0.0 and p.alpha[-1] < math.pi
         assert np.all(np.diff(p.alpha) > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [0, -4, 2.5, "8", None, True])
+def test_uniform_pair_rejects_a_bad_cell_count(n, m):
+    # m = 0 once died on a bare ZeroDivisionError (n = 2) or reported
+    # "weights sum to 0.0" (n = 3)
+    with pytest.raises(ValueError, match=rf"m must be a positive integer.*{m!r}"):
+        uniform_pair(n, m, [], [])
 
 
 def test_pair_and_report_invariants_name_the_violation():
@@ -641,6 +660,12 @@ def test_fit_deficit_synthetic_quarter_power():
     fit = fit_deficit(kappas, 2.0 - kappas**-0.25)
     assert abs(fit.exponent + 0.25) <= 1e-6
     assert abs(fit.C - 1.0) <= 1e-6
+
+
+def test_fit_deficit_names_unequal_lengths():
+    # numpy's polyfit once raised a bare TypeError after the logs
+    with pytest.raises(ValueError, match=r"kappas \(3,\) and values \(2,\)"):
+        fit_deficit([1, 10, 100], [1.9, 1.95])
 
 
 def test_fit_deficit_clipping_and_error():
