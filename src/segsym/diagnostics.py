@@ -42,6 +42,7 @@ from .grid import (
     Window,
     _block_bounds,
     _centred,
+    _distinct,
     _require_ball_inside,
     _shell,
     _unit,
@@ -55,6 +56,12 @@ _ZERO_SHELL = 1e-14
 # rows per block of the cone and product-bound scans; on a 2049-node
 # row the cone scan's five block buffers take 1.3 MB
 _BLOCK_ROWS = 16
+
+# rows per block of product_bounds' interaction-mass sum: a block's
+# weights on 2049 columns take 4.2 MB; each block builds the weights of
+# all three balls, so blocks far larger than _BLOCK_ROWS keep that
+# per-block cost small
+_MASS_ROWS = 256
 
 # largest finite ACF correction constant, and the slack of its constraints
 _CFIT_MAX = 1e3
@@ -330,15 +337,15 @@ def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
     return float(np.polyfit(np.log(radii), np.log(shells), 1)[0])
 
 
-def _row_blocks(start: int, stop: int) -> list[slice]:
+def _row_blocks(start: int, stop: int, size: int = _BLOCK_ROWS) -> list[slice]:
     """Split rows start..stop-1 into the fewest near-equal consecutive
-    blocks of at most _BLOCK_ROWS rows.
+    blocks of at most size rows.
 
     Unlike a fixed stride, this never leaves a one-row last block: with
-    3 or more rows, every block has at least two, which a Window needs
-    where it touches the grid edge."""
+    size >= 2 and 3 or more rows, every block has at least two, which a
+    Window needs where it touches the grid edge."""
     n = stop - start
-    k = -(-n // _BLOCK_ROWS)
+    k = -(-n // size)
     return [slice(start + b * n // k, start + (b + 1) * n // k) for b in range(k)]
 
 
@@ -372,10 +379,21 @@ def product_bounds(u: Field, v: Field) -> ProductBounds:
     so on a pair whose products peak in a few blocks only those are
     differenced, and both sups are the same floats as a scan of every
     block; a NaN in either scan (say, from an overflowing gradient)
-    raises NumericalBreakdown.  The interaction-mass exponent is fitted
-    over the balls R_max * {1/4, 1/2, 1} around the grid center, R_max
-    the inscribed radius, with u^2 v^2 built once on the largest ball's
-    window; identically segregated pairs (zero product) report 0.0."""
+    raises NumericalBreakdown.
+
+    The interaction-mass exponent is fitted over the balls
+    R_max * {1/4, 1/2, 1} around the grid center, R_max the inscribed
+    radius; identically segregated pairs (zero product) report 0.0.
+    The masses are summed over blocks of _MASS_ROWS rows of the largest
+    ball's window, each ball's partial sums added in block order, so
+    one block's u^2 v^2 and weights are held at a time.  A block's
+    u^2 v^2 is formed on the distinct entries of u and v (grid._distinct)
+    and broadcast back read-only, as grid._diff_axis does: the same
+    floats, one per row on an x-axis extension.  Window.integral on the
+    block takes the ball's weights on its rows alone, those rows of
+    ball_weights bit for bit.  So a ball whose window lies in one block
+    gets the one-shot integral's float, and one that spans several
+    differs from it only in the order of the summation."""
     _check_pair(u, v)
     g = u.grid
     blocks = _row_blocks(0, g.nx)
@@ -401,10 +419,16 @@ def product_bounds(u: Field, v: Field) -> ProductBounds:
     r_max = 0.5 * min(xmax - xmin, ymax - ymin)
     center = g.center
     win = Window.ball(g, center, r_max)
-    prod_sq = u.values[win.isl, win.jsl] * v.values[win.isl, win.jsl]
-    np.multiply(prod_sq, prod_sq, out=prod_sq)
     radii = np.array([0.25, 0.5, 1.0]) * r_max
-    masses = np.array([win.integral(prod_sq, center, r) for r in radii])
+    masses = np.zeros(radii.size)
+    for rows in _row_blocks(win.isl.start, win.isl.stop, _MASS_ROWS):
+        ub, vb = u.values[rows, win.jsl], v.values[rows, win.jsl]
+        prod_sq = _distinct(ub) * _distinct(vb)
+        np.multiply(prod_sq, prod_sq, out=prod_sq)
+        dens = np.broadcast_to(prod_sq, ub.shape)
+        block = Window(g, rows, win.jsl)
+        for k, r in enumerate(radii):
+            masses[k] += block.integral(dens, center, r)
     if np.all(masses > 0.0):
         exponent = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
     else:

@@ -375,8 +375,22 @@ def ball_weights(g: Grid2D, center, r: float):
     with |y| >= sqrt((r + h/√2)² - x²) + h are empty, with a margin of
     about h²/(2r) in d, far above the rounding of np.hypot; d is
     computed, and compared as above, only on the cells in between.
+
+    This is the full row range of the one weights kernel,
+    _ball_weights(g, center, r, rows), which returns the same triple
+    for the subwindow's rows that lie in the grid rows `rows` alone
+    (an empty islice where there are none).  Every step above is per
+    row, and the rim areas are a function of each clipped cut alone, so
+    its rows are those of the full call bit for bit.
     """
+    return _ball_weights(g, center, r, slice(0, g.nx))
+
+
+def _ball_weights(g: Grid2D, center, r: float, rows: slice):
+    """ball_weights on the subwindow's rows in rows.start..rows.stop-1."""
     (cx, cy), isl, jsl = _ball_slices(g, center, r)
+    i0 = max(isl.start, rows.start)
+    isl = slice(i0, max(min(isl.stop, rows.stop), i0))
     h = g.h
     xs = g.x[isl] - cx
     ys = g.y[jsl] - cy
@@ -423,7 +437,8 @@ class Window:
     one-sided stencil applies, so each window node gets the same float
     as gradient(); that stencil needs the window to span at least two
     nodes along an axis where it touches the grid edge.  integral() is
-    the one one-shot ball sum, ball_integral integral() on the whole grid.
+    the one ball sum, over the part of the ball in the window's rows;
+    ball_integral is integral() on the whole grid.
     grad()'s components may be read-only views, of zeros along a
     broadcast axis, as gradient()'s may.
     """
@@ -479,10 +494,12 @@ class Window:
 
     def integral(self, dens: np.ndarray, center, r: float) -> float:
         """Integral over B_r(center) of a density given on this window,
-        which must hold the ball's window.  The density is multiplied
-        into the weights, built for this one sum: the floats of the
-        temporary dens * w, so the same sum, with no such temporary."""
-        weights = ball_weights(self.grid, center, r)
+        whose columns must hold the ball's window; over the ball's cells
+        in the window's rows only, 0.0 if there are none.  The density is
+        multiplied into the weights, built for this one sum: the floats
+        of the temporary dens * w, so the same sum, with no such
+        temporary."""
+        weights = _ball_weights(self.grid, center, r, self.isl)
         w = weights[2]
         return float(np.sum(np.multiply(self._part(dens, weights), w, out=w)))
 

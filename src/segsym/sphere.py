@@ -481,8 +481,9 @@ class SweepFit:
 def fit_deficit(kappas, values) -> SweepFit:
     """Least-squares log-log fit of 2 - value; deficits that are not
     positive are clipped to 1e-15 and flagged.  Raises ValueError on
-    unequal lengths, a non-finite value or a non-finite or nonpositive
-    kappa, and DeficitNonpositive when every value sits at or above 2, leaving
+    unequal lengths, a non-finite value, a non-finite or nonpositive
+    kappa or fewer than two distinct kappas (a line needs two abscissae),
+    and DeficitNonpositive when every value sits at or above 2, leaving
     nothing to fit."""
     kappas = np.asarray(kappas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -492,6 +493,9 @@ def fit_deficit(kappas, values) -> SweepFit:
         raise ValueError("values must be finite")
     if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0.0)):
         raise ValueError("kappas must be finite and positive")
+    distinct = np.unique(kappas).size
+    if distinct < 2:
+        raise ValueError(f"need at least two distinct kappas to fit a line, got {distinct}")
     deficits = 2.0 - values
     clipped = bool(np.any(deficits <= 0.0))
     if np.all(deficits <= 0.0):

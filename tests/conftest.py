@@ -4,11 +4,25 @@ No test writes into their arrays: the library never writes into a
 Field's values, and the x-axis extensions of profile128 are read-only
 views."""
 
+import tracemalloc
+
 import pytest
 
 from segsym.grid import square_grid
 from segsym.presets import linear_pair
 from segsym.profile1d import solve_profile
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc traced during
+    the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,15 @@ about 7.5% below 1; that assertion fails by design rather than being
 widened.  See the failure message for the measured gap.
 """
 
+import math
+
+import numpy as np
 import pytest
+from conftest import traced_peak
 
 from segsym import acceptance
+from segsym.grid import Field, VectorField, square_grid
+from segsym.profile1d import extend_to_2d
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +95,44 @@ def test_11_segregation_bounds(ctx):
 
 def test_12_cone_monotonicity(ctx):
     run(ctx, 12)
+
+
+@pytest.mark.parametrize("poisoned", [None, 0, 1])
+def test_12_transverse_check_fails_on_a_nan_in_either_field(tmp_path, monkeypatch, poisoned):
+    # the half-plane pair, whose d/dy is 0; a NaN in v's d/dy once passed,
+    # as Python's max over (u, v) kept u's finite sup
+    g = square_grid(1.0, 33)
+    X, _ = g.meshgrid()
+    u, v = Field(g, np.maximum(X, 0.0)), Field(g, np.maximum(-X, 0.0))
+    real = acceptance.gradient
+
+    def gradient(f):
+        gf = real(f)
+        if poisoned is None or f is not (u, v)[poisoned]:
+            return gf
+        vy = np.array(gf.vy)
+        vy[16, 16] = math.nan
+        return VectorField(f.grid, gf.vx, vy)
+
+    monkeypatch.setattr(acceptance, "gradient", gradient)
+    ctx = acceptance.SuiteContext(tmp_path)
+    ctx.extension = (g, u, v)
+    check = {c.label: c for c in acceptance.run_criterion(ctx, 12).checks}
+    transverse = check["transverse_derivative_sup"]
+    if poisoned is None:
+        assert transverse.ok and transverse.value == 0.0
+    else:
+        assert not transverse.ok and math.isnan(transverse.value)
+
+
+def test_12_transverse_check_allocates_no_field(profile128):
+    # np.abs of each broadcast d/dy view once allocated a 2047^2 field
+    # of zeros, 32 MiB traced
+    u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
+    sup, peak = traced_peak(acceptance._transverse_sup, u, v)
+    assert peak < 1 << 20
+    # +0.0, the float np.abs gave, not the -0.0 of -min(d)
+    assert math.copysign(1.0, sup) == 1.0 and sup == 0.0
 
 
 def test_13_determinism(ctx):

@@ -16,16 +16,18 @@ the large cases below are sized so that the pruned path runs.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from segsym import diagnostics as dg_module
 from segsym import grid as grid_module
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
+    _MASS_ROWS,
     _row_blocks,
     acf_J,
     almgren_H,
@@ -44,6 +46,7 @@ from segsym.grid import (
     Grid2D,
     Window,
     _ball_slices,
+    _ball_weights,
     ball_integral,
     ball_weights,
     field_to_csv,
@@ -588,6 +591,52 @@ def test_ball_weights_equal_per_cell_loop_large(center, r):
     assert np.array_equal(w, rw)
 
 
+@pytest.mark.parametrize(
+    "center, r",
+    [
+        ((0.0123, -0.0071), 0.43),  # off-node
+        ((0.0, 0.0), 40.5 * 0.01),  # node-centered, tangent to cell edges
+        ((-0.005, 0.005), 0.48),  # cell corner
+    ],
+)
+def test_ball_weights_row_range_repeats_full_rows(center, r):
+    g = Grid2D(121, 101, 0.01, (-0.6, -0.5))
+    isl, jsl, w = ball_weights(g, center, r)
+    a, b = isl.start, isl.stop
+    mid = (a + b) // 2
+    ranges = [
+        (a - 3, a + 4), (b - 4, b + 3), (a + 1, b - 1),  # cut the rim
+        (a + 20, b - 20), (0, g.nx), (a, b),  # wholly inside, full
+        (a, a + 1), (mid, mid + 1), (b - 1, b),  # one row
+        (0, a), (b, g.nx), (a - 1, a), (b, b + 1), (mid, mid),  # empty
+    ]
+    for start, stop in ranges:
+        pisl, pjsl, pw = _ball_weights(g, center, r, slice(start, stop))
+        lo, hi = max(start, a), min(stop, b)
+        assert pjsl == jsl
+        assert pisl.stop - pisl.start == pw.shape[0] == max(hi - lo, 0)
+        if hi > lo:
+            assert pisl == slice(lo, hi)
+        assert pw.shape[1] == w.shape[1]
+        assert pw.tobytes() == w[max(lo - a, 0) : max(hi - a, 0)].tobytes()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_ball_weights_any_row_range_repeats_full_rows(data):
+    g, _, _, _ = data.draw(pairs(min_n=5, max_n=60))
+    x, radii = data.draw(balls(g, count=3))
+    start = data.draw(st.integers(0, g.nx))
+    stop = data.draw(st.integers(start, g.nx))
+    for r in radii:
+        isl, jsl, w = ball_weights(g, x, r)
+        pisl, pjsl, pw = _ball_weights(g, x, r, slice(start, stop))
+        lo, hi = max(start, isl.start), min(stop, isl.stop)
+        assert pjsl == jsl
+        assert pw.shape == (max(hi - lo, 0), w.shape[1])
+        assert pw.tobytes() == w[max(lo - isl.start, 0) : max(hi - isl.start, 0)].tobytes()
+
+
 def distinct_clipped_cuts(r, ax, bx, ay, by):
     """The distinct abscissas, clipped to [-r, r], at which the rim
     kernel cuts the rectangles: both clipped x-ends of every rectangle
@@ -645,34 +694,57 @@ def test_product_bounds_equal_full_grid(nx, ny):
     assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
 
 
+def test_product_bounds_mass_over_several_blocks():
+    # the largest ball's window, all 601 rows, is summed in three row
+    # blocks, which cut the rims of all three balls: the sups are the
+    # same floats, and the exponent moves by the order of the summation
+    # only
+    g = Grid2D(601, 611, 0.01, (-3.0, -3.1))
+    assert _MASS_ROWS < 601 // 2
+    rng = np.random.default_rng(7)
+    u = Field(g, rng.uniform(0.0, 2.0, (g.nx, g.ny)))
+    v = Field(g, rng.uniform(0.0, 2.0, (g.nx, g.ny)))
+    pb = product_bounds(u, v)
+    sup_uv, sup_mixed, exponent = ref_product_bounds(u, v)
+    assert (pb.sup_uv, pb.sup_mixed) == (sup_uv, sup_mixed)
+    assert pb.mass_exponent == pytest.approx(exponent, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 16])
+@pytest.mark.parametrize("nx, ny", [(700, 40), (40, 700), (61, 57)])
+def test_product_bounds_mass_in_small_blocks(monkeypatch, rows, nx, ny):
+    # blocks far smaller than the windows, down to one row each
+    monkeypatch.setattr(dg_module, "_MASS_ROWS", rows)
+    g = Grid2D(nx, ny, 0.05, (-0.4, 0.7))
+    rng = np.random.default_rng(nx * 1000 + ny)
+    u = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    v = Field(g, rng.uniform(0.0, 2.0, (nx, ny)))
+    pb = product_bounds(u, v)
+    sup_uv, sup_mixed, exponent = ref_product_bounds(u, v)
+    assert (pb.sup_uv, pb.sup_mixed) == (sup_uv, sup_mixed)
+    assert pb.mass_exponent == pytest.approx(exponent, rel=1e-13, abs=0.0)
+
+
 def test_product_bounds_peak_memory():
-    # full-grid temporaries peaked at 9.25 field sizes; the row-block
-    # scan and the one uv^2 window stay under 4.5
+    # full-grid temporaries peaked at 9.25 field sizes, and u^2 v^2 with
+    # the ball weights on the whole window at 2.21; a row block of each
+    # takes 0.47
     g = square_grid(1.0, 1025)
     rng = np.random.default_rng(0)
     u = Field(g, rng.uniform(0.0, 1.0, (1025, 1025)))
     v = Field(g, rng.uniform(0.0, 1.0, (1025, 1025)))
-    tracemalloc.start()
-    try:
-        product_bounds(u, v)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * u.values.nbytes
+    _, peak = traced_peak(product_bounds, u, v)
+    assert peak <= 1.0 * u.values.nbytes
 
 
 def test_product_bounds_peak_memory_on_profile_pair(profile128):
     # criterion 11's 2049^2 pair, whose values are broadcast rows: u^2 v^2
-    # on the largest ball's window and that ball's weights, 2.1 field
-    # sizes; a product temporary on top of them peaked at 3.0
+    # on the largest ball's window and that ball's weights took 2.10
+    # field sizes, a product temporary on top of them 3.0; a row block's
+    # weights and one u^2 v^2 entry per row take 0.13
     u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
-    tracemalloc.start()
-    try:
-        product_bounds(u, v)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * u.values.nbytes
+    _, peak = traced_peak(product_bounds, u, v)
+    assert peak <= 0.3 * u.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +865,7 @@ def test_direction_convergence_peak_memory(profile128):
     # field sizes on the 2049^2 profile pair, 1.28 with the full-grid
     # difference
     u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
-    tracemalloc.start()
-    try:
-        direction_convergence(u, v, [8.0, 16.0, 32.0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(direction_convergence, u, v, [8.0, 16.0, 32.0])
     assert peak <= 0.8 * u.values.nbytes
 
 
@@ -985,12 +1052,7 @@ def test_harmonic_deficit_peak_memory(lin513):
     # full-grid u - v and the solve's full-grid copy peaked at 5.13, and
     # a meshgrid mask and full-grid Fields of w and w - phi at 8.13
     g, u, v = lin513
-    tracemalloc.start()
-    try:
-        harmonic_deficit(u, v, (0.0, 0.0), 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(harmonic_deficit, u, v, (0.0, 0.0), 0.5)
     assert peak <= 4.0 * u.values.nbytes
 
 
@@ -998,12 +1060,7 @@ def test_nondegeneracy_exponent_peak_memory(lin513):
     # u + v at the shells' stencil nodes only: 0.51 field sizes on the
     # 513^2 half-plane pair, 1.43 with a full-grid Field of u + v
     g, u, v = lin513
-    tracemalloc.start()
-    try:
-        nondegeneracy_exponent(u, v, (0.0, 0.0), [0.2, 0.4, 0.8])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(nondegeneracy_exponent, u, v, (0.0, 0.0), [0.2, 0.4, 0.8])
     assert peak <= 0.6 * u.values.nbytes
 
 

@@ -1,11 +1,11 @@
 """1D profile: convergence, symmetry, monotonicity, growth, extension."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import traced_peak
 
 import segsym.profile1d as p1d
 from segsym import Grid2D, gradient, square_grid
@@ -256,12 +256,7 @@ def test_extension_peak_memory(profile128):
     # t, u and v: 3 field sizes; a meshgrid X, Y and their products
     # peaked at 5.13
     g = square_grid(90.0, 1025)  # its diagonal fits the profile's [-128, 128]
-    tracemalloc.start()
-    try:
-        extend_to_2d(profile128, g, (0.6, 0.8))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(extend_to_2d, profile128, g, (0.6, 0.8))
     assert peak <= 3.5 * g.nx * g.ny * 8
 
 
@@ -295,12 +290,7 @@ def test_axis_extension_peak_memory(profile128):
     # grid's coordinates, no field-sized array (a full copy of each
     # field peaked at 68 MB)
     g = square_grid(128.0, 2049)
-    tracemalloc.start()
-    try:
-        u, v = extend_to_2d(profile128, g, (1.0, 0.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (u, v), peak = traced_peak(extend_to_2d, profile128, g, (1.0, 0.0))
     assert peak < 1 << 20
     assert u.values.nbytes == v.values.nbytes == g.nx * g.ny * 8
 
@@ -311,12 +301,7 @@ def test_axis_extension_gradient_peak_memory(profile128):
     # zeros: 0.001 field sizes traced, 1.01 when d/dy was a full field
     # and 2.01 when every copy of a row was differenced
     u, _ = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
-    tracemalloc.start()
-    try:
-        gu = gradient(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    gu, peak = traced_peak(gradient, u)
     assert peak < 1 << 20
     for d in (gu.vx, gu.vy):
         assert _root(d).size == u.grid.nx

@@ -668,6 +668,22 @@ def test_fit_deficit_names_unequal_lengths():
         fit_deficit([1, 10, 100], [1.9, 1.95])
 
 
+@pytest.mark.parametrize(
+    "kappas, values, count",
+    [
+        # one kappa once fitted an exponent of -0.25
+        ([1e2], [1.9], 1),
+        # three equal kappas once fitted -0.212 with only a RankWarning
+        ([1e3, 1e3, 1e3], [1.9, 1.95, 1.97], 1),
+        # no kappa once raised DeficitNonpositive "every value is >= 2"
+        ([], [], 0),
+    ],
+)
+def test_fit_deficit_needs_two_distinct_kappas(kappas, values, count):
+    with pytest.raises(ValueError, match=rf"two distinct kappas.*got {count}$"):
+        fit_deficit(kappas, values)
+
+
 def test_fit_deficit_clipping_and_error():
     with pytest.raises(DeficitNonpositive):
         fit_deficit([1e2, 1e3, 1e4], [2.0, 2.1, 2.3])
