@@ -40,8 +40,6 @@ from .errors import NumericalBreakdown, ZeroDenominator
 from .grid import (
     Field,
     Window,
-    _block_bounds,
-    _centred,
     _distinct,
     _require_ball_inside,
     _shell,
@@ -53,8 +51,8 @@ from .grid import (
 # shell integrals at or below this are treated as vanishing
 _ZERO_SHELL = 1e-14
 
-# rows per block of the cone and product-bound scans; on a 2049-node
-# row the cone scan's five block buffers take 1.3 MB
+# rows' worth of distinct entries per block of the cone and
+# product-bound sup scans: 16 rows of an owned 2049-column pair
 _BLOCK_ROWS = 16
 
 # rows per block of product_bounds' interaction-mass sum: a block's
@@ -337,7 +335,7 @@ def nondegeneracy_exponent(u: Field, v: Field, x, radii) -> float:
     return float(np.polyfit(np.log(radii), np.log(shells), 1)[0])
 
 
-def _row_blocks(start: int, stop: int, size: int = _BLOCK_ROWS) -> list[slice]:
+def _row_blocks(start: int, stop: int, size: int) -> list[slice]:
     """Split rows start..stop-1 into the fewest near-equal consecutive
     blocks of at most size rows.
 
@@ -349,86 +347,80 @@ def _row_blocks(start: int, stop: int, size: int = _BLOCK_ROWS) -> list[slice]:
     return [slice(start + b * n // k, start + (b + 1) * n // k) for b in range(k)]
 
 
-def _bounded_max(bounds: np.ndarray, blocks: list[slice], block_max, name: str) -> float:
-    """max over the blocks of block_max(rows), visiting the blocks in
-    decreasing bound and skipping a block whose bound is below the
-    running max.  A NaN bound never skips, and a NaN block max raises
-    NumericalBreakdown naming the scan."""
-    best = -math.inf
-    for b in np.argsort(-bounds, kind="stable"):
-        if bounds[b] < best:
-            continue
-        m = block_max(blocks[b])
-        # max(best, nan) would keep best and read as a clean pass
-        if math.isnan(m):
-            raise NumericalBreakdown(f"product_bounds: the {name} scan hit a NaN")
-        best = max(best, m)
-    return best
+def _scan_blocks(u: Field, v: Field, start: int, stop: int) -> list[slice]:
+    """Row blocks of rows start..stop-1 for the sup scans, each holding
+    _BLOCK_ROWS rows' worth of the pair's distinct entries: an owned
+    pair takes _BLOCK_ROWS rows a block, and an x-axis extension, one
+    distinct entry per row, a single block."""
+    width = max(_distinct(u.values).shape[1], _distinct(v.values).shape[1])
+    return _row_blocks(start, stop, max(2, _BLOCK_ROWS * u.grid.ny // width))
+
+
+def _scan_max(block: float, best: float, name: str) -> float:
+    """max(best, block), raising NumericalBreakdown naming the scan on a
+    NaN block, which Python's max would drop and read as a clean pass."""
+    if math.isnan(block):
+        raise NumericalBreakdown(f"{name} scan hit a NaN")
+    return max(best, block)
 
 
 def product_bounds(u: Field, v: Field) -> ProductBounds:
     """Segregation bounds on the pair.
 
     sup uv and sup (u|grad v| + v|grad u|) are scanned over blocks of
-    whole rows, each block differenced through grid.Window, so the
-    temporaries stay block-sized.  Each block is bounded by
-    grid._block_bounds, next to the stencil it bounds: with A_f >= |f|
-    and G_f >= |grad f| on its rows, A_u A_v bounds uv and
-    A_u G_v + A_v G_u the mixed term, each padded by 1 + 1e-9 for
-    rounding.  _bounded_max skips the blocks that cannot raise a sup,
-    so on a pair whose products peak in a few blocks only those are
-    differenced, and both sups are the same floats as a scan of every
-    block; a NaN in either scan (say, from an overflowing gradient)
-    raises NumericalBreakdown.
+    whole rows (_scan_blocks), each block differenced through
+    grid.Window, so the temporaries stay block-sized.  Every array a
+    block reads, u, v and each gradient component, is cut to its
+    distinct entries (grid._distinct) and combined by broadcasting: the
+    same floats as full-grid arrays, one entry per row on an x-axis
+    extension, whose rows take a single block.  A NaN in either scan
+    (say, from an overflowing gradient) raises NumericalBreakdown.
 
     The interaction-mass exponent is fitted over the balls
     R_max * {1/4, 1/2, 1} around the grid center, R_max the inscribed
-    radius; identically segregated pairs (zero product) report 0.0.
+    radius; identically segregated pairs (zero product) report 0.0, and
+    a u^2 v^2 or a mass that overflows raises NumericalBreakdown.
     The masses are summed over blocks of _MASS_ROWS rows of the largest
     ball's window, each ball's partial sums added in block order, so
     one block's u^2 v^2 and weights are held at a time.  A block's
-    u^2 v^2 is formed on the distinct entries of u and v (grid._distinct)
-    and broadcast back read-only, as grid._diff_axis does: the same
-    floats, one per row on an x-axis extension.  Window.integral on the
-    block takes the ball's weights on its rows alone, those rows of
-    ball_weights bit for bit.  So a ball whose window lies in one block
-    gets the one-shot integral's float, and one that spans several
-    differs from it only in the order of the summation."""
+    u^2 v^2 is formed on the distinct entries of u and v and broadcast
+    back read-only.  Window.integral on the block takes the ball's
+    weights on its rows alone, those rows of ball_weights bit for bit.
+    So a ball whose window lies in one block gets the one-shot
+    integral's float, and one that spans several differs from it only
+    in the order of the summation."""
     _check_pair(u, v)
     g = u.grid
-    blocks = _row_blocks(0, g.nx)
-    amp_u, grad_u = _block_bounds(u.values, blocks, g.h)
-    amp_v, grad_v = _block_bounds(v.values, blocks, g.h)
-    pad = 1.0 + 1e-9
-
-    def block_uv(rows):
-        return float(np.max(u.values[rows] * v.values[rows]))
-
-    def block_mixed(rows):
+    sup_uv = sup_mixed = -math.inf
+    for rows in _scan_blocks(u, v, 0, g.nx):
         win = Window(g, rows, slice(0, g.ny))
-        ux, uy = win.grad(u.values)
-        vx, vy = win.grad(v.values)
-        mixed = u.values[rows] * np.hypot(vx, vy) + v.values[rows] * np.hypot(ux, uy)
-        return float(np.max(mixed))
-
-    sup_uv = _bounded_max(amp_u * amp_v * pad, blocks, block_uv, "sup uv")
-    sup_mixed = _bounded_max(
-        (amp_u * grad_v + amp_v * grad_u) * pad, blocks, block_mixed, "sup mixed"
-    )
+        ub, vb = _distinct(u.values[rows]), _distinct(v.values[rows])
+        ux, uy = map(_distinct, win.grad(u.values))
+        vx, vy = map(_distinct, win.grad(v.values))
+        mixed = ub * np.hypot(vx, vy) + vb * np.hypot(ux, uy)
+        sup_uv = _scan_max(float(np.max(ub * vb)), sup_uv, "product_bounds: the sup uv")
+        sup_mixed = _scan_max(float(np.max(mixed)), sup_mixed, "product_bounds: the sup mixed")
     xmin, xmax, ymin, ymax = g.extent
     r_max = 0.5 * min(xmax - xmin, ymax - ymin)
     center = g.center
     win = Window.ball(g, center, r_max)
     radii = np.array([0.25, 0.5, 1.0]) * r_max
     masses = np.zeros(radii.size)
-    for rows in _row_blocks(win.isl.start, win.isl.stop, _MASS_ROWS):
-        ub, vb = u.values[rows, win.jsl], v.values[rows, win.jsl]
-        prod_sq = _distinct(ub) * _distinct(vb)
-        np.multiply(prod_sq, prod_sq, out=prod_sq)
-        dens = np.broadcast_to(prod_sq, ub.shape)
-        block = Window(g, rows, win.jsl)
-        for k, r in enumerate(radii):
-            masses[k] += block.integral(dens, center, r)
+    # an overflow is caught below: inf u^2 v^2 times a zero weight is a
+    # NaN mass, which would read as a segregated pair's 0.0
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(win.isl.start, win.isl.stop, _MASS_ROWS):
+            ub, vb = u.values[rows, win.jsl], v.values[rows, win.jsl]
+            prod_sq = _distinct(ub) * _distinct(vb)
+            np.multiply(prod_sq, prod_sq, out=prod_sq)
+            if not np.all(np.isfinite(prod_sq)):
+                raise NumericalBreakdown("product_bounds: u^2 v^2 overflows in the mass sum")
+            dens = np.broadcast_to(prod_sq, ub.shape)
+            block = Window(g, rows, win.jsl)
+            for k, r in enumerate(radii):
+                masses[k] += block.integral(dens, center, r)
+    if not np.all(np.isfinite(masses)):
+        raise NumericalBreakdown("product_bounds: the interaction mass sum overflows")
     if np.all(masses > 0.0):
         exponent = float(np.polyfit(np.log(radii), np.log(masses), 1)[0])
     else:
@@ -469,18 +461,14 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     s along >= a across) and otherwise at the arc edge nearer g, where
     it is a along + s across.
 
-    The interior is scanned in row blocks, differenced by grid._centred
-    into five block buffers allocated once, so the temporaries stay
-    cache-sized on large grids.  The sign is folded into (ex, ey);
-    negation is exact, so along and across are the same floats up to
-    the sign of a zero, which no excess depends on.  The hypot is taken
-    on the inside nodes only, and a block skips the mask where it can
-    have no inside node whose hypot differs from a along + s across:
-    along < 0 everywhere (no node is inside), or along <= 0 and
-    across = 0 everywhere (any inside node has a zero gradient, where
-    both are +0), as on the flat rows of a pair extended along e.  A NaN
-    (say, from an overflowing gradient) is never inside, and raises
-    NumericalBreakdown."""
+    The interior is scanned in row blocks (_scan_blocks), each block's
+    gradient taken through grid.Window and cut to its distinct entries,
+    as product_bounds does: one entry per row on an x-axis extension.
+    The sign is folded into (ex, ey); negation is exact, so along and
+    across are the same floats up to the sign of a zero, which no
+    excess depends on.  The excess is a along + s across, overwritten
+    by the hypot on the inside nodes.  A NaN (say, from an overflowing
+    gradient) is never inside, and raises NumericalBreakdown."""
     _check_pair(u, v)
     if not (0.0 <= aperture <= 1.0):
         raise ValueError(f"aperture must be in [0, 1], got {aperture}")
@@ -488,46 +476,17 @@ def cone_monotonicity(u: Field, v: Field, e, aperture: float) -> float:
     a = aperture
     s = math.sqrt((1.0 - a) * (1.0 + a))
     g = u.grid
-    cols = slice(1, g.ny - 1)
-    shape = (_BLOCK_ROWS, g.ny - 2)
-    bufs = [np.empty(shape) for _ in range(5)]
-    masks = [np.empty(shape, dtype=bool) for _ in range(2)]
     worst = 0.0
-    for rows in _row_blocks(1, g.nx - 1):
-        n = rows.stop - rows.start
-        gx, gy, along, across, tmp = (b[:n] for b in bufs)
-        inside, outside = (m[:n] for m in masks)
+    for rows in _scan_blocks(u, v, 1, g.nx - 1):
+        win = Window(g, rows, slice(1, g.ny - 1))
         for f, sx, sy in ((u.values, -ex, -ey), (v.values, ex, ey)):
-            _centred(f[rows.start - 1 : rows.stop + 1, cols], g.h, gx)
-            _centred(f[rows].T, g.h, gy.T)
-            np.multiply(gx, sx, out=along)
-            np.multiply(gy, sy, out=tmp)
-            along += tmp
-            np.multiply(gy, sx, out=across)
-            np.multiply(gx, sy, out=tmp)
-            across -= tmp
-            np.abs(across, out=across)
-            # excess = a along + s across, in gx
-            np.multiply(along, a, out=gx)
-            np.multiply(across, s, out=gy)
-            gx += gy
-            top = np.max(along)
-            if top < 0.0 or (top == 0.0 and np.max(across) == 0.0):
-                block = float(np.max(gx))
-            else:
-                np.multiply(along, s, out=gy)
-                np.multiply(across, a, out=tmp)
-                np.greater_equal(gy, tmp, out=inside)
-                np.greater_equal(along, 0.0, out=outside)
-                inside &= outside
-                np.logical_not(inside, out=outside)
-                block = np.max(gx, where=outside, initial=-math.inf)
-                np.hypot(along, across, out=gy, where=inside)
-                block = float(np.max(gy, where=inside, initial=block))
-            # max(worst, nan) would keep worst and read as a clean pass
-            if math.isnan(block):
-                raise NumericalBreakdown("cone_monotonicity: the cone scan hit a NaN")
-            worst = max(worst, block)
+            gx, gy = map(_distinct, win.grad(f))
+            along = gx * sx + gy * sy
+            across = np.abs(gy * sx - gx * sy)
+            excess = along * a + across * s
+            inside = (along >= 0.0) & (along * s >= across * a)
+            excess[inside] = np.hypot(along[inside], across[inside])
+            worst = _scan_max(float(np.max(excess)), worst, "cone_monotonicity: the cone")
     return worst
 
 

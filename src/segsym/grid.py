@@ -134,14 +134,6 @@ def _unit(direction, name: str = "direction") -> tuple[float, float]:
     return dx / norm, dy / norm
 
 
-def _centred(a: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """(a[k+1] - a[k-1]) / (2h) along the first axis, k = 1..n-2, into out:
-    the one centred difference.  Transposed a and out take the last axis."""
-    np.subtract(a[2:], a[:-2], out=out)
-    out /= 2.0 * h
-    return out
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """a with every broadcast (zero-stride) axis cut to its first entry."""
     return a[tuple(slice(None) if s else slice(1) for s in a.strides)]
@@ -153,43 +145,18 @@ def _diff_axis(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     difference form (4(t1 - t0) - (t2 - t0)) / 2h and its mirror, which
     gives exactly +0.0 on constants.  So a broadcast a has one rule: its
     distinct entries are differenced and the result broadcast back
-    read-only, a view of zeros along a broadcast axis.  _block_bounds
-    relies on these coefficients: change both together."""
+    read-only, a view of zeros along a broadcast axis."""
     d = _distinct(a)
     if d.shape[axis] < a.shape[axis]:
         return np.broadcast_to(np.zeros_like(d), a.shape)
     out = np.empty_like(d)
     # views with `axis` first; writing o writes out
     t, o = np.moveaxis(d, axis, 0), np.moveaxis(out, axis, 0)
-    _centred(t, h, o[1:-1])
+    np.subtract(t[2:], t[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
     o[0] = (4.0 * (t[1] - t[0]) - (t[2] - t[0])) / (2.0 * h)
     o[-1] = ((t[-3] - t[-1]) - 4.0 * (t[-2] - t[-1])) / (2.0 * h)
     return out if d.shape == a.shape else np.broadcast_to(out, a.shape)
-
-
-def _block_bounds(f: np.ndarray, blocks: list[slice], h: float):
-    """Per block of consecutive rows of f, A = max |f| over the block's
-    rows and G >= |d_x f| + |d_y f| >= |grad f| on them, as _diff_axis
-    forms and rounds the derivatives; G is 0 where f is constant on the
-    block and its halo.  A block at the first or last row must span two
-    rows: its halo then holds the one-sided stencil.
-
-    With R the range of f over the block's rows and one-row halo, S =
-    fl(R) and u = eps/2: rounding is monotone, so a centred numerator
-    is at most S, and an end's, -3 t0 + 4 t1 - t2 <= 4R formed from two
-    differences within 1 + u of exact (exact if they underflow), at most
-    4R (1 + 5u/4)(1 + u) <= 4S (1 + 13u/4 + O(u^2)), below the
-    N = fl((4 + 16 eps) S) taken.  So D = fl(N / 2h) bounds each
-    rounded derivative, and G = 2D their sum."""
-    hi, lo = (np.broadcast_to(m(_distinct(f), axis=1), f.shape[:1]) for m in (np.max, np.min))
-    starts, stops = np.array([(b.start, b.stop) for b in blocks]).T
-    hi_b, lo_b = np.maximum.reduceat(hi, starts), np.minimum.reduceat(lo, starts)
-    amp = np.maximum(hi_b, -lo_b)
-    # the halo rows start - 1 and stop, clipped at the grid edge
-    before, after = np.maximum(starts - 1, 0), np.minimum(stops, f.shape[0] - 1)
-    top = np.maximum(hi_b, np.maximum(hi[before], hi[after]))
-    spread = top - np.minimum(lo_b, np.minimum(lo[before], lo[after]))
-    return amp, 2.0 * ((4.0 + 16.0 * np.finfo(float).eps) * spread / (2.0 * h))
 
 
 def gradient(f: Field) -> VectorField:

@@ -27,6 +27,7 @@ from segsym import diagnostics as dg_module
 from segsym import grid as grid_module
 from segsym.blowdown import compute_L, direction_convergence
 from segsym.diagnostics import (
+    _BLOCK_ROWS,
     _MASS_ROWS,
     _row_blocks,
     acf_J,
@@ -414,8 +415,8 @@ def banded_pairs(draw, e):
     lie wholly outside it (along < 0 on the linear bands), or have a
     largest along of exactly +0.0 or -0.0 (the plateaus, whose zero
     differences times the signed (ex, ey) give either zero).  Half the
-    pairs are scaled by 1e-6, so that a block whose along tops at a
-    small positive value must still take the mask."""
+    pairs are scaled by 1e-6, so that inside nodes with a small
+    positive along are common."""
     g, _, _, rng = draw(pairs(min_n=3, max_n=60))
     X, Y = g.meshgrid()
     t = (e[0] * X + e[1] * Y) / g.h
@@ -458,8 +459,8 @@ def test_cone_scan_on_blocks_whose_along_tops_at_zero(aperture):
     # u rises along y only: along = -0.0 and across = 3.2e-308 at every
     # node, v is zero.  At aperture 6.96e-17, a across underflows to 0,
     # so every node is inside the cone, and s across, with s one ulp
-    # below 1, is one ulp below hypot(along, across) = across: a block
-    # whose along tops at 0 skips the mask only where across is 0 too
+    # below 1, is one ulp below hypot(along, across) = across: an inside
+    # node whose along is 0 must still take the hypot
     g = Grid2D(20, 9, 0.5)
     u = Field(g, np.repeat(1.6e-308 * np.arange(9.0)[None, :], 20, axis=0))
     v = Field(g, np.zeros((20, 9)))
@@ -748,8 +749,8 @@ def test_product_bounds_peak_memory_on_profile_pair(profile128):
 
 
 # ---------------------------------------------------------------------------
-# the bounded product_bounds scan: a block whose bound is below the
-# running sup is never differenced, and both sups stay the same floats
+# the product_bounds sup scans: every row block is differenced, an
+# x-axis extension in one block, and both sups stay the same floats
 
 
 def _differenced_blocks(monkeypatch) -> set:
@@ -801,9 +802,8 @@ def _pb_case(name, g, profile):
     if name == "step":
         # u, v step from 1, 1 to 2, 3 where the last row block starts,
         # and u has a bump to 1.5 on row 1.  The sup, 7/(2h), sits on the
-        # last block's first row, where only its halo row sets its bound
-        # above the bump's 1/h
-        below = np.arange(g.nx) < _row_blocks(0, g.nx)[-1].start
+        # last block's first row, whose derivative reads the halo row
+        below = np.arange(g.nx) < _row_blocks(0, g.nx, _BLOCK_ROWS)[-1].start
         col_u, col_v = np.where(below, 1.0, 2.0), np.where(below, 1.0, 3.0)
         if below[1]:
             col_u[1] = 1.5
@@ -826,9 +826,9 @@ def test_bounded_product_scan_equals_full_grid(monkeypatch, profile48, name, nx)
     assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
     if name == "edge":
         assert pb.sup_mixed == np.hypot(2.0 / g.h, 2.0 / g.h)
-    if nx == 129:
-        # 9 row blocks, and the bound skips at least one of them
-        assert 1 <= len(blocks) < 9
+    # an x-axis extension has one distinct entry per row and takes one
+    # block; an owned pair takes blocks of 16 rows, 9 of them at nx = 129
+    assert len(blocks) == (1 if name == "e1" else -(-nx // _BLOCK_ROWS))
 
 
 def test_bounded_product_scan_sees_stencil_rounding():
@@ -837,9 +837,7 @@ def test_bounded_product_scan_sees_stencil_rounding():
     # 2 ulp of 0.1 where u = 0.1 and to 1 ulp where u = 0.1 + 1 ulp,
     # against the 1 ulp of the centred difference across the step.  So
     # the sup sits at the grid corners of the 0.1 rows, where both
-    # derivatives are one-sided: 2 sqrt(2) ulp/(2h).  The first block's
-    # rows and halo hold one value, so only the rounding allowance of its
-    # bound keeps that block in the scan.
+    # derivatives are one-sided: 2 sqrt(2) ulp/(2h).
     g = Grid2D(129, 9, 0.125, (-8.0, -0.5))
     high = np.nextafter(0.1, 1.0)
     col = np.where(np.arange(129) < 64, 0.1, high)
@@ -851,13 +849,49 @@ def test_bounded_product_scan_sees_stencil_rounding():
 
 
 def test_bounded_product_scan_skips_flat_blocks(monkeypatch, profile128):
-    # the 2049^2 profile pair of criterion 11: its mixed term peaks
-    # within a block or two of the interface
+    # the 2049^2 profile pair of criterion 11, one distinct entry per
+    # row: both sups are scanned in one block of all 2049 rows
     u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
     blocks = _differenced_blocks(monkeypatch)
     pb = product_bounds(u, v)
-    assert len(blocks) <= 5
+    assert blocks == {(0, 2049)}
     assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(u, v)
+
+
+def _broadcast_pairs(g, rng):
+    """Pairs on g whose u is broadcast along axis 0 (every row the same,
+    a zero row stride): with v broadcast along axis 0 too, along axis 1
+    (every column the same), or owned."""
+    u = Field(g, np.broadcast_to(rng.uniform(0.0, 2.0, g.ny)[None, :], (g.nx, g.ny)))
+    row = Field(g, np.broadcast_to(rng.uniform(0.0, 2.0, g.ny)[None, :], (g.nx, g.ny)))
+    col = Field(g, np.broadcast_to(rng.uniform(0.0, 2.0, g.nx)[:, None], (g.nx, g.ny)))
+    owned = Field(g, rng.uniform(0.0, 2.0, (g.nx, g.ny)))
+    return {"rows": (u, row), "rows and columns": (u, col), "mixed": (u, owned)}
+
+
+@pytest.mark.parametrize("case", ["rows", "rows and columns", "mixed"])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (17, 9), (129, 37), (40, 700)])
+def test_sup_scans_equal_full_grid_on_broadcast_pairs(case, nx, ny):
+    # every array a block reads is cut to its distinct entries, so a
+    # broadcast u meets a v of another layout only through numpy's
+    # broadcasting; both orders of each pair
+    g = Grid2D(nx, ny, 0.05, (-0.4, 0.7))
+    u, v = _broadcast_pairs(g, np.random.default_rng(nx * 1000 + ny))[case]
+    for first, second in ((u, v), (v, u)):
+        pb = product_bounds(first, second)
+        assert (pb.sup_uv, pb.sup_mixed, pb.mass_exponent) == ref_product_bounds(first, second)
+        for e, aperture in (((1.0, 0.0), 0.75), ((0.6, -0.8), 0.3), ((0.0, 1.0), 0.0)):
+            got = cone_monotonicity(first, second, e, aperture)
+            assert got == ref_cone(first, second, e, aperture)
+
+
+def test_cone_peak_memory_on_profile_pair(profile128):
+    # criterion 12's 2049^2 pair: five 16-row block buffers and their
+    # masks traced 1.46 MiB; one block of one distinct entry per row
+    # takes 0.13
+    u, v = extend_to_2d(profile128, square_grid(128.0, 2049), (1.0, 0.0))
+    _, peak = traced_peak(cone_monotonicity, u, v, (1.0, 0.0), 0.75)
+    assert peak < 2**20
 
 
 def test_direction_convergence_peak_memory(profile128):

@@ -570,6 +570,28 @@ def test_nan_in_sup_scans_raises(axis):
             dg.product_bounds(first, second)
 
 
+@pytest.mark.parametrize(
+    "half_width, scale, match",
+    [
+        # u^2 v^2 = 1e320 overflows on every node
+        (1.0, 1e160, "u\\^2 v\\^2 overflows"),
+        # u^2 v^2 = 1e306 is finite, its products with cells of area
+        # h^2 = 977 are not
+        (1000.0, 1e153, "mass sum overflows"),
+    ],
+)
+def test_product_bounds_overflowing_mass_raises(half_width, scale, match):
+    # inf times the zero weights off the disk gave NaN masses, and the
+    # exponent fell to 0.0, a segregated pair's value, with no error
+    g = square_grid(half_width, 65)
+    u, v = Field(g, np.full((65, 65), scale)), Field(g, np.ones((65, 65)))
+    with pytest.raises(NumericalBreakdown, match=match):
+        product_bounds(u, v)
+    # the same pair scaled down has a finite mass and the area power
+    pb = product_bounds(Field(g, u.values / scale), v)
+    assert pb.mass_exponent == pytest.approx(2.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
 def test_ball_functionals_reject_bad_kappa(kappa):
     # every kappa-weighted ball functional shares _ball_terms, which checks
@@ -620,10 +642,11 @@ def test_nan_center_is_rejected_before_the_shell_stencil():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_product_is_not_nan():
-    # an infinite sup is a value, not a NaN: it comes back as inf
+    # an infinite sup is a value, not a NaN: the sup scans run first and
+    # pass it, so product_bounds stops at the overflowing mass sum, not
+    # at a NaN in a scan
     g = square_grid(1.0, 17)
     u = Field(g, np.full((17, 17), 1e200))
-    pb = dg.product_bounds(u, u)
-    assert pb.sup_uv == math.inf
-    assert pb.sup_mixed == 0.0
+    with pytest.raises(NumericalBreakdown, match="u\\^2 v\\^2 overflows"):
+        dg.product_bounds(u, u)
     assert dg.cone_monotonicity(u, u, (1.0, 0.0), 0.5) == 0.0

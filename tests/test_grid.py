@@ -25,7 +25,7 @@ from segsym import (
 )
 from segsym.diagnostics import cone_monotonicity
 from segsym.errors import BallOutsideDomain, PointOutsideDomain
-from segsym.grid import Window, _block_bounds, _diff_axis, ball_weights, disk_rect_area
+from segsym.grid import Window, _diff_axis, ball_weights, disk_rect_area
 from segsym.presets import linear_pair, linear_pair_bdata
 from segsym.profile1d import extend_to_2d, solve_profile
 
@@ -232,85 +232,6 @@ def test_diff_axis_ends_move_by_rounding_only():
                 size = np.max(np.abs(near), axis=0)
                 assert np.all(np.abs(new - old) <= 8.0 * eps * size / h)
                 assert np.any(new != old)
-
-
-def _assert_block_bounds(f, blocks, h):
-    """A >= |f| and G >= |d_x f| + |d_y f| on every block's rows, unpadded."""
-    g = Grid2D(*f.shape, h)
-    amp, bound = _block_bounds(f, blocks, h)
-    gr = gradient(Field(g, f))
-    total = np.abs(gr.vx) + np.abs(gr.vy)
-    for b, rows in enumerate(blocks):
-        assert np.max(np.abs(f[rows])) <= amp[b]
-        assert np.max(total[rows]) <= bound[b]
-    return amp, bound, total
-
-
-@st.composite
-def row_fields(draw):
-    """A grid of 3..40 rows, a field on it whose rows are each random,
-    constant or within a few ulps of a constant, and a partition of the
-    rows into consecutive blocks whose first and last span at least two
-    rows, as the one-sided stencil at the grid edge needs."""
-    nx, ny = draw(st.integers(3, 40)), draw(st.integers(3, 12))
-    h = draw(st.sampled_from([0.01, 2.6 / 32, 0.125, 3.0]))
-    scale = draw(st.sampled_from([1.0, 1e-6, 1e6]))
-    base = scale * draw(st.sampled_from([0.1, 1.0, -3.7, 1e3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = st.sampled_from(["random", "constant", "ulps"])
-    kinds = draw(st.lists(kinds, min_size=nx, max_size=nx))
-    rows = {
-        "random": lambda: base + scale * rng.uniform(-1.0, 1.0, ny),
-        "constant": lambda: np.full(ny, base),
-        "ulps": lambda: base + np.spacing(base) * rng.integers(-2, 3, ny),
-    }
-    f = np.array([rows[k]() for k in kinds])
-    cuts = sorted(draw(st.sets(st.integers(2, nx - 2)))) if nx >= 4 else []
-    edges = [0, *cuts, nx]
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    return Grid2D(nx, ny, h), f, blocks
-
-
-@settings(max_examples=300, deadline=None)
-@given(row_fields())
-def test_block_bounds_bound_the_gradient(case):
-    # the bound that lets product_bounds skip a block: on each block's
-    # rows, A >= |f| and G >= |d_x f| + |d_y f| as gradient() forms and
-    # rounds them, with no padding, also on constant rows and rows
-    # within a few ulps of a constant
-    g, f, blocks = case
-    _assert_block_bounds(f, blocks, g.h)
-
-
-def test_block_bounds_on_constant_rows_and_corners():
-    h = 2.6 / 32
-    blocks = [slice(0, 2), slice(2, 5), slice(5, 9)]
-    # constant rows: the gradient and the bound are exactly 0
-    for c in (0.1, -0.7310585786300049, 1e6 / 3):
-        _, bound, total = _assert_block_bounds(np.full((9, 7), c), blocks, h)
-        assert np.all(total == 0.0) and np.all(bound == 0.0)
-    # a corner node whose one-sided derivatives both reach 2R/h:
-    # t0 = lo, t1 = hi, t2 = lo along each axis, so |d_x| + |d_y| = 4R/h
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
-        f = rng.uniform(lo, hi, (9, 7))
-        f[0, 0] = f[2, 0] = f[0, 2] = lo
-        f[1, 0] = f[0, 1] = hi
-        _, bound, total = _assert_block_bounds(f, blocks, h)
-        assert total[0, 0] >= (1.0 - 1e-14) * bound[0]
-
-
-@pytest.mark.parametrize("kind", ["owned", "row", "column", "scalar", "row window", "column window"])
-def test_block_bounds_on_random_and_broadcast_fields(kind):
-    # the row extremes of a broadcast field come from its distinct
-    # entries; the bound holds on it as on the owned field
-    rng = np.random.default_rng(23)
-    for h in (2.6 / 32, 0.01, 3.0):
-        f = _layouts(rng.uniform(-1.0, 1.0, (41, 37)))[kind]
-        edges = [0, 2, *sorted(rng.choice(np.arange(3, f.shape[0] - 2), 3, replace=False)), f.shape[0]]
-        blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        _assert_block_bounds(f, blocks, h)
 
 
 # ---------------------------------------------------------------------------
